@@ -25,7 +25,14 @@ from .errors import (
     StabilityError,
     ZeroModeError,
 )
-from .statespace import StateSpaceSystem, add, check_minimal, mirror, negate
+from .statespace import (
+    StateSpaceSystem,
+    add,
+    check_minimal,
+    frequency_response,
+    mirror,
+    negate,
+)
 from .tolerances import HSV_MINIMAL, HSV_TIE, MINREAL_TOL, inf_norm, stab_tol
 
 
@@ -267,6 +274,15 @@ def hankel_norm_bound(s: StateSpaceSystem) -> float:
     return 2.0 * float(np.sum(data[3]))
 
 
+def _noise_floor(zc: np.ndarray, zo: np.ndarray) -> float:
+    """Hankel-value noise level of a realization with Gramian factors ``zc``, ``zo``.
+
+    Below it the Hankel values are Gramian rounding noise (observed up to
+    ~1e3 eps times the factor scales).
+    """
+    return 1e4 * np.finfo(float).eps * np.linalg.norm(zc, 2) * np.linalg.norm(zo, 2)
+
+
 def gramian_noise_floor(s: StateSpaceSystem) -> float:
     """Absolute level below which Hankel values of this realization are noise."""
     if s.n == 0:
@@ -274,8 +290,7 @@ def gramian_noise_floor(s: StateSpaceSystem) -> float:
     data = _hankel_data(s)
     if data is None:
         return 0.0
-    zc, zo = data[0], data[1]
-    return 1e4 * np.finfo(float).eps * np.linalg.norm(zc, 2) * np.linalg.norm(zo, 2)
+    return _noise_floor(data[0], data[1])
 
 
 def drop_negligible_antistable(s: StateSpaceSystem):
@@ -343,15 +358,8 @@ def minimal_realization(s: StateSpaceSystem, tol: float = MINREAL_TOL) -> StateS
         if part is not None and part.n:
             data = _hankel_data(part)
             if data is not None:
-                zc, zo = data[0], data[1]
                 top = max(top, data[3][0])
-                # below this level the Hankel values are Gramian rounding
-                # noise (observed up to ~1e3 eps times the factor scales)
-                noise_floor = max(
-                    noise_floor,
-                    1e4 * np.finfo(float).eps
-                    * np.linalg.norm(zc, 2) * np.linalg.norm(zo, 2),
-                )
+                noise_floor = max(noise_floor, _noise_floor(data[0], data[1]))
     cut = max(tol * top, noise_floor)
     stable_red = _truncate_part_by_tol(stable, cut)
     if anti_m is not None:
@@ -364,13 +372,11 @@ def minimal_realization(s: StateSpaceSystem, tol: float = MINREAL_TOL) -> StateS
     result = add(stable_red, anti_strict)
     # Self-check: a difference of nearly identical systems can leave only
     # noise-dominated directions, in which case the projection is garbage.
-    diff = 0.0
-    scale = 0.0
-    for w in (0.0, 0.731, 9.3):
-        r_in = s.eval(1j * w)
-        r_out = result.eval(1j * w)
-        diff = max(diff, float(np.max(np.abs(r_in - r_out))))
-        scale = max(scale, float(np.max(np.abs(r_in))))
+    probes = (0.0, 0.731, 9.3)
+    r_in = frequency_response(s, probes)
+    r_out = frequency_response(result, probes)
+    diff = float(np.max(np.abs(r_in - r_out)))
+    scale = float(np.max(np.abs(r_in)))
     if diff > max(1e-6 * scale, 10.0 * noise_floor):
         raise ConvergenceError(
             "minimal realization is numerically unreliable for this system "

@@ -113,13 +113,6 @@ def zero_system(p: int, m: int) -> StateSpaceSystem:
     )
 
 
-def identity_system(p: int) -> StateSpaceSystem:
-    """The static identity map of size p."""
-    return StateSpaceSystem(
-        np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), np.eye(p)
-    )
-
-
 def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
     """Parallel interconnection: transfer functions add, orders add."""
     if s1.m != s2.m or s1.p != s2.p:
@@ -155,11 +148,6 @@ def series(s2: StateSpaceSystem, s1: StateSpaceSystem) -> StateSpaceSystem:
     return StateSpaceSystem(a, b, c, s2.D @ s1.D)
 
 
-def transpose(s: StateSpaceSystem) -> StateSpaceSystem:
-    """Dual system ``(A^T, C^T, B^T, D^T)``, realizing ``s(s)^T``."""
-    return StateSpaceSystem(s.A.T, s.C.T, s.B.T, s.D.T)
-
-
 def mirror(s: StateSpaceSystem) -> StateSpaceSystem:
     """Realization of ``s(-s)^T``: stable for an antistable input system.
 
@@ -169,19 +157,30 @@ def mirror(s: StateSpaceSystem) -> StateSpaceSystem:
     return StateSpaceSystem(-s.A.T, s.C.T, s.B.T, s.D.T)
 
 
+# Frequencies per stacked solve in frequency_response.
+_RESPONSE_CHUNK = 32
+
+
 def frequency_response(s: StateSpaceSystem, omegas) -> np.ndarray:
     """Transfer function values at ``j*omega`` for an array of frequencies.
 
-    Returns an array of shape ``(len(omegas), p, m)``.
+    Returns an array of shape ``(len(omegas), p, m)``.  The resolvents are
+    computed by one stacked solve per chunk of frequencies; the chunk size
+    bounds the ``(chunk, n, n)`` work array.
     """
     ws = np.atleast_1d(np.asarray(omegas, dtype=float))
     out = np.empty((ws.size, s.p, s.m), dtype=complex)
     if s.n == 0:
         out[:] = s.D
         return out
-    eye = np.eye(s.n)
-    for i, w in enumerate(ws):
-        out[i] = s.C @ np.linalg.solve(1j * w * eye - s.A, s.B) + s.D
+    diag = np.arange(s.n)
+    for start in range(0, ws.size, _RESPONSE_CHUNK):
+        chunk = ws[start:start + _RESPONSE_CHUNK]
+        # built in place: one (chunk, n, n) array instead of two temporaries
+        pencils = np.empty((chunk.size, s.n, s.n), dtype=complex)
+        pencils[:] = -s.A
+        pencils[:, diag, diag] += 1j * chunk[:, None]
+        out[start:start + chunk.size] = s.C @ np.linalg.solve(pencils, s.B) + s.D
     return out
 
 

@@ -33,7 +33,10 @@ PZ_CANCEL = 1e-7
 # Default eigenvalue clustering tolerance for modal decomposition.
 CLUSTER_TOL = 1e-6
 
-# H-infinity bisection termination and axis-detection tolerances.
+# Peak-gain level-set iteration: termination, iteration cap and
+# axis-detection tolerances.  The iteration stops once the level
+# (1 + 2 HINF_REL) times the best lower bound found has no axis crossings and
+# returns the midpoint, so the result is within HINF_REL of the peak.
 # Termination is tighter than the 1e-8 acceptance floor so that
 # near-equality norm properties (slack 1e-9) hold for the computed values.
 # The axis test tolerance is thin on purpose: near a tangent peak the

@@ -267,3 +267,26 @@ def test_four_block_random_pole_subset(rng):
         acl = np.sort_complex(np.linalg.eigvals(closed_loop_matrix(g, k)))
         fbe = np.sort_complex(np.linalg.eigvals(fb.system.A))
         assert np.max(np.abs(acl - fbe)) < 1e-8
+
+
+def test_frequency_response_matches_pointwise_eval(rng):
+    from ctred import statespace
+    from ctred.gen import random_stable_minimal
+
+    mimo = random_stable_minimal(rng, 6, m=2, p=3)
+    mimo = StateSpaceSystem(mimo.A, mimo.B, mimo.C, rng.uniform(-1.0, 1.0, (3, 2)))
+    static = make_system(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)),
+                         rng.uniform(-1.0, 1.0, (3, 2)))
+    short = np.array([0.0, 0.3, 7.0])
+    long = np.concatenate([[0.0], np.logspace(-3, 3, 3 * statespace._RESPONSE_CHUNK + 5)])
+    cases = [
+        (static, short),
+        (random_stable_minimal(rng, 4), short),
+        (mimo, short),
+        (mimo, long),
+    ]
+    for s, ws in cases:
+        got = frequency_response(s, ws)
+        ref = np.array([s.eval(1j * w) for w in ws])
+        assert got.shape == (ws.size, s.p, s.m)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
