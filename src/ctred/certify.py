@@ -1,10 +1,17 @@
 """Machine-checkable certificates for reduced-order controllers.
 
-Each check returns a :class:`ReductionCertificate` holding every norm it
-evaluated, the verdict of the sufficient condition, an optional bound on
-the closed-loop quadratic cost of the reduced controller, and an
-independent eigenvalue-based stability verdict (so the conservatism of a
-sufficient condition stays visible).
+Every certificate has the same shape.  Its prologue checks that the
+reduced controller ``K_r`` fits the loop (a strictly proper controller of
+the nominal one's dimensions; :class:`DimensionError` otherwise) and that
+the nominal ``K`` internally stabilizes ``G`` (:class:`NotStabilizingError`
+otherwise), and builds the four-block map of the nominal loop.  The
+closed-loop blocks ``X``, ``Y``, ``KX`` and ``KY`` then feed the
+certificate's sufficient condition on the error ``delta = K_r - K`` and,
+for the bound certificates, an upper bound on the closed-loop quadratic
+cost of ``K_r``.  The epilogue records an independent eigenvalue-based
+stability verdict of the reduced loop and its spectral abscissa, so the
+conservatism of a sufficient condition stays visible, and returns a
+:class:`ReductionCertificate` holding every norm evaluated.
 
 Undefined norms (e.g. the peak gain of an unstable error system) are
 recorded as ``inf`` and fail the condition instead of raising, so batch
@@ -21,18 +28,25 @@ import numpy as np
 from . import linalg
 from .errors import (
     AxisPoleError,
-    NotStabilizingError,
+    ConvergenceError,
     SeparationError,
     UnsupportedError,
     WrongCertificateError,
     ZeroModeError,
 )
 from .norms import h2_norm, hinf_norm, l2_norm, linf_norm
-from .reduce import TruncationResult, minimal_realization
+from .reduce import (
+    TruncationResult,
+    drop_negligible_antistable,
+    minimal_realization,
+    split_cancelled_unstable,
+)
 from .statespace import (
+    FourBlockMap,
     StateSpaceSystem,
+    _check_loop_dims,
+    _stabilizing_four_block,
     add,
-    four_block,
     is_internally_stable,
     negate,
     series,
@@ -86,39 +100,34 @@ def lqg_cost(g: StateSpaceSystem, k: StateSpaceSystem) -> float:
     Equals the squared H2 norm of the joint closed-loop map from the two
     noise channels to the performance output and the control input.
     """
-    stable, alpha = is_internally_stable(g, k)
-    if not stable:
-        raise NotStabilizingError(
-            f"cost is infinite: controller does not stabilize the plant "
-            f"(closed-loop abscissa {alpha:.3e})"
-        )
-    return h2_norm(four_block(g, k).system) ** 2
+    return h2_norm(_stabilizing_four_block(g, k).system) ** 2
 
 
 def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     """Total cost and the four per-block squared-H2 contributions."""
-    stable, alpha = is_internally_stable(g, k)
-    if not stable:
-        raise NotStabilizingError(
-            f"cost is infinite: controller does not stabilize the plant "
-            f"(closed-loop abscissa {alpha:.3e})"
-        )
-    fb = four_block(g, k)
+    fb = _stabilizing_four_block(g, k)
     parts = [h2_norm(fb.block(i, j)) ** 2 for i in (0, 1) for j in (0, 1)]
     return h2_norm(fb.system) ** 2, parts
 
 
-def _verified_stable(g: StateSpaceSystem, k_r: StateSpaceSystem):
-    try:
-        stable, alpha = is_internally_stable(g, k_r)
-    except Exception:
-        return False, math.inf
-    return stable, alpha
+def _prologue(g: StateSpaceSystem, k: StateSpaceSystem,
+              k_r: StateSpaceSystem) -> FourBlockMap:
+    """Shared certificate prologue: ``k_r`` must fit the loop and ``k`` must
+    stabilize ``g``; returns the four-block map of the nominal loop."""
+    _check_loop_dims(g, k_r)
+    return _stabilizing_four_block(g, k)
+
+
+def _epilogue(theorem: str, g: StateSpaceSystem, k_r: StateSpaceSystem,
+              quantities: dict, condition: bool, cost_bound, notes: list):
+    """Shared certificate epilogue: the eigenvalue verdict on ``(g, k_r)``."""
+    stable, alpha = is_internally_stable(g, k_r)
+    quantities["closed_loop_abscissa"] = alpha
+    return ReductionCertificate(theorem, quantities, condition, cost_bound,
+                                stable, tuple(notes))
 
 
 def _minreal_safe(s: StateSpaceSystem, notes: list):
-    from .errors import ConvergenceError
-
     try:
         return minimal_realization(s)
     except (AxisPoleError, SeparationError, ConvergenceError) as exc:
@@ -141,8 +150,6 @@ def _stable_form(s: StateSpaceSystem, notes: list, label: str):
     stands in, so hidden cancellations never fail the test spuriously.
     Returns ``(stable, realization_or_None)``.
     """
-    from .reduce import drop_negligible_antistable
-
     if _stable_system(s):
         return True, s
     try:
@@ -156,41 +163,25 @@ def _stable_form(s: StateSpaceSystem, notes: list, label: str):
     return True, form
 
 
-def _loop_quantities(g: StateSpaceSystem, k: StateSpaceSystem):
-    """Norms of the stable closed-loop blocks of the (G, K) loop.
+def _loop_quantities(fb: FourBlockMap) -> dict:
+    """Norms of the stable closed-loop blocks of a four-block map.
 
     The entries for Y use its identity feedthrough for the peak gain and
     its strictly proper part for the H2 entry (the raw H2 integral of a
     biproper function diverges).
     """
-    fb = four_block(g, k)
-    x = fb.x
-    xk = fb.xk
-    kx = fb.kx
-    ky = fb.ky
-    y = StateSpaceSystem(xk.A, xk.B, xk.C, np.eye(g.p))
-    xk_h2 = h2_norm(xk)
-    q = {
-        "x_h2": h2_norm(x),
-        "x_hinf": hinf_norm(x),
+    xk_h2 = h2_norm(fb.xk)
+    return {
+        "x_h2": h2_norm(fb.x),
+        "x_hinf": hinf_norm(fb.x),
         "xk_h2": xk_h2,
-        "kx_h2": h2_norm(kx),
-        "kx_hinf": hinf_norm(kx),
-        "ky_h2": h2_norm(ky),
-        "y_hinf": hinf_norm(y),
+        "kx_h2": h2_norm(fb.kx),
+        "kx_hinf": hinf_norm(fb.kx),
+        "ky_h2": h2_norm(fb.ky),
+        "y_hinf": hinf_norm(fb.y),
         "y_h2": xk_h2,  # strictly proper part of Y = I + XK
         "cost_original": h2_norm(fb.system) ** 2,
     }
-    return q, fb
-
-
-def _require_stabilizing(g, k):
-    stable, alpha = is_internally_stable(g, k)
-    if not stable:
-        raise NotStabilizingError(
-            f"the nominal controller must stabilize the plant "
-            f"(closed-loop abscissa {alpha:.3e})"
-        )
 
 
 def _unstable_pole_count(s_min: StateSpaceSystem, tol: float):
@@ -205,10 +196,9 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     """Classical reduced-controller test: matched unstable pole counts plus
     a small-gain condition on the truncation error, in the peak gain over
     the axis (poles of the error system need not be stable)."""
-    _require_stabilizing(g, k)
+    fbx = _prologue(g, k, k_r).x
     notes: list[str] = []
     quantities: dict = {}
-    fbx = four_block(g, k).x
 
     counts_ok = False
     k_min = _minreal_safe(k, notes)
@@ -238,10 +228,7 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     quantities.update(gains)
 
     condition = counts_ok and min(gains.values()) < 1.0
-    stable, alpha = _verified_stable(g, k_r)
-    quantities["closed_loop_abscissa"] = alpha
-    return ReductionCertificate("lemma3", quantities, condition, None, stable,
-                                tuple(notes))
+    return _epilogue("lemma3", g, k_r, quantities, condition, None, notes)
 
 
 def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -253,15 +240,13 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     verdicts are taken on cancellation-cleaned realizations so exactly
     cancelling hidden modes cannot fail the test spuriously.
     """
-    _require_stabilizing(g, k)
+    fb = _prologue(g, k, k_r)
     notes: list[str] = []
     quantities: dict = {}
-    fb = four_block(g, k)
     x = fb.x
-    y = StateSpaceSystem(fb.xk.A, fb.xk.B, fb.xk.C, np.eye(g.p))
     delta = add(k_r, negate(k))
 
-    dy_stable, _ = _stable_form(series(delta, y), notes, "delta*Y")
+    dy_stable, _ = _stable_form(series(delta, fb.y), notes, "delta*Y")
     xd_stable, xd_min = _stable_form(series(x, delta), notes, "X*delta")
     dx_stable, dx_min = _stable_form(series(delta, x), notes, "delta*X")
 
@@ -275,27 +260,28 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
         and dx_stable
         and max(quantities["x_delta_hinf"], quantities["delta_x_hinf"]) < 1.0
     )
-    stable, alpha = _verified_stable(g, k_r)
-    quantities["closed_loop_abscissa"] = alpha
-    return ReductionCertificate("thm1", quantities, condition, None, stable,
-                                tuple(notes))
+    return _epilogue("thm1", g, k_r, quantities, condition, None, notes)
 
 
-def _delta_h_norms(delta: StateSpaceSystem, notes: list):
-    """(hinf, h2) of a stable error system, or infinities when unstable."""
-    stable, form = _stable_form(delta, notes, "error system")
-    if not stable:
+def _record_delta_norms(q: dict, form, notes: list) -> float:
+    """Record ``delta_hinf``/``delta_h2`` of the stable error realization
+    ``form`` from :func:`_stable_form` (infinities when it is ``None``);
+    returns ``delta_hinf``."""
+    if form is None:
         notes.append("error system is not stable; its H norms are undefined")
-        return math.inf, math.inf
-    return hinf_norm(form), h2_norm(form)
+        q["delta_hinf"], q["delta_h2"] = math.inf, math.inf
+    else:
+        q["delta_hinf"], q["delta_h2"] = hinf_norm(form), h2_norm(form)
+    return q["delta_hinf"]
 
 
-def _bound_terms(q: dict, d_hinf: float, d_h2: float, s1_coeff_h2: float):
+def _bound_terms(q: dict, s1_coeff_h2: float):
     """S1/S2 penalty terms entering the cost bound.
 
     ``s1_coeff_h2`` scales the H2-error chunk of S1 (the two bound
     variants in use differ exactly there).
     """
+    d_hinf, d_h2 = q["delta_hinf"], q["delta_h2"]
     s1 = (
         2.0 * d_hinf * q["x_h2"] * q["xk_h2"]
         + s1_coeff_h2
@@ -309,36 +295,27 @@ def _bound_terms(q: dict, d_hinf: float, d_h2: float, s1_coeff_h2: float):
     return s1, s2
 
 
-def _smallgain_bound(q: dict, d_hinf: float, d_h2: float, s1_coeff_h2: float,
-                     notes: list):
-    s1, s2 = _bound_terms(q, d_hinf, d_h2, s1_coeff_h2)
-    denom = 1.0 - q["x_hinf"] * d_hinf
+def _record_bound(q: dict, notes: list) -> float:
+    """Record ``s1``/``s2`` and return the small-gain cost bound."""
+    q["s1"], q["s2"] = _bound_terms(q, 2.0)
+    denom = 1.0 - q["x_hinf"] * q["delta_hinf"]
     if denom <= 0.0:
         notes.append("small-gain margin is non-positive; bound is infinite")
-        return s1, s2, math.inf
-    return s1, s2, (q["cost_original"] + s1 + s2) / denom**2
+        return math.inf
+    return (q["cost_original"] + q["s1"] + q["s2"]) / denom**2
 
 
 def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,
                      k_r: StateSpaceSystem) -> ReductionCertificate:
     """Small-gain certificate with a closed-loop cost bound, for stable errors."""
-    _require_stabilizing(g, k)
+    fb = _prologue(g, k, k_r)
     notes: list[str] = []
-    quantities, _ = _loop_quantities(g, k)
-    d_hinf, d_h2 = _delta_h_norms(add(k_r, negate(k)), notes)
-    quantities["delta_hinf"] = d_hinf
-    quantities["delta_h2"] = d_h2
+    quantities = _loop_quantities(fb)
+    _, delta_form = _stable_form(add(k_r, negate(k)), notes, "error system")
+    d_hinf = _record_delta_norms(quantities, delta_form, notes)
     condition = math.isfinite(d_hinf) and d_hinf * quantities["x_hinf"] < 1.0
-    cost_bound = None
-    if condition:
-        s1, s2, bound = _smallgain_bound(quantities, d_hinf, d_h2, 2.0, notes)
-        quantities["s1"] = s1
-        quantities["s2"] = s2
-        cost_bound = bound
-    stable, alpha = _verified_stable(g, k_r)
-    quantities["closed_loop_abscissa"] = alpha
-    return ReductionCertificate("thm2", quantities, condition, cost_bound,
-                                stable, tuple(notes))
+    cost_bound = _record_bound(quantities, notes) if condition else None
+    return _epilogue("thm2", g, k_r, quantities, condition, cost_bound, notes)
 
 
 def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -347,29 +324,22 @@ def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
     be below half the reciprocal peak gain of the input sensitivity."""
     if reduction.method != "balanced":
         raise WrongCertificateError("this certificate applies to balanced truncation")
-    _require_stabilizing(g, k)
+    k_r = reduction.reduced
+    fb = _prologue(g, k, k_r)
     notes: list[str] = []
-    quantities, _ = _loop_quantities(g, k)
+    quantities = _loop_quantities(fb)
     tail = float(sum(reduction.truncated_tail))
     quantities["sigma_tail_sum"] = tail
     condition = tail < 1.0 / (2.0 * quantities["x_hinf"])
-    d_hinf, d_h2 = _delta_h_norms(reduction.delta, notes)
-    quantities["delta_hinf"] = d_hinf
-    quantities["delta_h2"] = d_h2
+    _, delta_form = _stable_form(reduction.delta, notes, "error system")
+    d_hinf = _record_delta_norms(quantities, delta_form, notes)
     cost_bound = None
     if condition and math.isfinite(d_hinf):
-        s1, s2, bound = _smallgain_bound(quantities, d_hinf, d_h2, 2.0, notes)
-        quantities["s1"] = s1
-        quantities["s2"] = s2
-        cost_bound = bound
+        cost_bound = _record_bound(quantities, notes)
     elif condition:
         condition = False
         notes.append("tail condition held but the error system is not stable")
-    k_r = reduction.reduced
-    stable, alpha = _verified_stable(g, k_r)
-    quantities["closed_loop_abscissa"] = alpha
-    return ReductionCertificate("cor1", quantities, condition, cost_bound,
-                                stable, tuple(notes))
+    return _epilogue("cor1", g, k_r, quantities, condition, cost_bound, notes)
 
 
 def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -383,31 +353,22 @@ def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
     instances), so the bound uses it; the single-coefficient variant is
     recorded alongside for comparison.
     """
-    _require_stabilizing(g, k)
+    fb = _prologue(g, k, k_r)
     notes: list[str] = []
-    quantities, _ = _loop_quantities(g, k)
     delta_stable, delta_form = _stable_form(add(k_r, negate(k)), notes,
                                             "error system")
     if not delta_stable:
         raise WrongCertificateError(
             "error system is unstable; use the unstable-truncation certificate (thm3)"
         )
-    d_hinf, d_h2 = hinf_norm(delta_form), h2_norm(delta_form)
-    quantities["delta_hinf"] = d_hinf
-    quantities["delta_h2"] = d_h2
+    quantities = _loop_quantities(fb)
+    d_hinf = _record_delta_norms(quantities, delta_form, notes)
     condition = d_hinf * quantities["x_hinf"] < 1.0
     cost_bound = None
     if condition:
-        s1, s2, bound = _smallgain_bound(quantities, d_hinf, d_h2, 2.0, notes)
-        s1_single, _, _ = _smallgain_bound(quantities, d_hinf, d_h2, 1.0, [])
-        quantities["s1"] = s1
-        quantities["s1_single_h2_term"] = s1_single
-        quantities["s2"] = s2
-        cost_bound = bound
-    stable, alpha = _verified_stable(g, k_r)
-    quantities["closed_loop_abscissa"] = alpha
-    return ReductionCertificate("cor2", quantities, condition, cost_bound,
-                                stable, tuple(notes))
+        cost_bound = _record_bound(quantities, notes)
+        quantities["s1_single_h2_term"], _ = _bound_terms(quantities, 1.0)
+    return _epilogue("cor2", g, k_r, quantities, condition, cost_bound, notes)
 
 
 def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -425,10 +386,9 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     """
     if not (g.is_siso and k.is_siso and k_r.is_siso):
         raise UnsupportedError("this certificate is defined for SISO systems only")
-    _require_stabilizing(g, k)
+    fb = _prologue(g, k, k_r)
     notes: list[str] = []
-    quantities, fb = _loop_quantities(g, k)
-    x = fb.x
+    quantities = _loop_quantities(fb)
 
     delta_raw = add(k_r, negate(k))
     raw_ev = linalg.eigenvalues(delta_raw.A)
@@ -438,8 +398,6 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         delta_min = delta_raw
     else:
         # keep genuine unstable modes, drop the exactly cancelled copies
-        from .reduce import split_cancelled_unstable
-
         try:
             delta_min = split_cancelled_unstable(delta_raw)
         except (AxisPoleError, SeparationError) as exc:
@@ -456,20 +414,7 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     # 1 - X*delta; unstable modes of the raw product must cancel through
     # the structural zeros of X, leaving only rounding-level content
     # (hidden stable modes are harmless to the zero test below)
-    prod = series(x, delta_min)
-    if _stable_system(prod):
-        prod_min = prod
-    else:
-        from .reduce import drop_negligible_antistable
-
-        try:
-            prod_min = drop_negligible_antistable(prod)
-        except (AxisPoleError, SeparationError) as exc:
-            prod_min = None
-            notes.append(f"product stability undecidable: {exc}")
-        if prod_min is None:
-            notes.append("X*delta keeps genuine unstable content")
-    condition = prod_min is not None
+    condition, prod_min = _stable_form(series(fb.x, delta_min), notes, "X*delta")
     prefactor = math.inf
     if condition:
         a_inv = prod_min.A + prod_min.B @ prod_min.C
@@ -520,7 +465,4 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         q["s1"] = s1
         q["s2"] = s2
         cost_bound = prefactor**2 * (q["cost_original"] + s1 + s2)
-    stable, alpha = _verified_stable(g, k_r)
-    quantities["closed_loop_abscissa"] = alpha
-    return ReductionCertificate("thm3", quantities, condition, cost_bound,
-                                stable, tuple(notes))
+    return _epilogue("thm3", g, k_r, quantities, condition, cost_bound, notes)

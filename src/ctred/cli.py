@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import benchmarks, certify, errors, norms, reduce as reduction, sysfile
 from .decompose import modal_form
 from .gen import generate_instance
-from .statespace import frequency_response, is_internally_stable
+from .statespace import _stabilizing_four_block, frequency_response
 
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
@@ -78,17 +77,9 @@ def _write_csv(path, rows) -> None:
 def _modal_blocks_for_order(k_sys, target_order: int) -> int:
     """Smallest number of removed blocks reaching the target order."""
     md = modal_form(k_sys)
-
-    def rank_key(i):
-        d = md.blocks[i].importance
-        return (math.inf if math.isnan(d) else d,
-                abs(md.blocks[i].eigenvalue.real),
-                abs(md.blocks[i].eigenvalue.imag), i)
-
-    ranking = sorted(range(len(md.blocks)), key=rank_key)
     order = k_sys.n
     removed = 0
-    for i in ranking:
+    for i in reduction.mode_ranking(md):
         if order <= target_order:
             break
         order -= md.blocks[i].order
@@ -103,11 +94,7 @@ def _modal_blocks_for_order(k_sys, target_order: int) -> int:
 def _cmd_reduce(args) -> int:
     g, _ = sysfile.load_system(args.plant)
     k, _ = sysfile.load_system(args.controller)
-    stable, alpha = is_internally_stable(g, k)
-    if not stable:
-        raise errors.NotStabilizingError(
-            f"controller does not stabilize the plant (abscissa {alpha:.3e})"
-        )
+    _stabilizing_four_block(g, k)
     if args.method == "balanced":
         if args.order is None:
             raise errors.InfeasibleOrderError("balanced reduction needs --order")
@@ -132,12 +119,9 @@ def _cmd_reduce(args) -> int:
         if result.method == "balanced":
             cert = certify.check_cor1(g, k, result)
         else:
-            delta_min = reduction.minimal_realization(result.delta)
-            if delta_min.n == 0 or all(
-                ev.real < 0 for ev in np.atleast_1d(np.linalg.eigvals(delta_min.A))
-            ):
+            try:
                 cert = certify.check_cor2(g, k, result.reduced)
-            else:
+            except errors.WrongCertificateError:  # the error system is unstable
                 cert = certify.check_thm3(g, k, result.reduced)
         report["certificates"] = [cert.to_dict()]
     report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
@@ -211,33 +195,36 @@ def _cmd_repro(args) -> int:
     return 0
 
 
+def _check_cor1(g, k, k_r):
+    """cor1 on the balanced truncation recomputed at the order of ``k_r``."""
+    result = reduction.balanced_truncate_unstable(k, k_r.n)
+    ws = np.logspace(-3, 3, 20)
+    resp_given = frequency_response(k_r, ws)
+    resp_comp = frequency_response(result.reduced, ws)
+    scale = max(np.max(np.abs(resp_comp)), 1.0)
+    if np.max(np.abs(resp_given - resp_comp)) > 1e-6 * scale:
+        raise errors.WrongCertificateError(
+            "provided reduced controller does not match the balanced "
+            "truncation at its order; cor1 does not apply"
+        )
+    return certify.check_cor1(g, k, result)
+
+
+_CERTIFICATES = {
+    "lemma3": certify.check_lemma3,
+    "thm1": certify.check_thm1,
+    "thm2": certify.check_thm2_bound,
+    "cor1": _check_cor1,
+    "cor2": certify.check_cor2,
+    "thm3": certify.check_thm3,
+}
+
+
 def _cmd_certify(args) -> int:
     g, _ = sysfile.load_system(args.plant)
     k, _ = sysfile.load_system(args.controller)
     k_r, _ = sysfile.load_system(args.reduced)
-    if args.theorem == "lemma3":
-        cert = certify.check_lemma3(g, k, k_r)
-    elif args.theorem == "thm1":
-        cert = certify.check_thm1(g, k, k_r)
-    elif args.theorem == "thm2":
-        cert = certify.check_thm2_bound(g, k, k_r)
-    elif args.theorem == "cor2":
-        cert = certify.check_cor2(g, k, k_r)
-    elif args.theorem == "thm3":
-        cert = certify.check_thm3(g, k, k_r)
-    else:  # cor1: recompute the balanced reduction at the provided order
-        result = reduction.balanced_truncate_unstable(k, k_r.n)
-        ws = np.logspace(-3, 3, 20)
-        resp_given = frequency_response(k_r, ws)
-        resp_comp = frequency_response(result.reduced, ws)
-        scale = max(np.max(np.abs(resp_comp)), 1.0)
-        if np.max(np.abs(resp_given - resp_comp)) > 1e-6 * scale:
-            raise errors.WrongCertificateError(
-                "provided reduced controller does not match the balanced "
-                "truncation at its order; cor1 does not apply"
-            )
-        cert = certify.check_cor1(g, k, result)
-    doc = cert.to_dict()
+    doc = _CERTIFICATES[args.theorem](g, k, k_r).to_dict()
     _dump_json(doc, args.out)
     if args.out and not args.quiet:
         print(f"certificate written to {args.out}")
@@ -295,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("controller")
     p.add_argument("reduced")
     p.add_argument("--theorem", required=True,
-                   choices=("lemma3", "thm1", "thm2", "cor1", "cor2", "thm3"))
+                   choices=tuple(_CERTIFICATES))
     p.add_argument("--out", help="write the certificate JSON here instead of stdout")
     p.set_defaults(func=_cmd_certify)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -169,16 +170,29 @@ def balanced_truncate_unstable(k: StateSpaceSystem, r: int) -> TruncationResult:
 
 
 def modal_truncate(k: StateSpaceSystem, r_red: int) -> TruncationResult:
-    """Remove the ``r_red`` least important modal blocks of a minimal system.
-
-    Ties in the importance index break toward smaller ``|Re(lambda)|``,
-    then smaller ``|Im(lambda)|``, then block position.
-    """
+    """Remove the ``r_red`` least important modal blocks (:func:`mode_ranking`)
+    of a minimal system."""
     minimal = check_minimal(k)
     if not minimal:
         raise MinimalityError("controller realization must be minimal")
     md = modal_form(k)
     return modal_truncate_decomposition(md, r_red)
+
+
+def mode_ranking(md: ModalDecomposition) -> list[int]:
+    """Block indices from least to most important (the removal order).
+
+    Ties in the importance index break toward smaller ``|Re(lambda)|``,
+    then smaller ``|Im(lambda)|``, then block position.
+    """
+    def rank_key(i: int):
+        d = md.blocks[i].importance
+        if math.isnan(d):
+            d = math.inf  # unrankable modes are never among the smallest
+        lam = md.blocks[i].eigenvalue
+        return (d, abs(lam.real), abs(lam.imag), i)
+
+    return sorted(range(len(md.blocks)), key=rank_key)
 
 
 def modal_truncate_decomposition(md: ModalDecomposition, r_red: int) -> TruncationResult:
@@ -188,15 +202,7 @@ def modal_truncate_decomposition(md: ModalDecomposition, r_red: int) -> Truncati
         raise InfeasibleOrderError(
             f"number of removed blocks must satisfy 1 <= r_red < {n_blocks}, got {r_red}"
         )
-    def rank_key(i: int):
-        d = md.blocks[i].importance
-        if math.isnan(d):
-            d = math.inf  # unrankable modes are never among the smallest
-        lam = md.blocks[i].eigenvalue
-        return (d, abs(lam.real), abs(lam.imag), i)
-
-    ranking = sorted(range(n_blocks), key=rank_key)
-    removed = ranking[:r_red]
+    removed = mode_ranking(md)[:r_red]
     for i in removed:
         if math.isnan(md.blocks[i].importance):
             raise ZeroModeError(
@@ -220,39 +226,54 @@ def _gramian_factor(w: np.ndarray) -> np.ndarray:
     return vecs[:, keep] @ np.diag(np.sqrt(evals[keep]))
 
 
-def _hankel_data(s: StateSpaceSystem):
-    """Hankel singular values and SVD factors of a stable part (may be non-minimal)."""
-    wc, wo = _gramians(s)
-    zc = _gramian_factor(wc)
-    zo = _gramian_factor(wo)
-    if zc.shape[1] == 0 or zo.shape[1] == 0:
-        return None
-    u, sv, vt = np.linalg.svd(zo.T @ zc, full_matrices=False)
-    return zc, zo, u, sv, vt
+class _HankelPass(NamedTuple):
+    """Hankel values of a stable part with their noise floor and the
+    factors of its balancing-free square-root projection."""
+
+    sigma: np.ndarray  # descending; empty when unreachable or unobservable
+    floor: float  # below it the Hankel values are Gramian rounding noise
+    zc: np.ndarray | None  # Gramian factors and the SVD ``zo^T zc = u diag(sigma) vt``
+    zo: np.ndarray | None
+    u: np.ndarray | None
+    vt: np.ndarray | None
+
+    @property
+    def bound(self) -> float:
+        """Twice the Hankel value sum: bounds the strictly proper peak gain."""
+        return 2.0 * float(np.sum(self.sigma))
 
 
-def _truncate_part_by_tol(s: StateSpaceSystem, cut: float):
+def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
+    """One Gramian solve and SVD of a stable part (may be non-minimal)."""
+    if s.n:
+        wc, wo = _gramians(s)
+        zc = _gramian_factor(wc)
+        zo = _gramian_factor(wo)
+        if zc.shape[1] and zo.shape[1]:
+            u, sv, vt = np.linalg.svd(zo.T @ zc, full_matrices=False)
+            # Gramian rounding noise was observed up to ~1e3 eps times the
+            # factor scales
+            floor = (1e4 * np.finfo(float).eps
+                     * np.linalg.norm(zc, 2) * np.linalg.norm(zo, 2))
+            return _HankelPass(sv, floor, zc, zo, u, vt)
+    return _HankelPass(np.zeros(0), 0.0, None, None, None, None)
+
+
+def _truncate_part_by_tol(s: StateSpaceSystem, hp: _HankelPass, cut: float):
     """Balancing-free square-root truncation keeping states with sigma > cut.
 
-    Orthonormal bases of the dominant Hankel subspaces give a far better
-    conditioned projection than the balanced one when the cut sits near
-    the rounding floor of the Gramians.
+    ``hp`` is the Hankel pass of ``s``.  Orthonormal bases of the dominant
+    Hankel subspaces give a far better conditioned projection than the
+    balanced one when the cut sits near the rounding floor of the Gramians.
     """
-    if s.n == 0:
+    k = int(np.sum(hp.sigma > cut))
+    if k == s.n:
         return s
-    data = _hankel_data(s)
-    if data is None:
-        return StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, s.m)),
-                                np.zeros((s.p, 0)), s.D)
-    zc, zo, u, sv, vt = data
-    k = int(np.sum(sv > cut))
     if k == 0:
         return StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, s.m)),
                                 np.zeros((s.p, 0)), s.D)
-    if k == s.n:
-        return s
-    v, _ = np.linalg.qr(zc @ vt[:k, :].T)
-    w, _ = np.linalg.qr(zo @ u[:, :k])
+    v, _ = np.linalg.qr(hp.zc @ hp.vt[:k, :].T)
+    w, _ = np.linalg.qr(hp.zo @ hp.u[:, :k])
     m = w.T @ v
     a_r = sla.solve(m, w.T @ s.A @ v)
     b_r = sla.solve(m, w.T @ s.B)
@@ -266,31 +287,7 @@ def hankel_norm_bound(s: StateSpaceSystem) -> float:
     Upper-bounds the peak gain of the strictly proper part; returns 0 for
     empty or unreachable/unobservable systems.  The feedthrough is ignored.
     """
-    if s.n == 0:
-        return 0.0
-    data = _hankel_data(s)
-    if data is None:
-        return 0.0
-    return 2.0 * float(np.sum(data[3]))
-
-
-def _noise_floor(zc: np.ndarray, zo: np.ndarray) -> float:
-    """Hankel-value noise level of a realization with Gramian factors ``zc``, ``zo``.
-
-    Below it the Hankel values are Gramian rounding noise (observed up to
-    ~1e3 eps times the factor scales).
-    """
-    return 1e4 * np.finfo(float).eps * np.linalg.norm(zc, 2) * np.linalg.norm(zo, 2)
-
-
-def gramian_noise_floor(s: StateSpaceSystem) -> float:
-    """Absolute level below which Hankel values of this realization are noise."""
-    if s.n == 0:
-        return 0.0
-    data = _hankel_data(s)
-    if data is None:
-        return 0.0
-    return _noise_floor(data[0], data[1])
+    return _hankel_pass(s).bound
 
 
 def drop_negligible_antistable(s: StateSpaceSystem):
@@ -306,14 +303,13 @@ def drop_negligible_antistable(s: StateSpaceSystem):
     anti = split.unstable_part
     if anti.n == 0:
         return split.stable_part
-    anti_m = mirror(anti)
-    anti_bound = hankel_norm_bound(anti_m)
-    stable_scale = hankel_norm_bound(split.stable_part)
+    stable_hp = _hankel_pass(split.stable_part)
+    anti_hp = _hankel_pass(mirror(anti))
+    stable_scale = stable_hp.bound
     if s.D.size:
         stable_scale += float(np.linalg.svd(s.D, compute_uv=False)[0])
-    floor = max(gramian_noise_floor(split.stable_part),
-                gramian_noise_floor(anti_m))
-    if anti_bound <= max(1e-6 * stable_scale, floor):
+    floor = max(stable_hp.floor, anti_hp.floor)
+    if anti_hp.bound <= max(1e-6 * stable_scale, floor):
         return split.stable_part
     return None
 
@@ -330,8 +326,8 @@ def split_cancelled_unstable(s: StateSpaceSystem) -> StateSpaceSystem:
     if anti.n == 0:
         return s
     anti_m = mirror(anti)
-    cut = gramian_noise_floor(anti_m)
-    anti_clean = mirror(_truncate_part_by_tol(anti_m, cut))
+    anti_hp = _hankel_pass(anti_m)
+    anti_clean = mirror(_truncate_part_by_tol(anti_m, anti_hp, anti_hp.floor))
     anti_strict = StateSpaceSystem(
         anti_clean.A, anti_clean.B, anti_clean.C, np.zeros((s.p, s.m))
     )
@@ -350,22 +346,15 @@ def minimal_realization(s: StateSpaceSystem, tol: float = MINREAL_TOL) -> StateS
         return s
     split = split_stable_unstable(s)
     stable, anti = split.stable_part, split.unstable_part
-    anti_m = mirror(anti) if anti.n else None
+    anti_m = mirror(anti)
+    stable_hp = _hankel_pass(stable)
+    anti_hp = _hankel_pass(anti_m)
 
-    top = 0.0
-    noise_floor = 0.0
-    for part in (stable, anti_m):
-        if part is not None and part.n:
-            data = _hankel_data(part)
-            if data is not None:
-                top = max(top, data[3][0])
-                noise_floor = max(noise_floor, _noise_floor(data[0], data[1]))
+    top = max(np.max(stable_hp.sigma, initial=0.0), np.max(anti_hp.sigma, initial=0.0))
+    noise_floor = max(stable_hp.floor, anti_hp.floor)
     cut = max(tol * top, noise_floor)
-    stable_red = _truncate_part_by_tol(stable, cut)
-    if anti_m is not None:
-        anti_red = mirror(_truncate_part_by_tol(anti_m, cut))
-    else:
-        anti_red = anti
+    stable_red = _truncate_part_by_tol(stable, stable_hp, cut)
+    anti_red = mirror(_truncate_part_by_tol(anti_m, anti_hp, cut))
     anti_strict = StateSpaceSystem(
         anti_red.A, anti_red.B, anti_red.C, np.zeros((s.p, s.m))
     )

@@ -249,6 +249,12 @@ class FourBlockMap:
         """Block (2,2): ``K (I - G K)^{-1}``."""
         return self.block(1, 1)
 
+    @property
+    def y(self) -> StateSpaceSystem:
+        """Output sensitivity ``Y = (I - G K)^{-1} = I + X K``."""
+        xk = self.xk
+        return StateSpaceSystem(xk.A, xk.B, xk.C, np.eye(self.p))
+
 
 def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     """Shared-state realization of the two-by-two closed-loop transfer matrix."""
@@ -266,22 +272,26 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     return FourBlockMap(StateSpaceSystem(a, b, c, d), p=p, m=m)
 
 
-def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):
-    """Stable realizations of ``Y = (I - G K)^{-1}`` and ``X = (I - G K)^{-1} G``.
-
-    Both live on the shared closed-loop state; ``Y`` carries an identity
-    feedthrough, ``X`` none.  Requires an internally stabilizing loop.
-    """
+def _stabilizing_four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
+    """``four_block(g, k)``; raises :class:`NotStabilizingError` unless ``k``
+    internally stabilizes ``g``."""
     stable, alpha = is_internally_stable(g, k)
     if not stable:
         raise NotStabilizingError(
             f"controller does not internally stabilize the plant "
             f"(closed-loop abscissa {alpha:.3e})"
         )
-    fb = four_block(g, k)
-    xk = fb.xk
-    y = StateSpaceSystem(xk.A, xk.B, xk.C, np.eye(g.p))
-    return y, fb.x
+    return four_block(g, k)
+
+
+def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):
+    """Stable realizations of ``Y = (I - G K)^{-1}`` and ``X = (I - G K)^{-1} G``.
+
+    Both live on the shared closed-loop state; ``Y`` carries an identity
+    feedthrough, ``X`` none.  Requires an internally stabilizing loop.
+    """
+    fb = _stabilizing_four_block(g, k)
+    return fb.y, fb.x
 
 
 @dataclass(frozen=True)

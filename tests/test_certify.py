@@ -18,6 +18,7 @@ from ctred.certify import (
 )
 from ctred.decompose import split_stable_unstable
 from ctred.errors import (
+    DimensionError,
     NotStabilizingError,
     UnsupportedError,
     WrongCertificateError,
@@ -25,7 +26,14 @@ from ctred.errors import (
 )
 from ctred.gen import generate_instance
 from ctred.reduce import TruncationResult, balanced_truncate_unstable, modal_truncate
-from ctred.statespace import add, four_block, make_system, zero_system
+from ctred.statespace import (
+    StateSpaceSystem,
+    add,
+    four_block,
+    make_system,
+    negate,
+    zero_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +326,16 @@ def test_certificate_invariants():
     cert = ReductionCertificate("thm2", {"delta_hinf": math.inf}, False, None, True)
     doc = cert.to_dict()
     assert doc["quantities"]["delta_hinf"] == "inf"
+
+
+@pytest.mark.parametrize("check", [check_lemma3, check_thm1, check_thm2_bound,
+                                   check_cor1, check_cor2, check_thm3])
+def test_biproper_reduced_controller_is_an_input_error(balmod, check):
+    # the reduced loop is only defined for a strictly proper K_r; a
+    # feedthrough used to pass lemma3 and thm1 with an infinite abscissa
+    g, k = balmod
+    k_r = StateSpaceSystem(k.A, k.B, k.C, np.array([[0.01]]))
+    if check is check_cor1:
+        k_r = TruncationResult(k_r, add(k_r, negate(k)), "balanced", ())
+    with pytest.raises(DimensionError, match="strictly proper"):
+        check(g, k, k_r)

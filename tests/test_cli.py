@@ -5,6 +5,7 @@ import pytest
 
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.cli import main
+from ctred.statespace import make_system
 from ctred.sysfile import load_system, save_system
 
 
@@ -40,8 +41,6 @@ def test_cost_command(files, capsys):
 def test_cost_not_stabilizing_exit_3(files, capsys):
     tmp, p = files
     unstable_plant = tmp / "up.json"
-    from ctred.statespace import make_system
-
     save_system(unstable_plant, make_system([[1.0]], [[1.0]], [[1.0]]))
     zero_k = tmp / "zk.json"
     save_system(zero_k, make_system([[-1.0]], [[1.0]], [[0.0]]))
@@ -136,11 +135,32 @@ def test_certify_command(files, capsys):
     assert doc["condition_satisfied"] is True
 
 
+def test_reduce_modal_certify_attaches_cor2(files, capsys):
+    tmp, p = files
+    out = tmp / "kr3.json"
+    rc = run(["--quiet", "reduce", p["g1"], p["k1"], "--method", "modal",
+              "--blocks", "1", "--out", out, "--certify"])
+    assert rc == 0
+    cert = json.loads((tmp / "kr3.report.json").read_text())["certificates"][0]
+    assert cert["theorem"] == "cor2"
+    assert cert["condition_satisfied"] is True
+    assert cert["cost_bound"] == pytest.approx(17.4773, rel=1e-5)
+
+
+@pytest.mark.parametrize("theorem", ["lemma3", "thm1", "thm2", "cor2", "thm3"])
+def test_certify_biproper_reduced_exit_2(files, capsys, theorem):
+    tmp, p = files
+    k, _ = load_system(p["k1"])
+    biproper = tmp / "biproper.json"
+    save_system(biproper, make_system(k.A, k.B, k.C, [[0.01]]))
+    assert run(["certify", p["g1"], p["k1"], biproper, "--theorem", theorem]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "DimensionError"
+
+
 def test_certify_cor1_rejects_mismatched_reduced(files, capsys):
     tmp, p = files
     other = tmp / "other.json"
-    from ctred.statespace import make_system
-
     save_system(other, make_system(np.diag([-1.0, -2.0]), [[1.0], [1.0]],
                                    [[1.0, 1.0]]))
     rc = run(["certify", p["g1"], p["k1"], other, "--theorem", "cor1"])

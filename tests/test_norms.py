@@ -193,20 +193,24 @@ def test_hinf_lightly_damped_resonances(monkeypatch):
     monkeypatch.setattr(norms, "_gamma_is_upper_bound", counted)
     checked = 0
     for w0 in (0.37, 3.1, 450.0):
+        channels = (  # SISO, and two inputs with a feedthrough
+            ([[0.0], [1.0]], [[w0**2, 0.0]], None),
+            ([[0.0, 0.0], [1.0, 0.5]], [[w0**2, 0.0]], [[0.0, 0.3]]),
+        )
         for zeta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            s = make_system([[0.0, 1.0], [-w0**2, -2.0 * zeta * w0]],
-                            [[0.0], [1.0]], [[w0**2, 0.0]])
-            solves.clear()
-            try:
-                val = hinf_norm(s)
-            except StabilityError:
-                continue  # too close to the axis for the stability tolerance
-            ref = grid_peak(s)
-            assert abs(val - ref) <= 1e-8 * ref, (w0, zeta, val, ref)
-            # quadratic convergence: a handful of Hamiltonian eigen-solves
-            assert len(solves) <= 10, (w0, zeta, len(solves))
-            checked += 1
-    assert checked >= 12
+            for b, c, d in channels:
+                s = make_system([[0.0, 1.0], [-w0**2, -2.0 * zeta * w0]], b, c, d)
+                solves.clear()
+                try:
+                    val = hinf_norm(s)
+                except StabilityError:
+                    continue  # too close to the axis for the stability tolerance
+                ref = grid_peak(s)
+                assert abs(val - ref) <= 1e-8 * ref, (w0, zeta, s, val, ref)
+                # quadratic convergence: a handful of Hamiltonian eigen-solves
+                assert len(solves) <= 10, (w0, zeta, s, len(solves))
+                checked += 1
+    assert checked >= 24
 
 
 def _bisection_upper_bound(s: StateSpaceSystem, gamma: float) -> bool:
