@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, certify, errors, norms, reduce as reduction, sysfile
-from .decompose import modal_form
 from .gen import generate_instance
-from .statespace import _stabilizing_four_block, frequency_response
+from .statespace import _check_loop_dims, _stabilizing_four_block, frequency_response
 
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
@@ -74,10 +73,9 @@ def _write_csv(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _modal_blocks_for_order(k_sys, target_order: int) -> int:
-    """Smallest number of removed blocks reaching the target order."""
-    md = modal_form(k_sys)
-    order = k_sys.n
+def _modal_blocks_for_order(md, target_order: int) -> int:
+    """Smallest number of blocks of ``md`` to remove to reach the target order."""
+    order = sum(b.order for b in md.blocks)
     removed = 0
     for i in reduction.mode_ranking(md):
         if order <= target_order:
@@ -100,13 +98,13 @@ def _cmd_reduce(args) -> int:
             raise errors.InfeasibleOrderError("balanced reduction needs --order")
         result = reduction.balanced_truncate_unstable(k, args.order)
     else:
-        if args.blocks is not None:
-            r_red = args.blocks
-        elif args.order is not None:
-            r_red = _modal_blocks_for_order(k, args.order)
-        else:
+        if args.blocks is None and args.order is None:
             raise errors.InfeasibleOrderError("modal reduction needs --blocks or --order")
-        result = reduction.modal_truncate(k, r_red)
+        md = reduction._minimal_modal_form(k)
+        r_red = args.blocks
+        if r_red is None:
+            r_red = _modal_blocks_for_order(md, args.order)
+        result = reduction.modal_truncate_decomposition(md, r_red)
     sysfile.save_system(args.out, result.reduced, name="reduced-controller")
     report = {
         "method": result.method,
@@ -197,6 +195,7 @@ def _cmd_repro(args) -> int:
 
 def _check_cor1(g, k, k_r):
     """cor1 on the balanced truncation recomputed at the order of ``k_r``."""
+    _check_loop_dims(g, k_r)  # before the order of k_r picks the truncation
     result = reduction.balanced_truncate_unstable(k, k_r.n)
     ws = np.logspace(-3, 3, 20)
     resp_given = frequency_response(k_r, ws)

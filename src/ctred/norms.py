@@ -10,9 +10,15 @@ level to the best value found, which converges quadratically.  The axis
 test only needs the state matrix to be free of imaginary-axis
 eigenvalues, so the same machinery serves both the H-infinity norm
 (stable systems) and the L-infinity norm (unstable systems without axis
-poles).  Frequency sweeps (the initial logarithmic grid and the dense
-fallback sweep) are evaluated in batches through
-:func:`~ctred.statespace.frequency_response`.
+poles).
+
+A realization that reaches a tiny gain by cancelling order-one terms
+(coupling ``||B|| ||C||`` above 1e7 times the grid estimate) is beyond the
+Hamiltonian test's double precision.  Its peak is found by a bracketed
+local search instead: the estimate grid plus the pole frequencies, as in
+Bruinsma-Steinbuch, seed up to five brackets that shrink 8x per round
+around their best 33-point sample.  Every frequency sweep is evaluated in
+batches through :func:`~ctred.statespace.frequency_response`.
 """
 
 from __future__ import annotations
@@ -59,28 +65,42 @@ def _initial_grid(s: StateSpaceSystem, points: int = 200) -> np.ndarray:
     return np.concatenate([[0.0], grid])
 
 
-def _refined_grid_peak(s: StateSpaceSystem) -> float:
-    """Dense grid sweep with local refinement around the strongest peaks.
+def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray) -> float:
+    """Bracketed local search for the peak gain, seeded by the pole frequencies.
 
     Used when the realization evaluates its transfer function through
     heavy cancellation (tiny gain from order-one coefficients); the
     level-set Hamiltonian cannot resolve such gains in double precision.
+    ``ws`` and ``gains`` are the estimate sweep; the frequencies ``|Im lambda|``
+    and ``|lambda|`` of the poles join it, as in Bruinsma-Steinbuch.  Each of
+    the largest local maxima of the merged sweep is bracketed by its
+    neighbours, and every bracket shrinks 8x per round around the best of
+    its 33-point sweep until it is below ``1e-13`` relative frequency.
+    Returns the best gain seen, at least ``||D||``.
     """
-    coarse = _initial_grid(s, points=2000)
-    gains = _sigma_max(s, coarse)
-    best = float(gains.max())
-    # refine around the leading local maxima
-    order = np.argsort(gains)[::-1][:3]
-    for idx in order:
-        w0 = coarse[idx]
-        span = max(w0 * 0.1, coarse[1] if w0 == 0.0 else w0 * 0.01)
-        for _ in range(8):
-            local = np.linspace(max(w0 - span, 0.0), w0 + span, 401)
-            vals = _sigma_max(s, local)
-            j = int(np.argmax(vals))
-            best = max(best, float(vals[j]))
-            w0 = local[j]
-            span /= 25.0
+    ev = linalg.eigenvalues(s.A)
+    extra = np.setdiff1d(np.concatenate([np.abs(ev.imag), np.abs(ev)]), ws)
+    ws = np.concatenate([ws, extra])
+    gains = np.concatenate([gains, _sigma_max(s, extra)])
+    order = np.argsort(ws)
+    ws, gains = ws[order], gains[order]
+    padded = np.concatenate([[-np.inf], gains, [-np.inf]])
+    peaks = np.flatnonzero((gains >= padded[:-2]) & (gains >= padded[2:]))
+    peaks = peaks[np.argsort(gains[peaks])[::-1][:5]]
+    lo = ws[np.maximum(peaks - 1, 0)]
+    hi = ws[np.minimum(peaks + 1, ws.size - 1)]
+    best = max(float(gains.max()), float(np.linalg.norm(s.D, 2)))
+    floor = ws[ws > 0].min()  # relative scale for a bracket at zero frequency
+    steps = np.linspace(0.0, 1.0, 33)
+    for _ in range(16):  # a bracket as wide as its centre needs 15
+        local = lo[:, None] + (hi - lo)[:, None] * steps
+        vals = _sigma_max(s, local.ravel()).reshape(local.shape)
+        best = max(best, float(vals.max()))
+        centre = local[np.arange(local.shape[0]), vals.argmax(axis=1)]
+        half = (hi - lo) / 16.0
+        lo, hi = np.maximum(centre - half, 0.0), centre + half
+        if np.all(hi - lo <= 1e-13 * np.maximum(centre, floor)):
+            break
     return best
 
 
@@ -121,7 +141,9 @@ def _peak_gain(s: StateSpaceSystem) -> float:
     d_gain = float(np.linalg.svd(s.D, compute_uv=False)[0]) if s.D.size else 0.0
     if s.n == 0 or not np.any(s.B) or not np.any(s.C):
         return d_gain
-    estimate = max(float(_sigma_max(s, _initial_grid(s)).max()), d_gain)
+    ws = _initial_grid(s)
+    gains = _sigma_max(s, ws)
+    estimate = max(float(gains.max()), d_gain)
     if estimate <= 1e-300:
         return 0.0
     # realizations that reach a tiny gain by cancelling order-one terms
@@ -130,7 +152,7 @@ def _peak_gain(s: StateSpaceSystem) -> float:
     xi = float(np.linalg.norm(s.C))
     coupling = beta * xi
     if coupling > 1e7 * estimate:
-        return _refined_grid_peak(s)
+        return _refined_grid_peak(s, ws, gains)
     # normalize the gain to order one, splitting the scaling between B and
     # C so the Hamiltonian blocks stay balanced in magnitude
     target = np.sqrt(coupling / estimate)

@@ -169,14 +169,17 @@ def balanced_truncate_unstable(k: StateSpaceSystem, r: int) -> TruncationResult:
     return TruncationResult(reduced, delta, "balanced", tail)
 
 
+def _minimal_modal_form(k: StateSpaceSystem) -> ModalDecomposition:
+    """Modal form of a realization that modal truncation accepts: a minimal one."""
+    if not check_minimal(k):
+        raise MinimalityError("controller realization must be minimal")
+    return modal_form(k)
+
+
 def modal_truncate(k: StateSpaceSystem, r_red: int) -> TruncationResult:
     """Remove the ``r_red`` least important modal blocks (:func:`mode_ranking`)
     of a minimal system."""
-    minimal = check_minimal(k)
-    if not minimal:
-        raise MinimalityError("controller realization must be minimal")
-    md = modal_form(k)
-    return modal_truncate_decomposition(md, r_red)
+    return modal_truncate_decomposition(_minimal_modal_form(k), r_red)
 
 
 def mode_ranking(md: ModalDecomposition) -> list[int]:

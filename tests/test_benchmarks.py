@@ -1,6 +1,6 @@
 import pytest
 
-from ctred import benchmarks
+from ctred import benchmarks, statespace
 from ctred.errors import NotStabilizingError
 
 
@@ -27,3 +27,32 @@ def test_spread_comparison_counts_refusals(monkeypatch):
     rep = benchmarks.run_spread_comparison(trials=2)
     assert rep["skipped"] == 1
     assert rep["trials"] == 2
+
+
+def test_scaling_sweep_tests_each_loop_once(monkeypatch):
+    # lqg_cost decides stability; the sweep does not test it again
+    calls = []
+    stable = statespace.is_internally_stable
+
+    def counted(g, k):
+        calls.append(k)
+        return stable(g, k)
+
+    monkeypatch.setattr(statespace, "is_internally_stable", counted)
+    monkeypatch.setattr(benchmarks, "is_internally_stable", counted, raising=False)
+    benchmarks.run_scaling_sweep()
+    assert len(calls) == 31  # the core loop and 30 sweep points
+
+
+def test_unstable_truncation_maps_refusal_to_infinite_cost(monkeypatch):
+    cost = benchmarks.lqg_cost
+
+    def refuse_reduced(g, k):
+        if k.n < 3:
+            raise NotStabilizingError("refused")
+        return cost(g, k)
+
+    monkeypatch.setattr(benchmarks, "lqg_cost", refuse_reduced)
+    rep = benchmarks.run_unstable_truncation()
+    assert rep["costs"]["reduced"] == float("inf")
+    assert rep["reference_checks"]["cost_below_bound"]["pass"] is False

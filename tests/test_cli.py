@@ -93,6 +93,30 @@ def test_reduce_modal_by_order(files, capsys):
     assert report["certificates"][0]["theorem"] == "thm3"
 
 
+def test_reduce_modal_by_order_decomposes_once(files, capsys, monkeypatch):
+    from ctred import cli, decompose, reduce as reduction
+
+    calls = []
+    modal_form = decompose.modal_form
+
+    def counted(k, *args):
+        calls.append(k)
+        return modal_form(k, *args)
+
+    for module in (decompose, reduction, cli):
+        monkeypatch.setattr(module, "modal_form", counted, raising=False)
+    tmp, p = files
+    out = tmp / "kr2.json"
+    rc = run(["--quiet", "reduce", p["g2"], p["k2"], "--method", "modal",
+              "--order", "2", "--out", out])
+    assert rc == 0
+    assert len(calls) == 1
+    k, _ = load_system(p["k2"])
+    ref = tmp / "ref.json"
+    save_system(ref, reduction.modal_truncate(k, 1).reduced, name="reduced-controller")
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_reduce_infeasible_order(files, capsys):
     tmp, p = files
     rc = run(["--quiet", "reduce", p["g1"], p["k1"], "--method", "balanced",
@@ -147,7 +171,7 @@ def test_reduce_modal_certify_attaches_cor2(files, capsys):
     assert cert["cost_bound"] == pytest.approx(17.4773, rel=1e-5)
 
 
-@pytest.mark.parametrize("theorem", ["lemma3", "thm1", "thm2", "cor2", "thm3"])
+@pytest.mark.parametrize("theorem", ["lemma3", "thm1", "thm2", "cor1", "cor2", "thm3"])
 def test_certify_biproper_reduced_exit_2(files, capsys, theorem):
     tmp, p = files
     k, _ = load_system(p["k1"])

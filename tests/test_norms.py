@@ -1,22 +1,33 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg as sla
 
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
-from ctred.errors import AxisPoleError, StabilityError, UnsupportedError
-from ctred.gen import random_stable_minimal
+from ctred.errors import (
+    AxisPoleError,
+    MinimalityError,
+    PartitionTieError,
+    StabilityError,
+    UnsupportedError,
+)
+from ctred.gen import random_stable_minimal, synthesize_stabilizing_plant
 from ctred.norms import _initial_grid, h2_norm, hinf_norm, l2_norm, linf_norm
+from ctred.reduce import balanced_truncate, balanced_truncate_unstable
 from ctred.statespace import (
     StateSpaceSystem,
+    add,
     four_block,
     frequency_response,
     make_system,
+    negate,
     series,
     zero_system,
 )
 from ctred.tolerances import HAM_AXIS, HINF_MAX_ITER, HINF_REL
-from ctred import linalg
+from ctred import linalg, norms
 
 
 def lag(pole, gain=1.0):
@@ -181,8 +192,6 @@ def test_triangle_inequality(rng):
 
 def test_hinf_lightly_damped_resonances(monkeypatch):
     # peaks of width zeta * w0 fall between the points of the initial grid
-    from ctred import norms
-
     solves = []
     axis_crossings = norms._gamma_is_upper_bound
 
@@ -269,3 +278,158 @@ def test_hinf_matches_bisection_reference(rng):
         val = hinf_norm(s)
         ref = _bisection_peak_gain(s)
         assert abs(val - ref) <= 1e-7 * ref
+
+
+# -- grid fallback for realizations that nearly cancel ----------------------
+
+FALLBACK_BUDGET = 3000  # frequencies per fallback call; the dense sweep took 11,625
+
+
+@contextlib.contextmanager
+def _recorded_fallback():
+    """Record every grid-fallback call as (system, value, frequencies evaluated)."""
+    calls = []
+    evaluated = []
+    refine, respond = norms._refined_grid_peak, norms.frequency_response
+
+    def counting(s, ws):
+        evaluated.append(np.size(ws))
+        return respond(s, ws)
+
+    def recording(s, ws, gains):
+        evaluated.clear()
+        value = refine(s, ws, gains)
+        calls.append((s, value, sum(evaluated)))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "frequency_response", counting)
+        mp.setattr(norms, "_refined_grid_peak", recording)
+        yield calls
+
+
+def _dense_grid_peak_reference(s: StateSpaceSystem) -> float:
+    """Frozen reference: the fallback's former dense sweep, 2001 points
+    refined 8 times around its three largest gains (11,625 frequencies)."""
+
+    def gains(ws):
+        return np.linalg.svd(frequency_response(s, ws), compute_uv=False)[:, 0]
+
+    coarse = _initial_grid(s, points=2000)
+    vals = gains(coarse)
+    best = float(vals.max())
+    for idx in np.argsort(vals)[::-1][:3]:
+        w0 = coarse[idx]
+        span = max(w0 * 0.1, coarse[1] if w0 == 0.0 else w0 * 0.01)
+        for _ in range(8):
+            local = np.linspace(max(w0 - span, 0.0), w0 + span, 401)
+            lv = gains(local)
+            j = int(np.argmax(lv))
+            best = max(best, float(lv[j]))
+            w0 = local[j]
+            span /= 25.0
+    return best
+
+
+@pytest.fixture(scope="module")
+def fallback_calls():
+    """Fallback calls on criterion-04 balanced error systems and on the
+    X*delta series of order-3 controllers whose truncation to order 2
+    nearly cancels (Hankel tail below 1e-6)."""
+    rng = np.random.default_rng(40401)
+    found = {}
+    with _recorded_fallback() as calls:
+        for _ in range(1000):
+            if len(calls) >= 50:
+                break
+            n = int(rng.integers(4, 9))
+            s = random_stable_minimal(rng, n)
+            try:
+                delta = balanced_truncate(s, int(rng.integers(1, n))).delta
+            except (MinimalityError, PartitionTieError):
+                continue
+            hinf_norm(delta)
+        found["delta"] = calls[:]
+        calls.clear()
+        for _ in range(1000):
+            if len(calls) >= 50:
+                break
+            k = random_stable_minimal(rng, 3)
+            try:
+                bt = balanced_truncate_unstable(k, 2)
+            except (MinimalityError, PartitionTieError):
+                continue
+            if bt.truncated_tail[0] > 1e-6:
+                continue  # not nearly cancelling
+            x = four_block(synthesize_stabilizing_plant(k), k).x
+            linf_norm(series(x, add(bt.reduced, negate(k))))
+        found["x_delta"] = calls[:]
+    return found
+
+
+def test_fallback_matches_dense_reference(fallback_calls):
+    for family, calls in fallback_calls.items():
+        assert len(calls) >= 50, family  # the switch fired on enough systems
+        for s, value, _ in calls:
+            ref = _dense_grid_peak_reference(s)
+            assert abs(value - ref) <= 1e-5 * ref, (family, s, value, ref)
+
+
+def test_fallback_frequency_budget(fallback_calls):
+    # a fallback that regresses to a dense sweep fails here, not only in
+    # the benchmark
+    for family, calls in fallback_calls.items():
+        assert calls, family
+        for s, _, evaluated in calls:
+            assert evaluated <= FALLBACK_BUDGET, (family, s, evaluated)
+
+
+def _resonance(eps, w0, zeta):
+    """eps*w0^2/(s^2 + 2 zeta w0 s + w0^2) in real modal form."""
+    wd = w0 * np.sqrt(1.0 - zeta**2)
+    g = w0 * np.sqrt(eps / wd)
+    return make_system([[-zeta * w0, wd], [-wd, -zeta * w0]], [[0.0], [g]], [[g, 0.0]])
+
+
+def _behind_cancellation(rng, w0, core):
+    """``core`` plus H - H for an order-one H with poles near ``w0``, mixed by
+    a random orthogonal similarity: a realization with order-one
+    coefficients that reaches the small gain of ``core`` by cancellation."""
+    h = w0 * np.array([[-0.4, 1.3], [-1.3, -0.4]])
+    a = sla.block_diag(h, h, core.A)
+    b = np.vstack([[[1.0], [0.5], [1.0], [0.5]], core.B])
+    c = np.hstack([[[0.7, -1.0, -0.7, 1.0]], core.C])
+    q, _ = np.linalg.qr(rng.standard_normal((a.shape[0], a.shape[0])))
+    return make_system(q @ a @ q.T, q @ b, c @ q.T)
+
+
+def test_fallback_hidden_resonance(rng):
+    # a 6-state realization whose gain is a narrow peak of height
+    # eps/(2 zeta sqrt(1 - zeta^2)), far below its coupling
+    eps = 1e-9
+    for w0 in (0.37, 3.1, 47.0):
+        for zeta in (1e-2, 1e-3, 1e-4, 1e-5):
+            s = _behind_cancellation(rng, w0, _resonance(eps, w0, zeta))
+            with _recorded_fallback() as calls:
+                val = hinf_norm(s)
+            assert len(calls) == 1, (w0, zeta)
+            assert calls[0][2] <= FALLBACK_BUDGET, (w0, zeta, calls[0][2])
+            ref = eps / (2.0 * zeta * np.sqrt(1.0 - zeta**2))
+            assert abs(val - ref) <= 1e-6 * ref, (w0, zeta, val, ref)
+
+
+def test_fallback_resonance_beside_a_broad_gain(rng):
+    # on the estimate grid the slope of a broad lag hides the resonance's
+    # local maximum; the pole frequencies find it
+    eps = 1e-12
+    for w0 in (0.37, 3.1, 47.0):
+        lag_pole = 0.1 * w0
+        root = np.sqrt(3000.0 * eps * lag_pole)
+        for zeta in (1e-3, 1e-4, 1e-5):
+            core = add(_resonance(eps, w0, zeta),
+                       make_system([[-lag_pole]], [[root]], [[root]]))
+            with _recorded_fallback() as calls:
+                val = hinf_norm(_behind_cancellation(rng, w0, core))
+            assert len(calls) == 1, (w0, zeta)
+            ref = grid_peak(core)
+            assert abs(val - ref) <= 1e-5 * ref, (w0, zeta, val, ref)
