@@ -16,6 +16,21 @@ conservatism of a sufficient condition stays visible, and returns a
 Undefined norms (e.g. the peak gain of an unstable error system) are
 recorded as ``inf`` and fail the condition instead of raising, so batch
 sweeps can proceed.
+
+Certificates on the same plant and controller share one loop analysis:
+the stabilizing check, the four-block map and its norms, and, for the
+last reduced controller seen, the error system, the error products with
+``X``, their peak gains and the reduced loop's eigenvalue verdict.  The
+analysis sits in a single process-wide slot keyed on the *identity* of
+``g`` and ``k`` (and the ``CTRED_TOL_STAB`` override it was computed
+under), never on their content: systems are immutable and own their
+arrays, so the same objects always describe the same loop, while equal
+content built anew -- each request of a batch, each repeated round --
+gets its own analysis.  A content key would make a repeated experiment
+skip the work it is meant to repeat.  Each certificate gets its own copy
+of the shared quantities.  The slot is read once into a local and
+replaced only by a fully built analysis, so concurrent callers at worst
+recompute.
 """
 
 from __future__ import annotations
@@ -51,7 +66,7 @@ from .statespace import (
     negate,
     series,
 )
-from .tolerances import inf_norm, stab_tol
+from .tolerances import inf_norm, stab_override, stab_tol
 
 THEOREMS = ("lemma3", "thm1", "thm2", "cor1", "cor2", "thm3")
 
@@ -110,18 +125,104 @@ def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     return h2_norm(fb.system) ** 2, parts
 
 
-def _prologue(g: StateSpaceSystem, k: StateSpaceSystem,
-              k_r: StateSpaceSystem) -> FourBlockMap:
+class _ErrorAnalysis:
+    """The error ``delta = k_r - k`` of one reduced controller on a loop.
+
+    Holds ``delta``, the products ``X*delta`` and ``delta*X`` (built on
+    first use), their peak gains once computed, and the eigenvalue verdict
+    on ``(g, k_r)``.
+    """
+
+    def __init__(self, loop: _LoopAnalysis, k_r: StateSpaceSystem):
+        self.g, self.fb = loop.g, loop.fb  # not the loop: no reference cycle
+        self.k_r = k_r
+        self.delta = add(k_r, negate(loop.k))
+        self._products: dict = {}
+        self._gains: dict = {}
+        self._verdict = None
+
+    def product(self, name: str) -> StateSpaceSystem:
+        """``"x_delta"`` (``X*delta``) or ``"delta_x"`` (``delta*X``)."""
+        prod = self._products.get(name)
+        if prod is None:
+            x = self.fb.x
+            prod = series(x, self.delta) if name == "x_delta" else series(self.delta, x)
+            # a caller that lost the race adopts the stored object, so the
+            # identity test in peak_gain stays meaningful
+            prod = self._products.setdefault(name, prod)
+        return prod
+
+    def peak_gain(self, name: str, form: StateSpaceSystem, norm) -> float:
+        """``norm(form)``, shared when ``form`` is the raw product ``name``.
+
+        On a raw product ``linf_norm`` and ``hinf_norm`` agree wherever both
+        are defined: the latter is only asked for when the product is
+        stable, so both evaluate the same peak-gain search.
+        """
+        if form is not self.product(name):
+            return norm(form)
+        gain = self._gains.get(name)
+        if gain is None:
+            gain = self._gains[name] = norm(form)
+        return gain
+
+    def verdict(self):
+        """``is_internally_stable(g, k_r)``."""
+        verdict = self._verdict
+        if verdict is None:
+            verdict = self._verdict = is_internally_stable(self.g, self.k_r)
+        return verdict
+
+
+class _LoopAnalysis:
+    """The nominal loop ``(g, k)`` as every certificate starts from it.
+
+    Construction checks that ``k`` stabilizes ``g`` and builds the
+    four-block map; the loop norms are computed on first use.  The error
+    analysis of the last reduced controller is kept.
+    """
+
+    last: _LoopAnalysis | None = None  # the slot :func:`_loop` reuses
+
+    def __init__(self, g: StateSpaceSystem, k: StateSpaceSystem):
+        self.g, self.k = g, k
+        self.tol_override = stab_override()
+        self.fb = _stabilizing_four_block(g, k)
+        self._quantities = None
+        self._error = None
+
+    def quantities(self) -> dict:
+        """A fresh copy of :func:`_loop_quantities` of the loop."""
+        q = self._quantities
+        if q is None:
+            q = self._quantities = _loop_quantities(self.fb)
+        return dict(q)
+
+    def error(self, k_r: StateSpaceSystem) -> _ErrorAnalysis:
+        err = self._error
+        if err is None or err.k_r is not k_r:
+            err = self._error = _ErrorAnalysis(self, k_r)
+        return err
+
+
+def _loop(g: StateSpaceSystem, k: StateSpaceSystem,
+          k_r: StateSpaceSystem) -> _LoopAnalysis:
     """Shared certificate prologue: ``k_r`` must fit the loop and ``k`` must
-    stabilize ``g``; returns the four-block map of the nominal loop."""
+    stabilize ``g``; returns the analysis of the nominal loop, reusing the
+    last one when it was built for these very objects."""
     _check_loop_dims(g, k_r)
-    return _stabilizing_four_block(g, k)
+    loop = _LoopAnalysis.last
+    if (loop is None or loop.g is not g or loop.k is not k
+            or loop.tol_override != stab_override()):
+        loop = _LoopAnalysis(g, k)
+        _LoopAnalysis.last = loop
+    return loop
 
 
-def _epilogue(theorem: str, g: StateSpaceSystem, k_r: StateSpaceSystem,
-              quantities: dict, condition: bool, cost_bound, notes: list):
+def _epilogue(theorem: str, err: _ErrorAnalysis, quantities: dict,
+              condition: bool, cost_bound, notes: list):
     """Shared certificate epilogue: the eigenvalue verdict on ``(g, k_r)``."""
-    stable, alpha = is_internally_stable(g, k_r)
+    stable, alpha = err.verdict()
     quantities["closed_loop_abscissa"] = alpha
     return ReductionCertificate(theorem, quantities, condition, cost_bound,
                                 stable, tuple(notes))
@@ -196,7 +297,7 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     """Classical reduced-controller test: matched unstable pole counts plus
     a small-gain condition on the truncation error, in the peak gain over
     the axis (poles of the error system need not be stable)."""
-    fbx = _prologue(g, k, k_r).x
+    err = _loop(g, k, k_r).error(k_r)
     notes: list[str] = []
     quantities: dict = {}
 
@@ -214,21 +315,18 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
         else:
             counts_ok = n_k == n_kr
 
-    delta = add(k_r, negate(k))
     gains = {}
-    for name, sys_ in (
-        ("x_delta_linf", series(fbx, delta)),
-        ("delta_x_linf", series(delta, fbx)),
-    ):
+    for product in ("x_delta", "delta_x"):
+        name = f"{product}_linf"
         try:
-            gains[name] = linf_norm(sys_)
+            gains[name] = err.peak_gain(product, err.product(product), linf_norm)
         except AxisPoleError as exc:
             gains[name] = math.inf
             notes.append(f"{name} undefined: {exc}")
     quantities.update(gains)
 
     condition = counts_ok and min(gains.values()) < 1.0
-    return _epilogue("lemma3", g, k_r, quantities, condition, None, notes)
+    return _epilogue("lemma3", err, quantities, condition, None, notes)
 
 
 def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -240,18 +338,19 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     verdicts are taken on cancellation-cleaned realizations so exactly
     cancelling hidden modes cannot fail the test spuriously.
     """
-    fb = _prologue(g, k, k_r)
+    loop = _loop(g, k, k_r)
+    err = loop.error(k_r)
     notes: list[str] = []
     quantities: dict = {}
-    x = fb.x
-    delta = add(k_r, negate(k))
 
-    dy_stable, _ = _stable_form(series(delta, fb.y), notes, "delta*Y")
-    xd_stable, xd_min = _stable_form(series(x, delta), notes, "X*delta")
-    dx_stable, dx_min = _stable_form(series(delta, x), notes, "delta*X")
+    dy_stable, _ = _stable_form(series(err.delta, loop.fb.y), notes, "delta*Y")
+    xd_stable, xd_min = _stable_form(err.product("x_delta"), notes, "X*delta")
+    dx_stable, dx_min = _stable_form(err.product("delta_x"), notes, "delta*X")
 
-    quantities["x_delta_hinf"] = hinf_norm(xd_min) if xd_stable else math.inf
-    quantities["delta_x_hinf"] = hinf_norm(dx_min) if dx_stable else math.inf
+    quantities["x_delta_hinf"] = (err.peak_gain("x_delta", xd_min, hinf_norm)
+                                  if xd_stable else math.inf)
+    quantities["delta_x_hinf"] = (err.peak_gain("delta_x", dx_min, hinf_norm)
+                                  if dx_stable else math.inf)
     if not dy_stable:
         notes.append("delta*(I-GK)^{-1} is not stable")
     condition = (
@@ -260,7 +359,7 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
         and dx_stable
         and max(quantities["x_delta_hinf"], quantities["delta_x_hinf"]) < 1.0
     )
-    return _epilogue("thm1", g, k_r, quantities, condition, None, notes)
+    return _epilogue("thm1", err, quantities, condition, None, notes)
 
 
 def _record_delta_norms(q: dict, form, notes: list) -> float:
@@ -308,14 +407,15 @@ def _record_bound(q: dict, notes: list) -> float:
 def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,
                      k_r: StateSpaceSystem) -> ReductionCertificate:
     """Small-gain certificate with a closed-loop cost bound, for stable errors."""
-    fb = _prologue(g, k, k_r)
+    loop = _loop(g, k, k_r)
+    err = loop.error(k_r)
     notes: list[str] = []
-    quantities = _loop_quantities(fb)
-    _, delta_form = _stable_form(add(k_r, negate(k)), notes, "error system")
+    quantities = loop.quantities()
+    _, delta_form = _stable_form(err.delta, notes, "error system")
     d_hinf = _record_delta_norms(quantities, delta_form, notes)
     condition = math.isfinite(d_hinf) and d_hinf * quantities["x_hinf"] < 1.0
     cost_bound = _record_bound(quantities, notes) if condition else None
-    return _epilogue("thm2", g, k_r, quantities, condition, cost_bound, notes)
+    return _epilogue("thm2", err, quantities, condition, cost_bound, notes)
 
 
 def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -325,9 +425,9 @@ def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
     if reduction.method != "balanced":
         raise WrongCertificateError("this certificate applies to balanced truncation")
     k_r = reduction.reduced
-    fb = _prologue(g, k, k_r)
+    loop = _loop(g, k, k_r)
     notes: list[str] = []
-    quantities = _loop_quantities(fb)
+    quantities = loop.quantities()
     tail = float(sum(reduction.truncated_tail))
     quantities["sigma_tail_sum"] = tail
     condition = tail < 1.0 / (2.0 * quantities["x_hinf"])
@@ -339,7 +439,8 @@ def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
     elif condition:
         condition = False
         notes.append("tail condition held but the error system is not stable")
-    return _epilogue("cor1", g, k_r, quantities, condition, cost_bound, notes)
+    return _epilogue("cor1", loop.error(k_r), quantities, condition, cost_bound,
+                     notes)
 
 
 def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -353,22 +454,22 @@ def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
     instances), so the bound uses it; the single-coefficient variant is
     recorded alongside for comparison.
     """
-    fb = _prologue(g, k, k_r)
+    loop = _loop(g, k, k_r)
+    err = loop.error(k_r)
     notes: list[str] = []
-    delta_stable, delta_form = _stable_form(add(k_r, negate(k)), notes,
-                                            "error system")
+    delta_stable, delta_form = _stable_form(err.delta, notes, "error system")
     if not delta_stable:
         raise WrongCertificateError(
             "error system is unstable; use the unstable-truncation certificate (thm3)"
         )
-    quantities = _loop_quantities(fb)
+    quantities = loop.quantities()
     d_hinf = _record_delta_norms(quantities, delta_form, notes)
     condition = d_hinf * quantities["x_hinf"] < 1.0
     cost_bound = None
     if condition:
         cost_bound = _record_bound(quantities, notes)
         quantities["s1_single_h2_term"], _ = _bound_terms(quantities, 1.0)
-    return _epilogue("cor2", g, k_r, quantities, condition, cost_bound, notes)
+    return _epilogue("cor2", err, quantities, condition, cost_bound, notes)
 
 
 def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -386,11 +487,12 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     """
     if not (g.is_siso and k.is_siso and k_r.is_siso):
         raise UnsupportedError("this certificate is defined for SISO systems only")
-    fb = _prologue(g, k, k_r)
+    loop = _loop(g, k, k_r)
+    err = loop.error(k_r)
     notes: list[str] = []
-    quantities = _loop_quantities(fb)
+    quantities = loop.quantities()
 
-    delta_raw = add(k_r, negate(k))
+    delta_raw = err.delta
     raw_ev = linalg.eigenvalues(delta_raw.A)
     if raw_ev.size and np.min(np.abs(raw_ev)) <= stab_tol(max(1.0, inf_norm(delta_raw.A))):
         raise ZeroModeError("error system has a pole at the origin")
@@ -414,7 +516,7 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     # 1 - X*delta; unstable modes of the raw product must cancel through
     # the structural zeros of X, leaving only rounding-level content
     # (hidden stable modes are harmless to the zero test below)
-    condition, prod_min = _stable_form(series(fb.x, delta_min), notes, "X*delta")
+    condition, prod_min = _stable_form(series(loop.fb.x, delta_min), notes, "X*delta")
     prefactor = math.inf
     if condition:
         a_inv = prod_min.A + prod_min.B @ prod_min.C
@@ -465,4 +567,4 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         q["s1"] = s1
         q["s2"] = s2
         cost_bound = prefactor**2 * (q["cost_original"] + s1 + s2)
-    return _epilogue("thm3", g, k_r, quantities, condition, cost_bound, notes)
+    return _epilogue("thm3", err, quantities, condition, cost_bound, notes)

@@ -18,7 +18,10 @@ from .tolerances import RANK_REL, inf_norm, stab_tol
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only copy: a system never shares its arrays with the caller, so
+    nothing outside it can change it (certificates key their shared loop
+    analysis on system identity)."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 

@@ -48,13 +48,18 @@ HINF_MAX_ITER = 200
 HAM_AXIS = 1e-12
 
 
+def stab_override() -> str | None:
+    """The ``CTRED_TOL_STAB`` override in force, or ``None``."""
+    return os.environ.get("CTRED_TOL_STAB")
+
+
 def stab_tol(scale: float = 1.0) -> float:
     """Half-plane classification tolerance for a matrix of given inf-norm scale.
 
     Defaults to ``1e-8 * max(1, scale)``; ``CTRED_TOL_STAB`` overrides it
     with an absolute value.
     """
-    env = os.environ.get("CTRED_TOL_STAB")
+    env = stab_override()
     if env is not None:
         return float(env)
     return 1e-8 * max(1.0, float(scale))

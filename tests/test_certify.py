@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from ctred import certify, norms, statespace
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.certify import (
     ReductionCertificate,
@@ -339,3 +342,133 @@ def test_biproper_reduced_controller_is_an_input_error(balmod, check):
         k_r = TruncationResult(k_r, add(k_r, negate(k)), "balanced", ())
     with pytest.raises(DimensionError, match="strictly proper"):
         check(g, k, k_r)
+
+
+def _fresh(s: StateSpaceSystem) -> StateSpaceSystem:
+    """An equal copy of a strictly proper system that is a new object."""
+    return make_system(s.A, s.B, s.C)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_bound_certificates_share_one_loop_analysis(balmod, monkeypatch):
+    # thm2, cor1 and cor2 on the same (G, K) objects analyse the loop once;
+    # the same content in new objects is analysed anew (no content key)
+    g0, k0 = balmod
+    res = balanced_truncate_unstable(k0, 2)
+    split = split_stable_unstable(k0)
+    k_modal = add(modal_truncate(split.stable_part, 1).reduced, split.unstable_part)
+    checks = ((check_thm2_bound, res.reduced), (check_cor1, res), (check_cor2, k_modal))
+    calls = {}
+    _count_calls(monkeypatch, certify, "_loop_quantities", calls)
+    _count_calls(monkeypatch, statespace, "four_block", calls)
+    g, k = _fresh(g0), _fresh(k0)
+    for check, arg in checks:
+        check(g, k, arg)
+    assert calls == {"_loop_quantities": 1, "four_block": 1}
+    for check, arg in checks:
+        check(_fresh(g0), _fresh(k0), arg)
+    assert calls == {"_loop_quantities": 4, "four_block": 4}
+
+
+@pytest.mark.parametrize("first, second", [(check_lemma3, check_thm1),
+                                           (check_thm1, check_lemma3)])
+def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
+    # with a stable controller X*delta and delta*X are stable as realized,
+    # so thm1 tests the very products whose peak gains lemma3 measures
+    g, k = generate_instance(4, 0, 0)
+    k_r = balanced_truncate_unstable(k, 3).reduced
+    expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
+                for check in (first, second)]
+    calls = {}
+    _count_calls(monkeypatch, norms, "_peak_gain", calls)
+    assert [check(g, k, k_r).to_dict() for check in (first, second)] == expected
+    assert calls == {"_peak_gain": 2}
+
+
+def _interleaving_cases(balmod, unstable_pair):
+    """Two loops, each with certificates on two reduced controllers."""
+    g, k = balmod
+    split = split_stable_unstable(k)
+    k_modal = add(modal_truncate(split.stable_part, 1).reduced, split.unstable_part)
+    k_bal = balanced_truncate_unstable(k, 2).reduced
+    g_u, k_u = unstable_pair
+    k_u_modal = modal_truncate(k_u, 1).reduced
+    return [
+        (g, k, [(check_thm2_bound, k_bal), (check_lemma3, k_bal),
+                (check_cor2, k_modal), (check_thm1, k_bal)]),
+        (g_u, k_u, [(check_thm3, k_u_modal), (check_thm1, k_u_modal),
+                    (check_thm2_bound, k_u)]),
+    ]
+
+
+def test_interleaved_loops_match_fresh_copies(balmod, unstable_pair, monkeypatch):
+    # loops A, B, A in turn; each returned quantities dict is then spoiled,
+    # which must not reach a later certificate on the same loop
+    pair_a, pair_b = _interleaving_cases(balmod, unstable_pair)
+    expected = {
+        id(pair): [check(_fresh(pair[0]), _fresh(pair[1]), _fresh(k_r)).to_dict()
+                   for check, k_r in pair[2]]
+        for pair in (pair_a, pair_b)
+    }
+    calls = {}
+    _count_calls(monkeypatch, certify, "_loop_quantities", calls)
+    for pair in (pair_a, pair_b, pair_a):
+        g, k, checks = pair
+        for (check, k_r), want in zip(checks, expected[id(pair)]):
+            cert = check(g, k, k_r)
+            assert cert.to_dict() == want
+            cert.quantities.clear()
+    # thm2 and cor2 share the first visit to A, thm3 and thm2 the visit to B
+    assert calls == {"_loop_quantities": 3}
+
+
+def test_shared_loop_analysis_follows_the_stability_tolerance(balmod, monkeypatch):
+    # the CTRED_TOL_STAB override is read on every call; an analysis made
+    # under another setting is not reused
+    g, k = _fresh(balmod[0]), _fresh(balmod[1])
+    assert check_thm2_bound(g, k, k).condition_satisfied
+    monkeypatch.setenv("CTRED_TOL_STAB", "1e3")
+    with pytest.raises(NotStabilizingError):
+        check_thm2_bound(g, k, k)
+
+
+def test_concurrent_certificates_match_sequential(balmod, unstable_pair):
+    # threads racing on the shared analysis slot give the sequential results
+    cases = _interleaving_cases(balmod, unstable_pair)
+    jobs = [(g, k, check, k_r) for g, k, checks in cases for check, k_r in checks]
+    expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
+                for g, k, check, k_r in jobs]
+    results, failures = [], []
+
+    def work(offset):
+        try:
+            for i in range(len(jobs)):
+                j = (offset + i) % len(jobs)
+                g, k, check, k_r = jobs[j]
+                results.append((j, check(g, k, k_r).to_dict()))
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(results) == 4 * len(jobs)
+    assert all(doc == expected[j] for j, doc in results)

@@ -39,6 +39,19 @@ def test_make_system_benchmark_plant():
     assert g.strictly_proper
 
 
+def test_make_system_copies_the_caller_arrays():
+    # a system owns its arrays: the caller's stay writeable, and writing
+    # to them leaves the system unchanged
+    a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    b, c = np.array([[1.0], [1.0]]), np.array([[1.0, 0.0]])
+    for s in (make_system(a, b, c), StateSpaceSystem(a, b, c, np.zeros((1, 1)))):
+        assert a.flags.writeable and b.flags.writeable and c.flags.writeable
+        assert not s.A.flags.writeable
+        a[0, 0], b[1, 0], c[0, 1] = -5.0, 3.0, 2.0
+        assert (s.A[0, 0], s.B[1, 0], s.C[0, 1]) == (-1.0, 1.0, 0.0)
+        a[0, 0], b[1, 0], c[0, 1] = -1.0, 1.0, 0.0
+
+
 def test_make_system_rejects_mismatched_b():
     with pytest.raises(DimensionError):
         make_system([[-1.0]], [[1.0], [2.0]], [[1.0]])
