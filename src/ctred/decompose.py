@@ -4,7 +4,10 @@ Stable/antistable splitting and modal (per-eigenvalue-block) decomposition
 are both computed with an orthogonal Schur reduction followed by a
 Sylvester decoupling of the off-diagonal coupling block; only similarity
 transforms touch the realization, so the transfer function is preserved
-exactly.
+exactly.  A modal decomposition reduces the state matrix to Schur form
+once: each cluster is peeled off by reordering the remaining Schur block
+and a triangular Sylvester solve (Bavely and Stewart's block
+diagonalization), so only the first step runs a Hessenberg-QR sweep.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import linalg
-from .errors import AxisPoleError, SeparationError, ZeroModeError
+from .errors import AxisPoleError, SeparationError, StabilityError, ZeroModeError
 from .statespace import StateSpaceSystem
 from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm, stab_tol
 
@@ -22,9 +26,10 @@ from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm, stab_tol
 def _decouple_leading(sys_abc, select):
     """Split (A,B,C) into the invariant part selected by ``select`` and the rest.
 
-    Returns ``((A1,B1,C1), (A2,B2,C2))`` where the first triple carries the
-    selected eigenvalues.  Off-diagonal coupling is removed by a Sylvester
-    solve, so the two parts sum to the original transfer function.
+    Returns ``((A1,B1,C1,ev1), (A2,B2,C2,ev2))`` where the first part carries
+    the selected eigenvalues ``ev1``; an empty part is ``None``.  Both state
+    matrices are in real Schur form.  Off-diagonal coupling is removed by a
+    Sylvester solve, so the two parts sum to the original transfer function.
     """
     a, b, c = sys_abc
     form = linalg.ordered_real_schur(a, select)
@@ -33,8 +38,9 @@ def _decouple_leading(sys_abc, select):
     t = form.T
     bt = form.Z.T @ b
     ct = c @ form.Z
+    ev = form.eigenvalues
     if k == 0 or k == n:
-        parts = ((t, bt, ct), None) if k == n else (None, (t, bt, ct))
+        parts = ((t, bt, ct, ev), None) if k == n else (None, (t, bt, ct, ev))
         return parts
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
     x = linalg.solve_sylvester(t11, -t22, t12)
@@ -43,7 +49,7 @@ def _decouple_leading(sys_abc, select):
     b2 = bt[k:]
     c1 = ct[:, :k]
     c2 = ct[:, k:] + c1 @ x
-    return (t11, b1, c1), (t22, b2, c2)
+    return (t11, b1, c1, ev[:k]), (t22, b2, c2, ev[k:])
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,6 @@ class ModalDecomposition:
                 np.zeros((0, 0)), np.zeros((0, self.m)),
                 np.zeros((self.p, 0)), np.zeros((self.p, self.m)),
             )
-        import scipy.linalg as sla
-
         a = sla.block_diag(*[b.A for b in blocks])
         bmat = np.vstack([b.B for b in blocks])
         c = np.hstack([b.C for b in blocks])
@@ -137,7 +141,10 @@ def mode_importance(block: ModalBlock) -> float:
 
     Stable blocks are ranked by the peak gain of their transfer function;
     antistable blocks by the spectral norm of the dc-coupling matrix
-    ``C_i A_i^{-1} B_i``.  Blocks on the imaginary axis cannot be ranked.
+    ``C_i A_i^{-1} B_i``.  A first-order block's gain
+    ``sigma_max(C_i B_i) / |j w - lambda|`` peaks at ``w = 0``, so for a stable
+    one that same spectral norm is the peak gain, in closed form.  Blocks on
+    the imaginary axis cannot be ranked.
     """
     lam = block.eigenvalue
     tol = 1e-8 * max(1.0, abs(lam))
@@ -146,9 +153,12 @@ def mode_importance(block: ModalBlock) -> float:
     if abs(lam.real) <= tol:
         raise AxisPoleError("mode on the imaginary axis cannot be ranked")
     if lam.real < 0.0:
-        from .norms import hinf_norm  # local import to avoid a module cycle
+        if block.order > 1:
+            from .norms import hinf_norm  # local import to avoid a module cycle
 
-        return hinf_norm(block.system())
+            return hinf_norm(block.system())
+        if lam.real >= -stab_tol(inf_norm(block.A)):  # as hinf_norm would refuse
+            raise StabilityError("mode is not stable within the stability tolerance")
     coupling = block.C @ np.linalg.solve(block.A, block.B)
     return float(np.linalg.svd(coupling, compute_uv=False)[0])
 
@@ -199,53 +209,55 @@ def modal_form(k: StateSpaceSystem, cluster_tol: float = CLUSTER_TOL) -> ModalDe
     """
     ev = linalg.eigenvalues(k.A)
     clusters = _cluster_eigenvalues(ev, cluster_tol)
+    if not clusters:
+        return ModalDecomposition((), m=k.m, p=k.p)
     # pairwise separation between clusters, over conjugate-closed value sets
-    sep_tol = SEP_REL * inf_norm(k.A)
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            vi = _full_cluster_values(clusters[i])
-            vj = _full_cluster_values(clusters[j])
-            gap = np.abs(vi[:, None] - vj[None, :]).min()
-            if gap <= sep_tol:
-                raise SeparationError(
-                    f"eigenvalue clusters around {clusters[i][0]:.6g} and "
-                    f"{clusters[j][0]:.6g} are inseparable (gap {gap:.2e})"
-                )
+    values = [_full_cluster_values(c) for c in clusters]
+    labels = np.repeat(np.arange(len(values)), [v.size for v in values])
+    values = np.concatenate(values)
+    dist = np.abs(values[:, None] - values[None, :])
+    dist[labels[:, None] == labels[None, :]] = np.inf
+    gap = dist.min()
+    if gap <= SEP_REL * inf_norm(k.A):
+        u, v = np.unravel_index(dist.argmin(), dist.shape)
+        i, j = sorted((labels[u], labels[v]))
+        raise SeparationError(
+            f"eigenvalue clusters around {clusters[i][0]:.6g} and "
+            f"{clusters[j][0]:.6g} are inseparable (gap {gap:.2e})"
+        )
 
     blocks: list[ModalBlock] = []
-    remaining = (k.A, k.B, k.C)
-    for idx, cluster in enumerate(clusters):
-        if idx == len(clusters) - 1:
-            part = remaining
-        else:
-            centers = _full_cluster_values(cluster)
-            part, rest = _decouple_leading(remaining, _membership(centers, clusters))
-            if part is None or rest is None:
-                raise SeparationError(
-                    "modal decoupling selected an empty or full block; "
-                    "cluster membership is ambiguous"
-                )
-            remaining = rest
-        a_i, b_i, c_i = part
-        lam_block = _representative(linalg.eigenvalues(a_i))
-        blk = ModalBlock(a_i, b_i, c_i, lam_block, np.nan)
-        try:
-            imp = mode_importance(blk)
-        except (ZeroModeError, AxisPoleError):
-            imp = float("nan")
-        blocks.append(ModalBlock(a_i, b_i, c_i, lam_block, imp))
+    remaining = (k.A, k.B, k.C, ev)
+    for idx in range(len(clusters) - 1):
+        select = _membership(labels == idx, values)
+        part, remaining = _decouple_leading(remaining[:3], select)
+        if part is None or remaining is None:
+            raise SeparationError(
+                "modal decoupling selected an empty or full block; "
+                "cluster membership is ambiguous"
+            )
+        blocks.append(_modal_block(*part))
+    blocks.append(_modal_block(*remaining))
     blocks.sort(key=lambda b: (b.eigenvalue.real, abs(b.eigenvalue.imag)))
     return ModalDecomposition(tuple(blocks), m=k.m, p=k.p)
 
 
-def _membership(centers: np.ndarray, clusters):
-    """Predicate selecting eigenvalues whose nearest cluster is ``centers``."""
-    all_vals = [_full_cluster_values(c) for c in clusters]
+def _modal_block(a, b, c, ev) -> ModalBlock:
+    """Block with eigenvalues ``ev``, ranked by :func:`mode_importance`."""
+    blk = ModalBlock(a, b, c, _representative(ev), np.nan)
+    try:
+        imp = mode_importance(blk)
+    except (ZeroModeError, AxisPoleError):
+        imp = float("nan")
+    return ModalBlock(a, b, c, blk.eigenvalue, imp)
+
+
+def _membership(own: np.ndarray, values: np.ndarray):
+    """Predicate selecting eigenvalues nearest to the cluster values ``values[own]``."""
 
     def select(lam: complex) -> bool:
-        d_own = np.abs(centers - lam).min()
-        d_all = min(np.abs(v - lam).min() for v in all_vals)
-        return d_own <= d_all
+        d = np.abs(values - lam)
+        return d[own].min() <= d.min()
     return select
 
 

@@ -4,6 +4,12 @@ Eigenvalues, ordered real Schur decomposition, Lyapunov/Sylvester solvers
 (Bartels-Stewart, via LAPACK) and a continuous algebraic Riccati solver
 built on the ordered Schur form of the Hamiltonian.  All functions accept
 and return plain ``numpy`` arrays of float64 and validate their inputs.
+
+Inputs already in real Schur canonical form skip the Hessenberg-QR sweep:
+:func:`ordered_real_schur` only reorders them (LAPACK ``trsen``) and
+:func:`solve_sylvester` only back-substitutes (``trsyl``), as in Bavely and
+Stewart's block diagonalization, where every reduction after the first
+starts from a Schur form.
 """
 
 from __future__ import annotations
@@ -100,12 +106,36 @@ def _block_eigenvalues(t: np.ndarray) -> np.ndarray:
     return np.array(ev, dtype=complex)
 
 
+def _is_real_schur(t: np.ndarray) -> bool:
+    """True when ``t`` is in real Schur canonical form, by exact zero tests.
+
+    Upper quasi-triangular, with standardized 2x2 diagonal blocks (equal
+    diagonal entries, off-diagonal entries of opposite sign), as LAPACK's
+    ``gees`` and ``trsen`` return it.  A plain loop: the matrices are small,
+    and a general matrix fails on its first column.
+    """
+    rows = t.tolist()
+    n = len(rows)
+    closes_block = False  # row j is the second row of a 2x2 block
+    for j in range(n - 1):
+        if any(rows[i][j] for i in range(j + 2, n)):
+            return False
+        sub = rows[j + 1][j]
+        if sub:
+            if (closes_block or rows[j][j] != rows[j + 1][j + 1]
+                    or not rows[j][j + 1] * sub < 0.0):
+                return False
+        closes_block = bool(sub)
+    return True
+
+
 def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
     """Real Schur form with eigenvalues satisfying ``select`` moved to the front.
 
     ``select`` takes a complex eigenvalue and returns True when it belongs
     to the leading block.  Conjugate pairs are kept together, so ``select``
-    must be conjugation-symmetric (half-plane predicates are).
+    must be conjugation-symmetric (half-plane predicates are).  A matrix
+    already in real Schur canonical form is only reordered.
     """
     m = as_matrix(a, "A")
     _require_square(m, "A")
@@ -113,13 +143,19 @@ def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
     if n == 0:
         return SchurForm(m.copy(), np.eye(0), np.array([], dtype=complex), 0)
 
-    def gees_select(re, im):
-        return bool(select(complex(re, im)))
+    if _is_real_schur(m):
+        chosen = np.array([select(v) for v in _block_eigenvalues(m)], dtype=np.int32)
+        t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, m, np.eye(n), job="N")
+        if info != 0:
+            raise ReorderingError(f"Schur reordering failed (trsen info {info})")
+    else:
+        def gees_select(re, im):
+            return bool(select(complex(re, im)))
 
-    try:
-        t, z, sdim = sla.schur(m, output="real", sort=gees_select)
-    except sla.LinAlgError as exc:  # reordering breakdown inside gees
-        raise ReorderingError(f"Schur reordering failed: {exc}") from exc
+        try:
+            t, z, sdim = sla.schur(m, output="real", sort=gees_select)
+        except sla.LinAlgError as exc:  # reordering breakdown inside gees
+            raise ReorderingError(f"Schur reordering failed: {exc}") from exc
 
     resid = np.linalg.norm(z @ t @ z.T - m)
     if resid > SCHUR_RESID * max(1.0, np.linalg.norm(m)):
@@ -161,7 +197,11 @@ def solve_lyapunov(a, q) -> np.ndarray:
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
-    """Solve ``A X + X B + C = 0``; spectra of A and -B must be separated."""
+    """Solve ``A X + X B + C = 0``; spectra of A and -B must be separated.
+
+    When A and B are both in real Schur canonical form, the triangular
+    solve runs on them directly.
+    """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
     cm = as_matrix(c, "C")
@@ -173,15 +213,24 @@ def solve_sylvester(a, b, c) -> np.ndarray:
         )
     if am.shape[0] == 0 or bm.shape[0] == 0:
         return np.zeros(cm.shape)
-    ea = eigenvalues(am)
-    eb = eigenvalues(bm)
+    schur_pair = _is_real_schur(am) and _is_real_schur(bm)
+    spectrum = _block_eigenvalues if schur_pair else eigenvalues
+    ea = spectrum(am)
+    eb = spectrum(bm)
     gap = np.abs(ea[:, None] + eb[None, :]).min()
     tol_sep = SEP_REL * max(inf_norm(am), inf_norm(bm))
     if gap <= tol_sep:
         raise SeparationError(
             f"spectral gap {gap:.2e} between A and -B is below tolerance {tol_sep:.2e}"
         )
-    x = sla.solve_sylvester(am, bm, -cm)
+    if schur_pair:
+        x, scale, info = sla.lapack.dtrsyl(am, bm, -cm)
+        if info != 0 or scale != 1.0:
+            raise ConvergenceError(
+                f"triangular Sylvester solve failed (trsyl info {info}, scale {scale:.2e})"
+            )
+    else:
+        x = sla.solve_sylvester(am, bm, -cm)
     resid = np.linalg.norm(am @ x + x @ bm + cm)
     if resid > SYLV_RESID * max(1.0, np.linalg.norm(cm)):
         raise ConvergenceError(f"Sylvester residual {resid:.2e} exceeds tolerance")

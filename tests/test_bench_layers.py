@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import ctred
-from ctred.benchmarks import bench_balanced_vs_modal_pair
+from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.statespace import StateSpaceSystem
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -52,3 +52,16 @@ def test_bench_tracer_probes_present_and_restored():
         changed = [attr for attr, value in namespace.items() if now.get(attr) is not value]
         assert changed == [], name
     assert StateSpaceSystem.eval is original_eval
+
+
+def test_bench_tracer_sees_the_schur_and_sylvester_kernels_of_modal_form():
+    # the one-pass decomposition still goes through the public kernels, so
+    # the per-layer Schur/Sylvester split stays visible
+    layers = _load_layers()
+    _, k = bench_unstable_pair()
+    with layers.Tracer() as tracer:
+        tracer.request(0, ctred.modal_truncate, k, 1)
+    stats = tracer.summary()
+    for layer in ("decompose.modal_form", "linalg.ordered_real_schur",
+                  "linalg.solve_sylvester"):
+        assert stats[layer]["calls"] > 0, layer

@@ -3,8 +3,10 @@ import pytest
 import scipy.integrate
 import scipy.linalg as sla
 
-from ctred import linalg
+from ctred import linalg, norms
 from ctred.benchmarks import bench_balanced_vs_modal_pair
+from ctred.decompose import modal_form
+from ctred.statespace import make_system
 from ctred.errors import (
     DimensionError,
     NoStabilizingSolutionError,
@@ -167,3 +169,80 @@ def test_care_no_stabilizing_solution():
     b = np.zeros((2, 1))
     with pytest.raises(NoStabilizingSolutionError):
         linalg.solve_care(a, b, np.zeros((2, 2)), np.eye(1))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns its call counter."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_ordered_schur_reorders_a_schur_form_without_gees(monkeypatch):
+    t = np.array([
+        [2.0, 1.0, 0.5, -0.3],
+        [0.0, -1.0, 2.0, 0.7],
+        [0.0, -3.0, -1.0, 0.2],
+        [0.0, 0.0, 0.0, -4.0],
+    ])
+    _, _, sdim = sla.schur(t, output="real", sort=lambda re, im: re < 0)
+    gees = _counting(monkeypatch, sla, "schur")
+    form = linalg.ordered_real_schur(t, lambda l: l.real < 0)
+    assert gees == []
+    assert form.n_selected == 3 == sdim
+    assert np.allclose(np.sort_complex(form.eigenvalues[:3]),
+                       np.sort_complex([-1 + np.sqrt(6) * 1j, -1 - np.sqrt(6) * 1j, -4.0]))
+    assert abs(form.eigenvalues[3] - 2.0) < 1e-12
+    assert np.linalg.norm(form.Z @ form.T @ form.Z.T - t) <= 1e-12 * np.linalg.norm(t)
+    assert np.linalg.norm(form.Z.T @ form.Z - np.eye(4)) <= 1e-12
+    assert linalg._is_real_schur(form.T)
+
+
+def test_ordered_schur_nonstandard_block_takes_gees(monkeypatch):
+    a = np.array([[1.0, 2.0], [-3.0, 2.0]])  # unequal diagonal: not canonical
+    assert not linalg._is_real_schur(a)
+    gees = _counting(monkeypatch, sla, "schur")
+    form = linalg.ordered_real_schur(a, lambda l: l.real > 0)
+    assert len(gees) == 1
+    assert form.n_selected == 2
+    assert np.linalg.norm(form.Z @ form.T @ form.Z.T - a) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_sylvester_schur_pair_matches_the_general_path(monkeypatch, rng):
+    a, _ = sla.schur(rng.standard_normal((5, 5)) - 4.0 * np.eye(5))
+    b, _ = sla.schur(rng.standard_normal((3, 3)) - 4.0 * np.eye(3))
+    b = -b
+    c = rng.standard_normal((5, 3))
+    assert linalg._is_real_schur(a) and linalg._is_real_schur(b)
+    assert np.any(np.diagonal(a, -1)) and np.any(np.diagonal(b, -1))
+    general = sla.solve_sylvester(a, b, -c)
+    scipy_path = _counting(monkeypatch, sla, "solve_sylvester")
+    x = linalg.solve_sylvester(a, b, c)
+    assert scipy_path == []
+    assert np.linalg.norm(x - general) <= 1e-12 * np.linalg.norm(general)
+
+
+def test_sylvester_schur_pair_separation_error():
+    a = np.array([[1.0, 1.0], [0.0, 2.0]])
+    b = np.array([[-1.0 - 1e-9]])
+    with pytest.raises(SeparationError):
+        linalg.solve_sylvester(a, b, np.ones((2, 1)))
+
+
+def test_modal_form_makes_one_schur_reduction(monkeypatch, rng):
+    # eight real stable poles: seven clusters to peel, eight first-order blocks
+    t = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
+    a = t @ np.diag(-np.arange(1.0, 9.0)) @ np.linalg.inv(t)
+    k = make_system(a, rng.standard_normal((8, 1)), rng.standard_normal((1, 8)))
+    gees = _counting(monkeypatch, sla, "schur")
+    sylvester = _counting(monkeypatch, sla, "solve_sylvester")
+    peak = _counting(monkeypatch, norms, "_peak_gain")
+    md = modal_form(k)
+    assert [b.order for b in md.blocks] == [1] * 8
+    assert (len(gees), len(sylvester), len(peak)) == (1, 0, 0)
