@@ -17,6 +17,23 @@ Undefined norms (e.g. the peak gain of an unstable error system) are
 recorded as ``inf`` and fail the condition instead of raising, so batch
 sweeps can proceed.
 
+The small-gain conditions of ``lemma3`` and ``thm1`` are decided bound
+first.  By submultiplicativity ``b = ||X||_inf * d`` bounds both
+``||X*delta||`` and ``||delta*X||`` on the axis, where ``d`` is the
+Hankel-sum bound ``2 sum sigma`` of the stable part of ``delta`` plus
+that of its mirrored antistable part
+(:func:`~ctred.reduce.hankel_norm_bound`) and ``||X||_inf`` carries a
+margin for the error of the computed peak gain
+(:func:`_small_gain_bound`).  When ``b < 1`` the gain part of the
+condition holds: ``b`` is recorded in place of the product norms and
+their peak-gain searches are skipped (``thm1`` first adds the bound of
+any rounding-level antistable part its stability test dropped).
+Otherwise, and whenever ``delta`` does not split, the product norms are
+computed, so a failing condition always rests on computed norms and the
+verdicts are those of the norms themselves.  Every certificate names, in
+``kinds``, each norm its condition reads as ``"upper_bound"`` or
+``"computed"``.
+
 Certificates on the same plant and controller share one loop analysis:
 the stabilizing check, the four-block map and its norms, and, for the
 last reduced controller seen, the error system, the error products with
@@ -49,15 +66,15 @@ from .errors import (
     WrongCertificateError,
     ZeroModeError,
 )
-from .norms import h2_norm, hinf_norm, l2_norm, linf_norm
+from .norms import _check_no_axis_poles, h2_norm, hinf_norm, l2_norm, linf_norm
 from .reduce import (
     TruncationResult,
     drop_negligible_antistable,
+    hankel_norm_bound,
     minimal_realization,
     split_cancelled_unstable,
 )
 from .statespace import (
-    FourBlockMap,
     StateSpaceSystem,
     _check_loop_dims,
     _stabilizing_four_block,
@@ -72,6 +89,8 @@ THEOREMS = ("lemma3", "thm1", "thm2", "cor1", "cor2", "thm3")
 
 BOUNDED_THEOREMS = ("thm2", "cor1", "cor2", "thm3")
 
+_NORM_KINDS = ("upper_bound", "computed")
+
 
 @dataclass(frozen=True)
 class ReductionCertificate:
@@ -81,16 +100,23 @@ class ReductionCertificate:
     cost_bound: float | None
     verified_stable: bool
     notes: tuple[str, ...] = field(default=())
+    kinds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown certificate kind {self.theorem!r}")
+        if not set(self.kinds.values()) <= set(_NORM_KINDS):
+            raise ValueError(f"norm kinds must be among {_NORM_KINDS}")
         if self.cost_bound is not None and (
             not self.condition_satisfied or self.theorem not in BOUNDED_THEOREMS
         ):
             raise ValueError("cost_bound is only recorded for passing bound certificates")
 
     def to_dict(self) -> dict:
+        """JSON-ready form.  ``kinds`` maps every norm the condition reads
+        to ``"upper_bound"`` (a proven bound recorded in place of the norm,
+        see the module docstring) or ``"computed"`` (the norm itself, or
+        ``inf`` where it is undefined)."""
         def enc(v):
             if v is None:
                 return None
@@ -106,6 +132,7 @@ class ReductionCertificate:
             "cost_bound": enc(self.cost_bound),
             "verified_stable": bool(self.verified_stable),
             "notes": list(self.notes),
+            "kinds": dict(sorted(self.kinds.items())),
         }
 
 
@@ -128,9 +155,9 @@ def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
 class _ErrorAnalysis:
     """The error ``delta = k_r - k`` of one reduced controller on a loop.
 
-    Holds ``delta``, the products ``X*delta`` and ``delta*X`` (built on
-    first use), their peak gains once computed, and the eigenvalue verdict
-    on ``(g, k_r)``.
+    Holds ``delta``, its Hankel-sum bound, the products ``X*delta`` and
+    ``delta*X`` (built on first use), their peak gains once computed, and
+    the eigenvalue verdict on ``(g, k_r)``.
     """
 
     def __init__(self, loop: _LoopAnalysis, k_r: StateSpaceSystem):
@@ -140,6 +167,20 @@ class _ErrorAnalysis:
         self._products: dict = {}
         self._gains: dict = {}
         self._verdict = None
+        self._delta_bound = None
+
+    def delta_bound(self) -> float:
+        """Upper bound on ``||delta||`` over the axis
+        (:func:`~ctred.reduce.hankel_norm_bound`); ``inf`` when the error's
+        poles do not split into stable and antistable parts."""
+        bound = self._delta_bound
+        if bound is None:
+            try:
+                bound = hankel_norm_bound(self.delta)
+            except (AxisPoleError, SeparationError):
+                bound = math.inf
+            self._delta_bound = bound
+        return bound
 
     def product(self, name: str) -> StateSpaceSystem:
         """``"x_delta"`` (``X*delta``) or ``"delta_x"`` (``delta*X``)."""
@@ -178,8 +219,8 @@ class _LoopAnalysis:
     """The nominal loop ``(g, k)`` as every certificate starts from it.
 
     Construction checks that ``k`` stabilizes ``g`` and builds the
-    four-block map; the loop norms are computed on first use.  The error
-    analysis of the last reduced controller is kept.
+    four-block map; ``||X||_inf`` and the other loop norms are computed on
+    first use.  The error analysis of the last reduced controller is kept.
     """
 
     last: _LoopAnalysis | None = None  # the slot :func:`_loop` reuses
@@ -190,12 +231,20 @@ class _LoopAnalysis:
         self.fb = _stabilizing_four_block(g, k)
         self._quantities = None
         self._error = None
+        self._x_hinf = None
+
+    def x_hinf(self) -> float:
+        """``||X||_inf``, the loop norm every small-gain condition reads."""
+        x_hinf = self._x_hinf
+        if x_hinf is None:
+            x_hinf = self._x_hinf = hinf_norm(self.fb.x)
+        return x_hinf
 
     def quantities(self) -> dict:
         """A fresh copy of :func:`_loop_quantities` of the loop."""
         q = self._quantities
         if q is None:
-            q = self._quantities = _loop_quantities(self.fb)
+            q = self._quantities = _loop_quantities(self)
         return dict(q)
 
     def error(self, k_r: StateSpaceSystem) -> _ErrorAnalysis:
@@ -220,12 +269,31 @@ def _loop(g: StateSpaceSystem, k: StateSpaceSystem,
 
 
 def _epilogue(theorem: str, err: _ErrorAnalysis, quantities: dict,
-              condition: bool, cost_bound, notes: list):
+              condition: bool, cost_bound, notes: list, kinds: dict):
     """Shared certificate epilogue: the eigenvalue verdict on ``(g, k_r)``."""
     stable, alpha = err.verdict()
     quantities["closed_loop_abscissa"] = alpha
     return ReductionCertificate(theorem, quantities, condition, cost_bound,
-                                stable, tuple(notes))
+                                stable, tuple(notes), kinds)
+
+
+def _computed(*names: str) -> dict:
+    """Norm kinds for a condition that reads only computed norms."""
+    return dict.fromkeys(names, "computed")
+
+
+def _small_gain_bound(loop: _LoopAnalysis, err: _ErrorAnalysis) -> float:
+    """Upper bound on ``||X*delta||`` and ``||delta*X||`` over the axis.
+
+    Submultiplicativity gives ``(1 + 1e-4) ||X||_inf d`` with ``d`` from
+    :meth:`_ErrorAnalysis.delta_bound`.  ``d`` is proven; the computed
+    ``||X||_inf`` is not: ``hinf_norm`` was measured low by up to 3.4e-9
+    relative on loop blocks ``X`` and by up to 1.7e-5 on 15-state error
+    products, more than its ``HINF_REL``.  The factor 1e-4 covers the
+    worst of these with a 5x margin and costs nothing in practice: a
+    bound within 1e-4 of one falls through to the computed norm.
+    """
+    return (1.0 + 1e-4) * loop.x_hinf() * err.delta_bound()
 
 
 def _minreal_safe(s: StateSpaceSystem, notes: list):
@@ -249,32 +317,35 @@ def _stable_form(s: StateSpaceSystem, notes: list, label: str):
     inspected: when its transfer contribution sits at the rounding floor
     (exactly cancelling modes in a difference of systems) the stable part
     stands in, so hidden cancellations never fail the test spuriously.
-    Returns ``(stable, realization_or_None)``.
+    Returns ``(realization, dropped)``, with ``realization`` ``None`` when
+    ``s`` is not stable and ``dropped`` an upper bound on the peak gain
+    of what was dropped (0 for a raw-stable ``s``).
     """
     if _stable_system(s):
-        return True, s
+        return s, 0.0
     try:
-        form = drop_negligible_antistable(s)
+        cleaned = drop_negligible_antistable(s)
     except (AxisPoleError, SeparationError) as exc:
         notes.append(f"{label}: stability undecidable ({exc})")
-        return False, None
-    if form is None:
+        return None, math.inf
+    if cleaned is None:
         notes.append(f"{label} is not stable")
-        return False, None
-    return True, form
+        return None, math.inf
+    return cleaned
 
 
-def _loop_quantities(fb: FourBlockMap) -> dict:
-    """Norms of the stable closed-loop blocks of a four-block map.
+def _loop_quantities(loop: _LoopAnalysis) -> dict:
+    """Norms of the stable closed-loop blocks of the loop's four-block map.
 
     The entries for Y use its identity feedthrough for the peak gain and
     its strictly proper part for the H2 entry (the raw H2 integral of a
     biproper function diverges).
     """
+    fb = loop.fb
     xk_h2 = h2_norm(fb.xk)
     return {
         "x_h2": h2_norm(fb.x),
-        "x_hinf": hinf_norm(fb.x),
+        "x_hinf": loop.x_hinf(),
         "xk_h2": xk_h2,
         "kx_h2": h2_norm(fb.kx),
         "kx_hinf": hinf_norm(fb.kx),
@@ -297,7 +368,8 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     """Classical reduced-controller test: matched unstable pole counts plus
     a small-gain condition on the truncation error, in the peak gain over
     the axis (poles of the error system need not be stable)."""
-    err = _loop(g, k, k_r).error(k_r)
+    loop = _loop(g, k, k_r)
+    err = loop.error(k_r)
     notes: list[str] = []
     quantities: dict = {}
 
@@ -315,18 +387,24 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
         else:
             counts_ok = n_k == n_kr
 
-    gains = {}
+    bound = _small_gain_bound(loop, err)
+    gains, kinds = {}, _computed("x_delta_linf", "delta_x_linf")
     for product in ("x_delta", "delta_x"):
         name = f"{product}_linf"
+        form = err.product(product)
         try:
-            gains[name] = err.peak_gain(product, err.product(product), linf_norm)
+            if bound < 1.0:
+                _check_no_axis_poles(form)  # an undefined norm stays undefined
+                gains[name], kinds[name] = bound, "upper_bound"
+            else:
+                gains[name] = err.peak_gain(product, form, linf_norm)
         except AxisPoleError as exc:
-            gains[name] = math.inf
+            gains[name], kinds[name] = math.inf, "computed"
             notes.append(f"{name} undefined: {exc}")
     quantities.update(gains)
 
     condition = counts_ok and min(gains.values()) < 1.0
-    return _epilogue("lemma3", err, quantities, condition, None, notes)
+    return _epilogue("lemma3", err, quantities, condition, None, notes, kinds)
 
 
 def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -343,23 +421,26 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     notes: list[str] = []
     quantities: dict = {}
 
-    dy_stable, _ = _stable_form(series(err.delta, loop.fb.y), notes, "delta*Y")
-    xd_stable, xd_min = _stable_form(err.product("x_delta"), notes, "X*delta")
-    dx_stable, dx_min = _stable_form(err.product("delta_x"), notes, "delta*X")
-
-    quantities["x_delta_hinf"] = (err.peak_gain("x_delta", xd_min, hinf_norm)
-                                  if xd_stable else math.inf)
-    quantities["delta_x_hinf"] = (err.peak_gain("delta_x", dx_min, hinf_norm)
-                                  if dx_stable else math.inf)
-    if not dy_stable:
+    dy_form, _ = _stable_form(series(err.delta, loop.fb.y), notes, "delta*Y")
+    bound = _small_gain_bound(loop, err)
+    kinds = _computed("x_delta_hinf", "delta_x_hinf")
+    for product, label in (("x_delta", "X*delta"), ("delta_x", "delta*X")):
+        name = f"{product}_hinf"
+        form, dropped = _stable_form(err.product(product), notes, label)
+        if form is None:
+            quantities[name] = math.inf
+        elif bound + dropped < 1.0:
+            # the cleaned form is the product minus the dropped part
+            quantities[name], kinds[name] = bound + dropped, "upper_bound"
+        else:
+            quantities[name] = err.peak_gain(product, form, hinf_norm)
+    if dy_form is None:
         notes.append("delta*(I-GK)^{-1} is not stable")
     condition = (
-        dy_stable
-        and xd_stable
-        and dx_stable
+        dy_form is not None
         and max(quantities["x_delta_hinf"], quantities["delta_x_hinf"]) < 1.0
     )
-    return _epilogue("thm1", err, quantities, condition, None, notes)
+    return _epilogue("thm1", err, quantities, condition, None, notes, kinds)
 
 
 def _record_delta_norms(q: dict, form, notes: list) -> float:
@@ -411,11 +492,12 @@ def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,
     err = loop.error(k_r)
     notes: list[str] = []
     quantities = loop.quantities()
-    _, delta_form = _stable_form(err.delta, notes, "error system")
+    delta_form, _ = _stable_form(err.delta, notes, "error system")
     d_hinf = _record_delta_norms(quantities, delta_form, notes)
     condition = math.isfinite(d_hinf) and d_hinf * quantities["x_hinf"] < 1.0
     cost_bound = _record_bound(quantities, notes) if condition else None
-    return _epilogue("thm2", err, quantities, condition, cost_bound, notes)
+    return _epilogue("thm2", err, quantities, condition, cost_bound, notes,
+                     _computed("delta_hinf", "x_hinf"))
 
 
 def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -431,7 +513,7 @@ def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
     tail = float(sum(reduction.truncated_tail))
     quantities["sigma_tail_sum"] = tail
     condition = tail < 1.0 / (2.0 * quantities["x_hinf"])
-    _, delta_form = _stable_form(reduction.delta, notes, "error system")
+    delta_form, _ = _stable_form(reduction.delta, notes, "error system")
     d_hinf = _record_delta_norms(quantities, delta_form, notes)
     cost_bound = None
     if condition and math.isfinite(d_hinf):
@@ -440,7 +522,7 @@ def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
         condition = False
         notes.append("tail condition held but the error system is not stable")
     return _epilogue("cor1", loop.error(k_r), quantities, condition, cost_bound,
-                     notes)
+                     notes, _computed("delta_hinf", "x_hinf"))
 
 
 def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -457,8 +539,8 @@ def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
     notes: list[str] = []
-    delta_stable, delta_form = _stable_form(err.delta, notes, "error system")
-    if not delta_stable:
+    delta_form, _ = _stable_form(err.delta, notes, "error system")
+    if delta_form is None:
         raise WrongCertificateError(
             "error system is unstable; use the unstable-truncation certificate (thm3)"
         )
@@ -469,7 +551,8 @@ def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
     if condition:
         cost_bound = _record_bound(quantities, notes)
         quantities["s1_single_h2_term"], _ = _bound_terms(quantities, 1.0)
-    return _epilogue("cor2", err, quantities, condition, cost_bound, notes)
+    return _epilogue("cor2", err, quantities, condition, cost_bound, notes,
+                     _computed("delta_hinf", "x_hinf"))
 
 
 def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -516,7 +599,8 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     # 1 - X*delta; unstable modes of the raw product must cancel through
     # the structural zeros of X, leaving only rounding-level content
     # (hidden stable modes are harmless to the zero test below)
-    condition, prod_min = _stable_form(series(loop.fb.x, delta_min), notes, "X*delta")
+    prod_min, _ = _stable_form(series(loop.fb.x, delta_min), notes, "X*delta")
+    condition = prod_min is not None
     prefactor = math.inf
     if condition:
         a_inv = prod_min.A + prod_min.B @ prod_min.C
@@ -567,4 +651,5 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         q["s1"] = s1
         q["s2"] = s2
         cost_bound = prefactor**2 * (q["cost_original"] + s1 + s2)
-    return _epilogue("thm3", err, quantities, condition, cost_bound, notes)
+    return _epilogue("thm3", err, quantities, condition, cost_bound, notes,
+                     _computed("inv_one_minus_xdelta_linf"))

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from ctred.statespace import StateSpaceSystem, frequency_response
+from ctred.decompose import split_stable_unstable
+from ctred.errors import CtredError
+from ctred.gen import (
+    random_antistable,
+    random_stable_minimal,
+    synthesize_stabilizing_plant,
+)
+from ctred.reduce import balanced_truncate_unstable, modal_truncate
+from ctred.statespace import (
+    StateSpaceSystem,
+    add,
+    frequency_response,
+    is_internally_stable,
+    make_system,
+)
 
 
 _SWEEP_BLOCK = 32768  # frequencies per evaluation in grid_peak_oracle
@@ -66,6 +80,46 @@ def max_transfer_diff(s1: StateSpaceSystem, s2: StateSpaceSystem,
     r1 = frequency_response(s1, ws)
     r2 = frequency_response(s2, ws)
     return float(np.max(np.abs(r1 - r2)))
+
+
+def criterion_07_triples(count):
+    """Seeded (plant, controller, reduced) triples of varying quality."""
+    rng = np.random.default_rng(70700)
+    made = 0
+    seed = 0
+    while made < count:
+        seed += 1
+        order = int(rng.integers(3, 6))
+        n_unstable = int(rng.integers(0, 2))
+        try:
+            stable = random_stable_minimal(rng, order - n_unstable)
+            k = add(stable, random_antistable(rng, n_unstable)) \
+                if n_unstable else stable
+            g = synthesize_stabilizing_plant(k)
+            if not is_internally_stable(g, k)[0]:
+                continue
+        except (CtredError, np.linalg.LinAlgError):
+            continue
+        candidates = []
+        try:
+            candidates.append(balanced_truncate_unstable(k, k.n - 1).reduced)
+        except CtredError:
+            pass
+        try:
+            split = split_stable_unstable(k)
+            if split.stable_part.n >= 2:
+                mt = modal_truncate(split.stable_part, 1)
+                candidates.append(add(mt.reduced, split.unstable_part))
+        except CtredError:
+            pass
+        # a detuned controller: stable extra dynamics of random size
+        gain = float(rng.uniform(0.2, 6.0))
+        candidates.append(add(k, make_system([[-float(rng.uniform(1, 9))]],
+                                             [[gain]], [[gain]])))
+        for k_r in candidates:
+            if made < count:
+                made += 1
+                yield g, k, k_r
 
 
 @pytest.fixture

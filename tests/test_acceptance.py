@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import grid_peak_oracle
+from conftest import criterion_07_triples, grid_peak_oracle
 from ctred import linalg
 from ctred.benchmarks import (
     BALMOD_REFERENCE,
@@ -230,52 +230,12 @@ def test_criterion_06_norm_oracles():
     assert worst_h2 <= 1e-4
 
 
-def _random_triples(count):
-    """Seeded (plant, controller, reduced) triples of varying quality."""
-    rng = np.random.default_rng(70700)
-    made = 0
-    seed = 0
-    while made < count:
-        seed += 1
-        order = int(rng.integers(3, 6))
-        n_unstable = int(rng.integers(0, 2))
-        try:
-            stable = random_stable_minimal(rng, order - n_unstable)
-            k = add(stable, random_antistable(rng, n_unstable)) \
-                if n_unstable else stable
-            g = synthesize_stabilizing_plant(k)
-            if not is_internally_stable(g, k)[0]:
-                continue
-        except (CtredError, np.linalg.LinAlgError):
-            continue
-        candidates = []
-        try:
-            candidates.append(balanced_truncate_unstable(k, k.n - 1).reduced)
-        except CtredError:
-            pass
-        try:
-            split = split_stable_unstable(k)
-            if split.stable_part.n >= 2:
-                mt = modal_truncate(split.stable_part, 1)
-                candidates.append(add(mt.reduced, split.unstable_part))
-        except CtredError:
-            pass
-        # a detuned controller: stable extra dynamics of random size
-        gain = float(rng.uniform(0.2, 6.0))
-        candidates.append(add(k, make_system([[-float(rng.uniform(1, 9))]],
-                                             [[gain]], [[gain]])))
-        for k_r in candidates:
-            if made < count:
-                made += 1
-                yield g, k, k_r
-
-
 def test_criterion_07_thm1_soundness():
     start = time.perf_counter()
     passes = 0
     violations = 0
     total = 0
-    for g, k, k_r in _random_triples(500):
+    for g, k, k_r in criterion_07_triples(500):
         total += 1
         cert = check_thm1(g, k, k_r)
         if cert.condition_satisfied:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import criterion_07_triples, grid_peak_oracle
 from ctred import certify, norms, statespace
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.certify import (
@@ -21,13 +22,19 @@ from ctred.certify import (
 )
 from ctred.decompose import split_stable_unstable
 from ctred.errors import (
+    AxisPoleError,
+    CtredError,
     DimensionError,
     NotStabilizingError,
     UnsupportedError,
     WrongCertificateError,
     ZeroModeError,
 )
-from ctred.gen import generate_instance
+from ctred.gen import (
+    generate_instance,
+    random_stable_minimal,
+    synthesize_stabilizing_plant,
+)
 from ctred.reduce import TruncationResult, balanced_truncate_unstable, modal_truncate
 from ctred.statespace import (
     StateSpaceSystem,
@@ -35,6 +42,7 @@ from ctred.statespace import (
     four_block,
     make_system,
     negate,
+    series,
     zero_system,
 )
 
@@ -326,9 +334,13 @@ def test_certificate_invariants():
         ReductionCertificate("thm1", {}, True, 1.0, True)  # thm1 carries no bound
     with pytest.raises(ValueError):
         ReductionCertificate("thm2", {}, False, 1.0, True)  # bound only on pass
-    cert = ReductionCertificate("thm2", {"delta_hinf": math.inf}, False, None, True)
+    with pytest.raises(ValueError):
+        ReductionCertificate("thm1", {}, True, None, True, kinds={"x": "guessed"})
+    cert = ReductionCertificate("thm2", {"delta_hinf": math.inf}, False, None, True,
+                                kinds={"delta_hinf": "computed"})
     doc = cert.to_dict()
     assert doc["quantities"]["delta_hinf"] == "inf"
+    assert doc["kinds"] == {"delta_hinf": "computed"}
 
 
 @pytest.mark.parametrize("check", [check_lemma3, check_thm1, check_thm2_bound,
@@ -383,7 +395,8 @@ def test_bound_certificates_share_one_loop_analysis(balmod, monkeypatch):
                                            (check_thm1, check_lemma3)])
 def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
     # with a stable controller X*delta and delta*X are stable as realized,
-    # so thm1 tests the very products whose peak gains lemma3 measures
+    # so thm1 tests the very products lemma3 tests; ||X||_inf times the
+    # Hankel bound of delta decides both, and the one peak gain is ||X||_inf
     g, k = generate_instance(4, 0, 0)
     k_r = balanced_truncate_unstable(k, 3).reduced
     expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
@@ -391,7 +404,7 @@ def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
     calls = {}
     _count_calls(monkeypatch, norms, "_peak_gain", calls)
     assert [check(g, k, k_r).to_dict() for check in (first, second)] == expected
-    assert calls == {"_peak_gain": 2}
+    assert calls == {"_peak_gain": 1}
 
 
 def _interleaving_cases(balmod, unstable_pair):
@@ -472,3 +485,95 @@ def test_concurrent_certificates_match_sequential(balmod, unstable_pair):
     assert failures == []
     assert len(results) == 4 * len(jobs)
     assert all(doc == expected[j] for j, doc in results)
+
+
+def test_nearly_cancelling_request_skips_the_grid_fallback(monkeypatch):
+    # a balanced truncation whose Hankel tail is below 1e-7: the error
+    # products reach the peak-gain grid fallback when measured, but the
+    # Hankel bound of delta times ||X||_inf decides lemma3 and thm1
+    rng = np.random.default_rng(40401)
+    for _ in range(200):
+        k = random_stable_minimal(rng, 3)
+        try:
+            bt = balanced_truncate_unstable(k, 2)
+        except CtredError:
+            continue
+        if bt.truncated_tail[0] < 1e-7:
+            break
+    else:
+        pytest.fail("no nearly cancelling truncation in the searched draws")
+    g = synthesize_stabilizing_plant(k)
+    calls = {}
+    _count_calls(monkeypatch, norms, "_refined_grid_peak", calls)
+    certs = [check(g, k, bt.reduced) for check in (check_lemma3, check_thm1)]
+    assert calls == {}
+    for cert in certs:
+        assert cert.condition_satisfied
+        assert set(cert.to_dict()["kinds"].values()) == {"upper_bound"}
+    norms.linf_norm(series(four_block(g, k).x, bt.delta))
+    assert calls == {"_refined_grid_peak": 1}  # the skipped search
+
+
+def _norm_or_inf(product, norm):
+    """``norm(product)``, or ``inf`` where it is undefined."""
+    try:
+        return norm(product)
+    except AxisPoleError:
+        return math.inf
+
+
+def test_small_gain_norms_bound_the_products():
+    # every lemma3/thm1 product norm, bound or computed, is at least the
+    # grid peak of the product it stands for, and each condition is the one
+    # the directly computed norms give
+    kinds = set()
+    for g, k, k_r in criterion_07_triples(40):
+        lemma3, thm1 = check_lemma3(g, k, k_r), check_thm1(g, k, k_r)
+        fb = four_block(g, k)
+        delta = add(k_r, negate(k))
+        products = {"x_delta": series(fb.x, delta), "delta_x": series(delta, fb.x)}
+        direct = {}
+        for name, product in products.items():
+            recorded = lemma3.quantities[f"{name}_linf"]
+            assert recorded >= grid_peak_oracle(product, n=20000) * (1 - 1e-8)
+            direct[f"{name}_linf"] = _norm_or_inf(product, norms.linf_norm)
+            form, _ = certify._stable_form(product, [], name)
+            if form is None:
+                direct[f"{name}_hinf"] = math.inf
+                continue
+            recorded = thm1.quantities[f"{name}_hinf"]
+            assert recorded >= grid_peak_oracle(form, n=20000) * (1 - 1e-8)
+            direct[f"{name}_hinf"] = norms.hinf_norm(form)
+        kinds |= set(lemma3.kinds.values()) | set(thm1.kinds.values())
+
+        q = lemma3.quantities
+        counts_ok = (q.get("unstable_poles_original", -1.0)
+                     == q.get("unstable_poles_reduced", -2.0)
+                     and not any("imaginary-axis" in n for n in lemma3.notes))
+        assert lemma3.condition_satisfied == (
+            counts_ok and min(direct["x_delta_linf"], direct["delta_x_linf"]) < 1.0)
+        dy_form, _ = certify._stable_form(series(delta, fb.y), [], "delta*Y")
+        assert thm1.condition_satisfied == (
+            dy_form is not None
+            and max(direct["x_delta_hinf"], direct["delta_x_hinf"]) < 1.0)
+    assert kinds == {"upper_bound", "computed"}  # both branches were taken
+
+
+def test_loop_peak_gain_is_shared_by_bound_and_small_gain_certificates(
+        balmod, monkeypatch):
+    # thm2 reads ||X||_inf among the loop norms; lemma3's bound reuses it
+    g, k = _fresh(balmod[0]), _fresh(balmod[1])
+    k_r = balanced_truncate_unstable(k, 2).reduced
+    args = []
+    original = certify.hinf_norm
+
+    def recorded(s):
+        args.append(s)
+        return original(s)
+
+    monkeypatch.setattr(certify, "hinf_norm", recorded)
+    check_thm2_bound(g, k, k_r)
+    check_lemma3(g, k, k_r)
+    x = four_block(g, k).x
+    assert sum(all(np.array_equal(getattr(s, f), getattr(x, f)) for f in "ABCD")
+               for s in args) == 1

@@ -92,6 +92,21 @@ def test_hinf_benchmark_modal_error():
     assert abs(val - 0.0580) <= 0.05 * 0.0580
 
 
+@pytest.mark.xfail(strict=True, reason="hinf_norm returns 13.136991349804758, "
+                   "1.59e-9 (16x HINF_REL) below the peak")
+def test_hinf_within_tolerance_of_a_two_state_peak():
+    # the 40-digit mpmath maximisation of this system's peak gain is
+    # 13.13699137070; grid_peak_oracle agrees
+    s = make_system(
+        [[-1.1345993450454142, 1.8958807964153308],
+         [-4.791118286674378, -1.1345993450454142]],
+        [[9.052398218966147, -2.0743522925518945],
+         [-2.813084320093806, 1.1584232999415593]],
+        [[3.608454124778282e-04, 1.7406552234719979],
+         [0.97770503581460755, 0.54550959767634322]])
+    assert hinf_norm(s) >= 13.13699137070 * (1 - HINF_REL)
+
+
 def test_hinf_unstable_guidance():
     with pytest.raises(StabilityError, match="linf"):
         hinf_norm(lag(1.0))

@@ -12,11 +12,13 @@ from ctred.errors import (
     StabilityError,
 )
 from ctred.gen import random_antistable, random_stable_minimal
-from ctred.norms import hinf_norm
+from ctred.norms import hinf_norm, linf_norm
 from ctred.reduce import (
     balance,
     balanced_truncate,
     balanced_truncate_unstable,
+    drop_negligible_antistable,
+    hankel_norm_bound,
     minimal_realization,
     modal_truncate,
 )
@@ -236,6 +238,32 @@ def test_hankel_values_similarity_invariant(rng):
     sig1 = balance(s).hankel_singular_values
     sig2 = balance(s2).hankel_singular_values
     assert np.allclose(sig1, sig2, rtol=1e-7)
+
+
+def test_hankel_norm_bound_bounds_the_peak_gain(rng):
+    # 2 sum sigma is tight for one state; antistable parts count through
+    # their mirror image and a feedthrough through its gain
+    lag = make_system([[-2.0]], [[1.0]], [[3.0]])  # peak gain 1.5 at w = 0
+    assert 1.5 <= hankel_norm_bound(lag) <= 1.5 * (1 + 1e-11)
+    for _ in range(20):
+        s = add(random_stable_minimal(rng, 3), random_antistable(rng, 2))
+        s = make_system(s.A, s.B, s.C, [[float(rng.uniform(-1.0, 1.0))]])
+        assert hankel_norm_bound(s) >= linf_norm(s) * (1 - 1e-9)
+
+
+def test_drop_negligible_antistable_bounds_what_it_drops():
+    # a 1e-9 antistable term beside an order-one stable gain is dropped, and
+    # the returned bound covers its peak gain 1e-9; a 1e-3 term is kept
+    stable = make_system([[-1.0]], [[1.0]], [[1.0]])
+    for eps, dropped in ((1e-9, True), (1e-3, False)):
+        anti = make_system([[2.0]], [[1.0]], [[2.0 * eps]])  # peak eps at w = 0
+        out = drop_negligible_antistable(add(stable, anti))
+        if not dropped:
+            assert out is None
+            continue
+        part, bound = out
+        assert transfer_close(part, stable)
+        assert eps <= bound <= eps * (1 + 1e-6)
 
 
 def test_minimal_realization_cancels_hidden_unstable_mode():
