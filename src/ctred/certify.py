@@ -34,16 +34,22 @@ verdicts are those of the norms themselves.  Every certificate names, in
 ``kinds``, each norm its condition reads as ``"upper_bound"`` or
 ``"computed"``.
 
+The bound certificates ``thm2``, ``cor1`` and ``cor2`` read ``delta_hinf``
+and ``delta_h2`` from one error analysis: both norms are measured once
+per reduced controller, on the stable realization of ``K_r - K``.
+``cor1`` takes only its Hankel tail from the truncation result, never
+its error system.
+
 Certificates on the same plant and controller share one loop analysis:
 the stabilizing check, the four-block map and its norms, and, for the
-last reduced controller seen, the error system, the error products with
-``X``, their peak gains and the reduced loop's eigenvalue verdict.  The
-analysis sits in a single process-wide slot keyed on the *identity* of
-``g`` and ``k`` (and the ``CTRED_TOL_STAB`` override it was computed
-under), never on their content: systems are immutable and own their
-arrays, so the same objects always describe the same loop, while equal
-content built anew -- each request of a batch, each repeated round --
-gets its own analysis.  A content key would make a repeated experiment
+last reduced controller seen, the error system and its norms, the error
+products with ``X``, their peak gains and the reduced loop's eigenvalue
+verdict.  The analysis sits in a single process-wide slot keyed on the
+*identity* of ``g`` and ``k`` (and the ``CTRED_TOL_STAB`` override it was
+computed under), never on their content: systems are immutable and own
+their arrays, so the same objects always describe the same loop, while
+equal content built anew -- each request of a batch, each repeated round
+-- gets its own analysis.  A content key would make a repeated experiment
 skip the work it is meant to repeat.  Each certificate gets its own copy
 of the shared quantities.  The slot is read once into a local and
 replaced only by a fully built analysis, so concurrent callers at worst
@@ -155,9 +161,11 @@ def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
 class _ErrorAnalysis:
     """The error ``delta = k_r - k`` of one reduced controller on a loop.
 
-    Holds ``delta``, its Hankel-sum bound, the products ``X*delta`` and
-    ``delta*X`` (built on first use), their peak gains once computed, and
-    the eigenvalue verdict on ``(g, k_r)``.
+    Holds ``delta``, its Hankel-sum bound, the norms of its stable
+    realization, the products ``X*delta`` and ``delta*X`` (built on first
+    use), their peak gains once computed, and the eigenvalue verdict on
+    ``(g, k_r)``.  All but ``delta`` are computed on first use and stored
+    only when fully built.
     """
 
     def __init__(self, loop: _LoopAnalysis, k_r: StateSpaceSystem):
@@ -168,6 +176,7 @@ class _ErrorAnalysis:
         self._gains: dict = {}
         self._verdict = None
         self._delta_bound = None
+        self._delta_norms = None
 
     def delta_bound(self) -> float:
         """Upper bound on ``||delta||`` over the axis
@@ -181,6 +190,23 @@ class _ErrorAnalysis:
                 bound = math.inf
             self._delta_bound = bound
         return bound
+
+    def delta_norms(self) -> tuple[dict, list]:
+        """``delta_hinf`` and ``delta_h2`` of the stable realization of
+        ``delta`` (:func:`_stable_form`; ``inf`` when ``delta`` is not
+        stable), with the notes of that test; fresh copies of both."""
+        cached = self._delta_norms
+        if cached is None:
+            notes: list[str] = []
+            form, _ = _stable_form(self.delta, notes, "error system")
+            if form is None:
+                notes.append("error system is not stable; its H norms are undefined")
+                norms = dict.fromkeys(("delta_hinf", "delta_h2"), math.inf)
+            else:
+                norms = {"delta_hinf": hinf_norm(form), "delta_h2": h2_norm(form)}
+            cached = self._delta_norms = (norms, tuple(notes))
+        norms, notes = cached
+        return dict(norms), list(notes)
 
     def product(self, name: str) -> StateSpaceSystem:
         """``"x_delta"`` (``X*delta``) or ``"delta_x"`` (``delta*X``)."""
@@ -443,18 +469,6 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     return _epilogue("thm1", err, quantities, condition, None, notes, kinds)
 
 
-def _record_delta_norms(q: dict, form, notes: list) -> float:
-    """Record ``delta_hinf``/``delta_h2`` of the stable error realization
-    ``form`` from :func:`_stable_form` (infinities when it is ``None``);
-    returns ``delta_hinf``."""
-    if form is None:
-        notes.append("error system is not stable; its H norms are undefined")
-        q["delta_hinf"], q["delta_h2"] = math.inf, math.inf
-    else:
-        q["delta_hinf"], q["delta_h2"] = hinf_norm(form), h2_norm(form)
-    return q["delta_hinf"]
-
-
 def _bound_terms(q: dict, s1_coeff_h2: float):
     """S1/S2 penalty terms entering the cost bound.
 
@@ -490,10 +504,10 @@ def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,
     """Small-gain certificate with a closed-loop cost bound, for stable errors."""
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
-    notes: list[str] = []
     quantities = loop.quantities()
-    delta_form, _ = _stable_form(err.delta, notes, "error system")
-    d_hinf = _record_delta_norms(quantities, delta_form, notes)
+    delta_norms, notes = err.delta_norms()
+    quantities.update(delta_norms)
+    d_hinf = delta_norms["delta_hinf"]
     condition = math.isfinite(d_hinf) and d_hinf * quantities["x_hinf"] < 1.0
     cost_bound = _record_bound(quantities, notes) if condition else None
     return _epilogue("thm2", err, quantities, condition, cost_bound, notes,
@@ -506,23 +520,22 @@ def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
     be below half the reciprocal peak gain of the input sensitivity."""
     if reduction.method != "balanced":
         raise WrongCertificateError("this certificate applies to balanced truncation")
-    k_r = reduction.reduced
-    loop = _loop(g, k, k_r)
-    notes: list[str] = []
+    loop = _loop(g, k, reduction.reduced)
+    err = loop.error(reduction.reduced)
     quantities = loop.quantities()
     tail = float(sum(reduction.truncated_tail))
     quantities["sigma_tail_sum"] = tail
     condition = tail < 1.0 / (2.0 * quantities["x_hinf"])
-    delta_form, _ = _stable_form(reduction.delta, notes, "error system")
-    d_hinf = _record_delta_norms(quantities, delta_form, notes)
+    delta_norms, notes = err.delta_norms()
+    quantities.update(delta_norms)
     cost_bound = None
-    if condition and math.isfinite(d_hinf):
+    if condition and math.isfinite(delta_norms["delta_hinf"]):
         cost_bound = _record_bound(quantities, notes)
     elif condition:
         condition = False
         notes.append("tail condition held but the error system is not stable")
-    return _epilogue("cor1", loop.error(k_r), quantities, condition, cost_bound,
-                     notes, _computed("delta_hinf", "x_hinf"))
+    return _epilogue("cor1", err, quantities, condition, cost_bound, notes,
+                     _computed("delta_hinf", "x_hinf"))
 
 
 def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -538,15 +551,14 @@ def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
     """
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
-    notes: list[str] = []
-    delta_form, _ = _stable_form(err.delta, notes, "error system")
-    if delta_form is None:
+    delta_norms, notes = err.delta_norms()
+    if math.isinf(delta_norms["delta_hinf"]):
         raise WrongCertificateError(
             "error system is unstable; use the unstable-truncation certificate (thm3)"
         )
     quantities = loop.quantities()
-    d_hinf = _record_delta_norms(quantities, delta_form, notes)
-    condition = d_hinf * quantities["x_hinf"] < 1.0
+    quantities.update(delta_norms)
+    condition = quantities["delta_hinf"] * quantities["x_hinf"] < 1.0
     cost_bound = None
     if condition:
         cost_bound = _record_bound(quantities, notes)

@@ -179,7 +179,7 @@ def _cmd_repro(args) -> int:
     elif args.which == "unstable":
         report = benchmarks.run_unstable_truncation()
     else:
-        report, rows = benchmarks.run_scaling_sweep(seed=args.seed)
+        report, rows = benchmarks.run_scaling_sweep()
         csv_path = Path(out).with_suffix(".csv")
         _write_csv(csv_path, rows)
         report["csv"] = str(csv_path)
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="run a bundled benchmark experiment")
     p.add_argument("which", choices=("table1", "unstable", "scaling"))
     p.add_argument("--out", help="report path (default: <which>_report.json)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_repro)
 
     p = sub.add_parser("certify", help="evaluate a certificate for a reduced controller")

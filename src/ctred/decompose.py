@@ -19,7 +19,7 @@ import scipy.linalg as sla
 
 from . import linalg
 from .errors import AxisPoleError, SeparationError, StabilityError, ZeroModeError
-from .statespace import StateSpaceSystem
+from .statespace import StateSpaceSystem, zero_system
 from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm, stab_tol
 
 
@@ -79,18 +79,10 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
         )
     except SeparationError as exc:
         raise SeparationError(f"ill-conditioned stable/antistable split: {exc}") from exc
-    zero_d = np.zeros_like(k.D)
-    if part1 is None:
-        stable = StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, k.m)),
-                                  np.zeros((k.p, 0)), k.D)
-        unstable = StateSpaceSystem(part2[0], part2[1], part2[2], zero_d)
-    elif part2 is None:
-        stable = StateSpaceSystem(part1[0], part1[1], part1[2], k.D)
-        unstable = StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, k.m)),
-                                    np.zeros((k.p, 0)), zero_d)
-    else:
-        stable = StateSpaceSystem(part1[0], part1[1], part1[2], k.D)
-        unstable = StateSpaceSystem(part2[0], part2[1], part2[2], zero_d)
+    empty = zero_system(k.p, k.m)
+    a1, b1, c1 = (empty.A, empty.B, empty.C) if part1 is None else part1[:3]
+    stable = StateSpaceSystem(a1, b1, c1, k.D)
+    unstable = empty if part2 is None else StateSpaceSystem(*part2[:3], empty.D)
     return StableUnstableSplit(stable, unstable)
 
 
@@ -126,10 +118,7 @@ class ModalDecomposition:
         idx = range(len(self.blocks)) if keep is None else keep
         blocks = [self.blocks[i] for i in idx]
         if not blocks:
-            return StateSpaceSystem(
-                np.zeros((0, 0)), np.zeros((0, self.m)),
-                np.zeros((self.p, 0)), np.zeros((self.p, self.m)),
-            )
+            return zero_system(self.p, self.m)
         a = sla.block_diag(*[b.A for b in blocks])
         bmat = np.vstack([b.B for b in blocks])
         c = np.hstack([b.C for b in blocks])

@@ -154,18 +154,14 @@ def balanced_truncate_unstable(k: StateSpaceSystem, r: int) -> TruncationResult:
     if nr == 0:
         # the stable part is removed entirely
         bal = balance(stable)
-        reduced_stable = None
+        reduced = split.unstable_part
         delta = negate(stable)
         tail = tuple(float(v) for v in bal.hankel_singular_values)
     else:
         inner = balanced_truncate(stable, nr)
-        reduced_stable = inner.reduced
+        reduced = add(inner.reduced, split.unstable_part)
         delta = inner.delta
         tail = inner.truncated_tail
-    if reduced_stable is None:
-        reduced = split.unstable_part
-    else:
-        reduced = add(reduced_stable, split.unstable_part)
     return TruncationResult(reduced, delta, "balanced", tail)
 
 
@@ -351,10 +347,7 @@ def split_cancelled_unstable(s: StateSpaceSystem) -> StateSpaceSystem:
     anti_m = mirror(anti)
     anti_hp = _hankel_pass(anti_m)
     anti_clean = mirror(_truncate_part_by_tol(anti_m, anti_hp, anti_hp.floor))
-    anti_strict = StateSpaceSystem(
-        anti_clean.A, anti_clean.B, anti_clean.C, np.zeros((s.p, s.m))
-    )
-    return add(split.stable_part, anti_strict)
+    return add(split.stable_part, anti_clean)
 
 
 def minimal_realization(s: StateSpaceSystem, tol: float = MINREAL_TOL) -> StateSpaceSystem:
@@ -378,10 +371,7 @@ def minimal_realization(s: StateSpaceSystem, tol: float = MINREAL_TOL) -> StateS
     cut = max(tol * top, noise_floor)
     stable_red = _truncate_part_by_tol(stable, stable_hp, cut)
     anti_red = mirror(_truncate_part_by_tol(anti_m, anti_hp, cut))
-    anti_strict = StateSpaceSystem(
-        anti_red.A, anti_red.B, anti_red.C, np.zeros((s.p, s.m))
-    )
-    result = add(stable_red, anti_strict)
+    result = add(stable_red, anti_red)
     # Self-check: a difference of nearly identical systems can leave only
     # noise-dominated directions, in which case the projection is garbage.
     probes = (0.0, 0.731, 9.3)

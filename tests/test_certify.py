@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -405,6 +406,35 @@ def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
     _count_calls(monkeypatch, norms, "_peak_gain", calls)
     assert [check(g, k, k_r).to_dict() for check in (first, second)] == expected
     assert calls == {"_peak_gain": 1}
+
+
+@pytest.mark.parametrize("thm2_first", [True, False], ids=["thm2_cor1", "cor1_thm2"])
+def test_thm2_and_cor1_share_one_error_analysis(balmod, monkeypatch, thm2_first):
+    # thm2 and cor1 on the same (G, K, K_r) objects measure delta = K_r - K
+    # once; cor1 reads only its Hankel tail from the truncation result
+    g, k = _fresh(balmod[0]), _fresh(balmod[1])
+    res = balanced_truncate_unstable(k, 2)
+    checks = [(check_thm2_bound, res.reduced), (check_cor1, res)]
+    if not thm2_first:
+        checks.reverse()
+    k_r = _fresh(res.reduced)
+    fresh_args = {check_thm2_bound: k_r, check_cor1: dataclasses.replace(res, reduced=k_r)}
+    expected = {check: check(_fresh(g), _fresh(k), fresh_args[check]).to_dict()
+                for check, _ in checks}
+    no_delta = dataclasses.replace(fresh_args[check_cor1], delta=zero_system(k.p, k.m))
+    assert check_cor1(_fresh(g), _fresh(k), no_delta).to_dict() == expected[check_cor1]
+
+    certify._loop(g, k, res.reduced).quantities()  # the loop norms, computed once
+    calls = {}
+    _count_calls(monkeypatch, certify, "hinf_norm", calls)
+    _count_calls(monkeypatch, certify, "h2_norm", calls)
+    certs = {check: check(g, k, arg) for check, arg in checks}
+    assert calls == {"hinf_norm": 1, "h2_norm": 1}
+    for check, cert in certs.items():
+        assert cert.to_dict() == expected[check]
+    thm2, cor1 = certs[check_thm2_bound], certs[check_cor1]
+    for name in ("delta_hinf", "delta_h2"):
+        assert thm2.quantities[name] == cor1.quantities[name]
 
 
 def _interleaving_cases(balmod, unstable_pair):
