@@ -37,8 +37,7 @@ verdicts are those of the norms themselves.  Every certificate names, in
 The bound certificates ``thm2``, ``cor1`` and ``cor2`` read ``delta_hinf``
 and ``delta_h2`` from one error analysis: both norms are measured once
 per reduced controller, on the stable realization of ``K_r - K``.
-``cor1`` takes only its Hankel tail from the truncation result, never
-its error system.
+``cor1`` takes only its Hankel tail from the truncation result.
 
 Certificates on the same plant and controller share one loop analysis:
 the stabilizing check, the four-block map and its norms, and, for the
@@ -53,13 +52,18 @@ equal content built anew -- each request of a batch, each repeated round
 skip the work it is meant to repeat.  Each certificate gets its own copy
 of the shared quantities.  The slot is read once into a local and
 replaced only by a fully built analysis, so concurrent callers at worst
-recompute.
+recompute.  Within an analysis every shared quantity is a
+``functools.cached_property``, stored only once fully computed; where the
+descriptor locks while it computes (Python 3.11 and older), no property
+waits on another in a cycle, and a product replaced by a racing thread
+only makes the losing caller compute its own peak gain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +93,7 @@ from .statespace import (
     negate,
     series,
 )
-from .tolerances import inf_norm, stab_override, stab_tol
+from .tolerances import stab_override
 
 THEOREMS = ("lemma3", "thm1", "thm2", "cor1", "cor2", "thm3")
 
@@ -162,83 +166,73 @@ class _ErrorAnalysis:
     """The error ``delta = k_r - k`` of one reduced controller on a loop.
 
     Holds ``delta``, its Hankel-sum bound, the norms of its stable
-    realization, the products ``X*delta`` and ``delta*X`` (built on first
-    use), their peak gains once computed, and the eigenvalue verdict on
-    ``(g, k_r)``.  All but ``delta`` are computed on first use and stored
-    only when fully built.
+    realization, the products ``X*delta`` and ``delta*X``, their peak
+    gains once computed, and the eigenvalue verdict on ``(g, k_r)``.  All
+    but ``delta`` are computed on first use and stored only when fully
+    built.
     """
 
     def __init__(self, loop: _LoopAnalysis, k_r: StateSpaceSystem):
         self.g, self.fb = loop.g, loop.fb  # not the loop: no reference cycle
         self.k_r = k_r
         self.delta = add(k_r, negate(loop.k))
-        self._products: dict = {}
         self._gains: dict = {}
-        self._verdict = None
-        self._delta_bound = None
-        self._delta_norms = None
 
+    @cached_property
     def delta_bound(self) -> float:
         """Upper bound on ``||delta||`` over the axis
         (:func:`~ctred.reduce.hankel_norm_bound`); ``inf`` when the error's
         poles do not split into stable and antistable parts."""
-        bound = self._delta_bound
-        if bound is None:
-            try:
-                bound = hankel_norm_bound(self.delta)
-            except (AxisPoleError, SeparationError):
-                bound = math.inf
-            self._delta_bound = bound
-        return bound
+        try:
+            return hankel_norm_bound(self.delta)
+        except (AxisPoleError, SeparationError):
+            return math.inf
+
+    @cached_property
+    def _delta_norms(self) -> tuple[dict, tuple]:
+        notes: list[str] = []
+        form, _ = _stable_form(self.delta, notes, "error system")
+        if form is None:
+            notes.append("error system is not stable; its H norms are undefined")
+            return dict.fromkeys(("delta_hinf", "delta_h2"), math.inf), tuple(notes)
+        return {"delta_hinf": hinf_norm(form), "delta_h2": h2_norm(form)}, tuple(notes)
 
     def delta_norms(self) -> tuple[dict, list]:
         """``delta_hinf`` and ``delta_h2`` of the stable realization of
         ``delta`` (:func:`_stable_form`; ``inf`` when ``delta`` is not
         stable), with the notes of that test; fresh copies of both."""
-        cached = self._delta_norms
-        if cached is None:
-            notes: list[str] = []
-            form, _ = _stable_form(self.delta, notes, "error system")
-            if form is None:
-                notes.append("error system is not stable; its H norms are undefined")
-                norms = dict.fromkeys(("delta_hinf", "delta_h2"), math.inf)
-            else:
-                norms = {"delta_hinf": hinf_norm(form), "delta_h2": h2_norm(form)}
-            cached = self._delta_norms = (norms, tuple(notes))
-        norms, notes = cached
+        norms, notes = self._delta_norms
         return dict(norms), list(notes)
 
-    def product(self, name: str) -> StateSpaceSystem:
-        """``"x_delta"`` (``X*delta``) or ``"delta_x"`` (``delta*X``)."""
-        prod = self._products.get(name)
-        if prod is None:
-            x = self.fb.x
-            prod = series(x, self.delta) if name == "x_delta" else series(self.delta, x)
-            # a caller that lost the race adopts the stored object, so the
-            # identity test in peak_gain stays meaningful
-            prod = self._products.setdefault(name, prod)
-        return prod
+    @cached_property
+    def x_delta(self) -> StateSpaceSystem:
+        """``X*delta``."""
+        return series(self.fb.x, self.delta)
+
+    @cached_property
+    def delta_x(self) -> StateSpaceSystem:
+        """``delta*X``."""
+        return series(self.delta, self.fb.x)
 
     def peak_gain(self, name: str, form: StateSpaceSystem, norm) -> float:
-        """``norm(form)``, shared when ``form`` is the raw product ``name``.
+        """``norm(form)``, shared when ``form`` is the raw product ``name``
+        (``"x_delta"`` or ``"delta_x"``).
 
         On a raw product ``linf_norm`` and ``hinf_norm`` agree wherever both
         are defined: the latter is only asked for when the product is
         stable, so both evaluate the same peak-gain search.
         """
-        if form is not self.product(name):
+        if form is not getattr(self, name):
             return norm(form)
         gain = self._gains.get(name)
         if gain is None:
             gain = self._gains[name] = norm(form)
         return gain
 
-    def verdict(self):
+    @cached_property
+    def verdict(self) -> tuple:
         """``is_internally_stable(g, k_r)``."""
-        verdict = self._verdict
-        if verdict is None:
-            verdict = self._verdict = is_internally_stable(self.g, self.k_r)
-        return verdict
+        return is_internally_stable(self.g, self.k_r)
 
 
 class _LoopAnalysis:
@@ -255,23 +249,20 @@ class _LoopAnalysis:
         self.g, self.k = g, k
         self.tol_override = stab_override()
         self.fb = _stabilizing_four_block(g, k)
-        self._quantities = None
         self._error = None
-        self._x_hinf = None
 
+    @cached_property
     def x_hinf(self) -> float:
         """``||X||_inf``, the loop norm every small-gain condition reads."""
-        x_hinf = self._x_hinf
-        if x_hinf is None:
-            x_hinf = self._x_hinf = hinf_norm(self.fb.x)
-        return x_hinf
+        return hinf_norm(self.fb.x)
+
+    @cached_property
+    def _quantities(self) -> dict:
+        return _loop_quantities(self)
 
     def quantities(self) -> dict:
         """A fresh copy of :func:`_loop_quantities` of the loop."""
-        q = self._quantities
-        if q is None:
-            q = self._quantities = _loop_quantities(self)
-        return dict(q)
+        return dict(self._quantities)
 
     def error(self, k_r: StateSpaceSystem) -> _ErrorAnalysis:
         err = self._error
@@ -297,7 +288,7 @@ def _loop(g: StateSpaceSystem, k: StateSpaceSystem,
 def _epilogue(theorem: str, err: _ErrorAnalysis, quantities: dict,
               condition: bool, cost_bound, notes: list, kinds: dict):
     """Shared certificate epilogue: the eigenvalue verdict on ``(g, k_r)``."""
-    stable, alpha = err.verdict()
+    stable, alpha = err.verdict
     quantities["closed_loop_abscissa"] = alpha
     return ReductionCertificate(theorem, quantities, condition, cost_bound,
                                 stable, tuple(notes), kinds)
@@ -312,14 +303,14 @@ def _small_gain_bound(loop: _LoopAnalysis, err: _ErrorAnalysis) -> float:
     """Upper bound on ``||X*delta||`` and ``||delta*X||`` over the axis.
 
     Submultiplicativity gives ``(1 + 1e-4) ||X||_inf d`` with ``d`` from
-    :meth:`_ErrorAnalysis.delta_bound`.  ``d`` is proven; the computed
+    :attr:`_ErrorAnalysis.delta_bound`.  ``d`` is proven; the computed
     ``||X||_inf`` is not: ``hinf_norm`` was measured low by up to 3.4e-9
     relative on loop blocks ``X`` and by up to 1.7e-5 on 15-state error
     products, more than its ``HINF_REL``.  The factor 1e-4 covers the
     worst of these with a 5x margin and costs nothing in practice: a
     bound within 1e-4 of one falls through to the computed norm.
     """
-    return (1.0 + 1e-4) * loop.x_hinf() * err.delta_bound()
+    return (1.0 + 1e-4) * loop.x_hinf * err.delta_bound
 
 
 def _minreal_safe(s: StateSpaceSystem, notes: list):
@@ -328,12 +319,6 @@ def _minreal_safe(s: StateSpaceSystem, notes: list):
     except (AxisPoleError, SeparationError, ConvergenceError) as exc:
         notes.append(f"minimal realization unavailable: {exc}")
         return None
-
-
-def _stable_system(s: StateSpaceSystem) -> bool:
-    if s.n == 0:
-        return True
-    return linalg.spectral_abscissa(s.A) < -stab_tol(inf_norm(s.A))
 
 
 def _stable_form(s: StateSpaceSystem, notes: list, label: str):
@@ -347,7 +332,7 @@ def _stable_form(s: StateSpaceSystem, notes: list, label: str):
     ``s`` is not stable and ``dropped`` an upper bound on the peak gain
     of what was dropped (0 for a raw-stable ``s``).
     """
-    if _stable_system(s):
+    if linalg.is_stable(s.A):
         return s, 0.0
     try:
         cleaned = drop_negligible_antistable(s)
@@ -371,7 +356,7 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
     xk_h2 = h2_norm(fb.xk)
     return {
         "x_h2": h2_norm(fb.x),
-        "x_hinf": loop.x_hinf(),
+        "x_hinf": loop.x_hinf,
         "xk_h2": xk_h2,
         "kx_h2": h2_norm(fb.kx),
         "kx_hinf": hinf_norm(fb.kx),
@@ -403,7 +388,7 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     k_min = _minreal_safe(k, notes)
     kr_min = _minreal_safe(k_r, notes)
     if k_min is not None and kr_min is not None:
-        tol = stab_tol(max(inf_norm(k.A), inf_norm(k_r.A)))
+        tol = max(linalg.half_plane_tol(k.A), linalg.half_plane_tol(k_r.A))
         n_k, axis_k = _unstable_pole_count(k_min, tol)
         n_kr, axis_kr = _unstable_pole_count(kr_min, tol)
         quantities["unstable_poles_original"] = float(n_k)
@@ -417,7 +402,7 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     gains, kinds = {}, _computed("x_delta_linf", "delta_x_linf")
     for product in ("x_delta", "delta_x"):
         name = f"{product}_linf"
-        form = err.product(product)
+        form = getattr(err, product)
         try:
             if bound < 1.0:
                 _check_no_axis_poles(form)  # an undefined norm stays undefined
@@ -452,7 +437,7 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     kinds = _computed("x_delta_hinf", "delta_x_hinf")
     for product, label in (("x_delta", "X*delta"), ("delta_x", "delta*X")):
         name = f"{product}_hinf"
-        form, dropped = _stable_form(err.product(product), notes, label)
+        form, dropped = _stable_form(getattr(err, product), notes, label)
         if form is None:
             quantities[name] = math.inf
         elif bound + dropped < 1.0:
@@ -589,9 +574,9 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
 
     delta_raw = err.delta
     raw_ev = linalg.eigenvalues(delta_raw.A)
-    if raw_ev.size and np.min(np.abs(raw_ev)) <= stab_tol(max(1.0, inf_norm(delta_raw.A))):
+    if raw_ev.size and np.min(np.abs(raw_ev)) <= linalg.half_plane_tol(delta_raw.A):
         raise ZeroModeError("error system has a pole at the origin")
-    if _stable_system(delta_raw):
+    if linalg.is_stable(delta_raw.A):
         delta_min = delta_raw
     else:
         # keep genuine unstable modes, drop the exactly cancelled copies
@@ -618,7 +603,7 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         a_inv = prod_min.A + prod_min.B @ prod_min.C
         inverse = StateSpaceSystem(a_inv, prod_min.B, prod_min.C, np.eye(1))
         inv_poles = list(linalg.eigenvalues(a_inv))
-        tol = stab_tol(inf_norm(a_inv))
+        tol = linalg.half_plane_tol(a_inv)
         unstable_delta_poles = [p for p in delta_poles if p.real > tol]
         for p in unstable_delta_poles:
             match = min(

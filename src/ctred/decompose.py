@@ -18,9 +18,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import AxisPoleError, SeparationError, StabilityError, ZeroModeError
+from .errors import AxisPoleError, SeparationError, ZeroModeError
 from .statespace import StateSpaceSystem, zero_system
-from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm, stab_tol
+from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm
 
 
 def _decouple_leading(sys_abc, select):
@@ -66,7 +66,7 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
     Every eigenvalue must be bounded away from the imaginary axis; the
     feedthrough (if any) stays with the stable part.
     """
-    tol = stab_tol(inf_norm(k.A))
+    tol = linalg.half_plane_tol(k.A)
     ev = linalg.eigenvalues(k.A)
     if np.any(np.abs(ev.real) <= tol):
         raise AxisPoleError(
@@ -132,22 +132,19 @@ def mode_importance(block: ModalBlock) -> float:
     antistable blocks by the spectral norm of the dc-coupling matrix
     ``C_i A_i^{-1} B_i``.  A first-order block's gain
     ``sigma_max(C_i B_i) / |j w - lambda|`` peaks at ``w = 0``, so for a stable
-    one that same spectral norm is the peak gain, in closed form.  Blocks on
-    the imaginary axis cannot be ranked.
+    one that same spectral norm is the peak gain, in closed form.  Blocks
+    at the origin or within :func:`~ctred.linalg.half_plane_tol` of the
+    imaginary axis cannot be ranked.
     """
     lam = block.eigenvalue
-    tol = 1e-8 * max(1.0, abs(lam))
-    if abs(lam) <= tol:
+    if abs(lam) <= 1e-8 * max(1.0, abs(lam)):
         raise ZeroModeError("mode with zero eigenvalue cannot be ranked")
-    if abs(lam.real) <= tol:
+    if abs(lam.real) <= linalg.half_plane_tol(block.A):
         raise AxisPoleError("mode on the imaginary axis cannot be ranked")
-    if lam.real < 0.0:
-        if block.order > 1:
-            from .norms import hinf_norm  # local import to avoid a module cycle
+    if lam.real < 0.0 and block.order > 1:
+        from .norms import hinf_norm  # local import to avoid a module cycle
 
-            return hinf_norm(block.system())
-        if lam.real >= -stab_tol(inf_norm(block.A)):  # as hinf_norm would refuse
-            raise StabilityError("mode is not stable within the stability tolerance")
+        return hinf_norm(block.system())
     coupling = block.C @ np.linalg.solve(block.A, block.B)
     return float(np.linalg.svd(coupling, compute_uv=False)[0])
 

@@ -5,11 +5,17 @@ Eigenvalues, ordered real Schur decomposition, Lyapunov/Sylvester solvers
 built on the ordered Schur form of the Hamiltonian.  All functions accept
 and return plain ``numpy`` arrays of float64 and validate their inputs.
 
-Inputs already in real Schur canonical form skip the Hessenberg-QR sweep:
-:func:`ordered_real_schur` only reorders them (LAPACK ``trsen``) and
-:func:`solve_sylvester` only back-substitutes (``trsyl``), as in Bavely and
-Stewart's block diagonalization, where every reduction after the first
-starts from a Schur form.
+Every eigenvalue classification of the package (stable, antistable or on
+the imaginary axis) reads one tolerance, :func:`half_plane_tol`, and
+:func:`is_stable` is the package's one stability test of a state matrix.
+
+:func:`ordered_real_schur` reorders with one LAPACK ``trsen`` call, after
+an unsorted Hessenberg-QR sweep for an input not yet in real Schur
+canonical form (``gees`` with sorting is the same two steps).  Inputs
+already in that form skip the sweep, and :func:`solve_sylvester` only
+back-substitutes on them (``trsyl``), as in Bavely and Stewart's block
+diagonalization, where every reduction after the first starts from a
+Schur form.
 """
 
 from __future__ import annotations
@@ -77,6 +83,19 @@ def spectral_abscissa(a) -> float:
     return float(ev.real.max())
 
 
+def half_plane_tol(a: np.ndarray) -> float:
+    """Distance from the imaginary axis below which an eigenvalue of ``a``
+    counts as on it: :func:`~ctred.tolerances.stab_tol` at the scale of
+    ``a``'s infinity norm (``CTRED_TOL_STAB`` overrides it)."""
+    return stab_tol(inf_norm(a))
+
+
+def is_stable(a: np.ndarray) -> bool:
+    """Every eigenvalue of ``a`` lies more than :func:`half_plane_tol` left
+    of the imaginary axis; True for an empty matrix."""
+    return a.size == 0 or spectral_abscissa(a) < -half_plane_tol(a)
+
+
 @dataclass(frozen=True)
 class SchurForm:
     """Real Schur decomposition ``A = Z T Z^T`` with selected eigenvalues leading.
@@ -134,8 +153,9 @@ def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
 
     ``select`` takes a complex eigenvalue and returns True when it belongs
     to the leading block.  Conjugate pairs are kept together, so ``select``
-    must be conjugation-symmetric (half-plane predicates are).  A matrix
-    already in real Schur canonical form is only reordered.
+    must be conjugation-symmetric (half-plane predicates are).  A general
+    matrix is first reduced by an unsorted Hessenberg-QR sweep; one already
+    in real Schur canonical form is only reordered.
     """
     m = as_matrix(a, "A")
     _require_square(m, "A")
@@ -143,19 +163,11 @@ def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
     if n == 0:
         return SchurForm(m.copy(), np.eye(0), np.array([], dtype=complex), 0)
 
-    if _is_real_schur(m):
-        chosen = np.array([select(v) for v in _block_eigenvalues(m)], dtype=np.int32)
-        t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, m, np.eye(n), job="N")
-        if info != 0:
-            raise ReorderingError(f"Schur reordering failed (trsen info {info})")
-    else:
-        def gees_select(re, im):
-            return bool(select(complex(re, im)))
-
-        try:
-            t, z, sdim = sla.schur(m, output="real", sort=gees_select)
-        except sla.LinAlgError as exc:  # reordering breakdown inside gees
-            raise ReorderingError(f"Schur reordering failed: {exc}") from exc
+    t, z = (m, np.eye(n)) if _is_real_schur(m) else sla.schur(m, output="real")
+    chosen = np.array([select(v) for v in _block_eigenvalues(t)], dtype=np.int32)
+    t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, t, z, job="N")
+    if info != 0:
+        raise ReorderingError(f"Schur reordering failed (trsen info {info})")
 
     resid = np.linalg.norm(z @ t @ z.T - m)
     if resid > SCHUR_RESID * max(1.0, np.linalg.norm(m)):
@@ -185,7 +197,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
         raise DimensionError("Q must be symmetric")
     if am.shape[0] == 0:
         return np.zeros((0, 0))
-    if spectral_abscissa(am) >= -stab_tol(inf_norm(am)):
+    if not is_stable(am):
         raise StabilityError("A must have all eigenvalues strictly in the left half-plane")
     qm = 0.5 * (qm + qm.T)
     x = sla.solve_continuous_lyapunov(am, -qm)
@@ -264,7 +276,7 @@ def solve_care(a, b, q, r) -> np.ndarray:
         raise DimensionError("R must be symmetric positive definite") from exc
 
     ham = np.block([[am, -bm @ rinv_bt], [-qm, -am.T]])
-    tol = stab_tol(inf_norm(ham))
+    tol = half_plane_tol(ham)
     ev = eigenvalues(ham)
     if np.any(np.abs(ev.real) <= tol):
         raise NoStabilizingSolutionError(

@@ -29,7 +29,7 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import AxisPoleError, ConvergenceError, StabilityError, UnsupportedError
 from .statespace import StateSpaceSystem, frequency_response
-from .tolerances import HAM_AXIS, HINF_MAX_ITER, HINF_REL, inf_norm, stab_tol
+from .tolerances import HAM_AXIS, HINF_MAX_ITER, HINF_REL
 
 
 def h2_norm(s: StateSpaceSystem) -> float:
@@ -38,7 +38,7 @@ def h2_norm(s: StateSpaceSystem) -> float:
         raise UnsupportedError("H2 norm requires a strictly proper system (D = 0)")
     if s.n == 0:
         return 0.0
-    if linalg.spectral_abscissa(s.A) >= -stab_tol(inf_norm(s.A)):
+    if not linalg.is_stable(s.A):
         raise StabilityError("H2 norm requires a stable system")
     wc = linalg.solve_lyapunov(s.A, s.B @ s.B.T)
     val = float(np.trace(s.C @ wc @ s.C.T))
@@ -193,8 +193,7 @@ def _check_no_axis_poles(s: StateSpaceSystem) -> None:
     if s.n == 0:
         return
     ev = linalg.eigenvalues(s.A)
-    tol = stab_tol(inf_norm(s.A))
-    if np.any(np.abs(ev.real) <= tol):
+    if np.any(np.abs(ev.real) <= linalg.half_plane_tol(s.A)):
         raise AxisPoleError("system has poles on (or too close to) the imaginary axis")
 
 
@@ -206,7 +205,7 @@ def linf_norm(s: StateSpaceSystem) -> float:
 
 def hinf_norm(s: StateSpaceSystem) -> float:
     """H-infinity norm of a stable system."""
-    if s.n and linalg.spectral_abscissa(s.A) >= -stab_tol(inf_norm(s.A)):
+    if not linalg.is_stable(s.A):
         raise StabilityError(
             "H-infinity norm requires a stable system; use linf_norm for "
             "unstable systems without imaginary-axis poles"

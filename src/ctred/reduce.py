@@ -32,9 +32,8 @@ from .statespace import (
     check_minimal,
     frequency_response,
     mirror,
-    negate,
 )
-from .tolerances import HSV_MINIMAL, HSV_TIE, MINREAL_TOL, inf_norm, stab_tol
+from .tolerances import HSV_MINIMAL, HSV_TIE, MINREAL_TOL
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,11 @@ class BalancedRealization:
 
 @dataclass(frozen=True)
 class TruncationResult:
-    """A reduction together with the explicit error system ``delta = reduced - original``."""
+    """A reduced system with the method that produced it and the importance
+    values of what was truncated (Hankel singular values for balanced
+    truncation, mode importances for modal truncation)."""
 
     reduced: StateSpaceSystem
-    delta: StateSpaceSystem
     method: str  # "balanced" or "modal"
     truncated_tail: tuple[float, ...]
 
@@ -70,7 +70,7 @@ def balance(s: StateSpaceSystem) -> BalancedRealization:
     """
     if s.n == 0:
         raise InfeasibleOrderError("cannot balance an order-0 system")
-    if linalg.spectral_abscissa(s.A) >= -stab_tol(inf_norm(s.A)):
+    if not linalg.is_stable(s.A):
         raise StabilityError("balanced realization requires a stable system")
     minimal = check_minimal(s)
     if not minimal:
@@ -125,8 +125,7 @@ def balanced_truncate(s: StateSpaceSystem, r: int) -> TruncationResult:
     reduced = StateSpaceSystem(sb.A[:r, :r], sb.B[:r, :], sb.C[:, :r], sb.D)
     if linalg.spectral_abscissa(reduced.A) >= 0.0:
         raise StabilityError("truncated system lost stability; split is ill-conditioned")
-    delta = add(reduced, negate(s))
-    return TruncationResult(reduced, delta, "balanced", tuple(float(v) for v in sigma[r:]))
+    return TruncationResult(reduced, "balanced", tuple(float(v) for v in sigma[r:]))
 
 
 def balanced_truncate_unstable(k: StateSpaceSystem, r: int) -> TruncationResult:
@@ -155,14 +154,12 @@ def balanced_truncate_unstable(k: StateSpaceSystem, r: int) -> TruncationResult:
         # the stable part is removed entirely
         bal = balance(stable)
         reduced = split.unstable_part
-        delta = negate(stable)
         tail = tuple(float(v) for v in bal.hankel_singular_values)
     else:
         inner = balanced_truncate(stable, nr)
         reduced = add(inner.reduced, split.unstable_part)
-        delta = inner.delta
         tail = inner.truncated_tail
-    return TruncationResult(reduced, delta, "balanced", tail)
+    return TruncationResult(reduced, "balanced", tail)
 
 
 def _minimal_modal_form(k: StateSpaceSystem) -> ModalDecomposition:
@@ -208,10 +205,8 @@ def modal_truncate_decomposition(md: ModalDecomposition, r_red: int) -> Truncati
                 "removal set contains a mode with zero or imaginary-axis eigenvalue"
             )
     kept = [i for i in range(n_blocks) if i not in removed]
-    reduced = md.rebuild(kept)
-    delta = negate(md.rebuild(removed))
     tail = tuple(float(md.blocks[i].importance) for i in removed)
-    return TruncationResult(reduced, delta, "modal", tail)
+    return TruncationResult(md.rebuild(kept), "modal", tail)
 
 
 def _gramian_factor(w: np.ndarray) -> np.ndarray:

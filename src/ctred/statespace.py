@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, NotStabilizingError, UnsupportedError
-from .tolerances import RANK_REL, inf_norm, stab_tol
+from .tolerances import RANK_REL
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -207,7 +207,7 @@ def is_internally_stable(g: StateSpaceSystem, k: StateSpaceSystem):
     """Internal stability of the loop; returns ``(stable, spectral_abscissa)``."""
     acl = closed_loop_matrix(g, k)
     alpha = linalg.spectral_abscissa(acl)
-    return alpha < -stab_tol(inf_norm(acl)), alpha
+    return alpha < -linalg.half_plane_tol(acl), alpha
 
 
 @dataclass(frozen=True)

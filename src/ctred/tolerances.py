@@ -62,7 +62,8 @@ def stab_tol(scale: float = 1.0) -> float:
     """Half-plane classification tolerance for a matrix of given inf-norm scale.
 
     Defaults to ``1e-8 * max(1, scale)``; ``CTRED_TOL_STAB`` overrides it
-    with an absolute value.
+    with an absolute value.  The package reads it through
+    :func:`ctred.linalg.half_plane_tol` only.
     """
     env = stab_override()
     if env is not None:

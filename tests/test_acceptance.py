@@ -57,7 +57,7 @@ from ctred.reduce import (
     modal_truncate,
 )
 from ctred.statespace import add, closed_loop_matrix, is_internally_stable, \
-    make_system
+    make_system, negate
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -160,7 +160,7 @@ def test_criterion_04_balanced_error_bound_batch():
         except (MinimalityError, PartitionTieError):
             continue
         bal_top = balance(s).hankel_singular_values[0]
-        err = hinf_norm(res.delta)
+        err = hinf_norm(add(res.reduced, negate(s)))
         bound = 2.0 * sum(res.truncated_tail)
         if err > bound + 1e-9 * bal_top:
             violations += 1

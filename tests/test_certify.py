@@ -44,7 +44,6 @@ from ctred.statespace import (
     make_system,
     negate,
     series,
-    zero_system,
 )
 
 
@@ -221,7 +220,7 @@ def test_thm2_unstable_delta_fails_condition(unstable_pair):
 
 def test_cor1_empty_tail(balmod):
     g, k = balmod
-    trivial = TruncationResult(k, zero_system(k.p, k.m), "balanced", ())
+    trivial = TruncationResult(k, "balanced", ())
     cert = check_cor1(g, k, trivial)
     assert cert.condition_satisfied
     assert cert.quantities["sigma_tail_sum"] == 0.0
@@ -352,7 +351,7 @@ def test_biproper_reduced_controller_is_an_input_error(balmod, check):
     g, k = balmod
     k_r = StateSpaceSystem(k.A, k.B, k.C, np.array([[0.01]]))
     if check is check_cor1:
-        k_r = TruncationResult(k_r, add(k_r, negate(k)), "balanced", ())
+        k_r = TruncationResult(k_r, "balanced", ())
     with pytest.raises(DimensionError, match="strictly proper"):
         check(g, k, k_r)
 
@@ -421,8 +420,6 @@ def test_thm2_and_cor1_share_one_error_analysis(balmod, monkeypatch, thm2_first)
     fresh_args = {check_thm2_bound: k_r, check_cor1: dataclasses.replace(res, reduced=k_r)}
     expected = {check: check(_fresh(g), _fresh(k), fresh_args[check]).to_dict()
                 for check, _ in checks}
-    no_delta = dataclasses.replace(fresh_args[check_cor1], delta=zero_system(k.p, k.m))
-    assert check_cor1(_fresh(g), _fresh(k), no_delta).to_dict() == expected[check_cor1]
 
     certify._loop(g, k, res.reduced).quantities()  # the loop norms, computed once
     calls = {}
@@ -540,7 +537,7 @@ def test_nearly_cancelling_request_skips_the_grid_fallback(monkeypatch):
     for cert in certs:
         assert cert.condition_satisfied
         assert set(cert.to_dict()["kinds"].values()) == {"upper_bound"}
-    norms.linf_norm(series(four_block(g, k).x, bt.delta))
+    norms.linf_norm(series(four_block(g, k).x, add(bt.reduced, negate(k))))
     assert calls == {"_refined_grid_peak": 1}  # the skipped search
 
 

@@ -179,17 +179,31 @@ def test_mode_importance_first_order_mimo_is_the_peak_gain(rng):
 
 
 def test_mode_importance_first_order_keeps_the_stability_override(monkeypatch):
-    # hinf_norm refuses a pole inside the overridden tolerance; so does the
-    # closed form that replaced it for first-order blocks
+    # hinf_norm refuses a pole inside the overridden tolerance; the closed
+    # form that replaced it for first-order blocks classifies the same pole
+    # as on the axis, through the one half-plane tolerance
     blk = ModalBlock(np.array([[-0.5]]), np.ones((1, 3)), np.ones((2, 1)),
                      complex(-0.5), np.nan)
     monkeypatch.setenv("CTRED_TOL_STAB", "1.0")
     with pytest.raises(StabilityError):
         hinf_norm(blk.system())
-    with pytest.raises(StabilityError):
+    with pytest.raises(AxisPoleError):
         mode_importance(blk)
     monkeypatch.setenv("CTRED_TOL_STAB", "0.1")
     assert mode_importance(blk) == pytest.approx(np.sqrt(6.0) / 0.5, rel=2 * HINF_REL)
+
+
+def test_modal_form_ranks_by_the_stability_override(monkeypatch):
+    # poles -0.37, 0.34 and 1.37: under an override of 0.5 the first two
+    # lie on the axis alike, whichever side they are on
+    _, k = bench_unstable_pair()
+    monkeypatch.setenv("CTRED_TOL_STAB", "0.5")
+    md = modal_form(k)
+    poles = [round(b.eigenvalue.real, 2) for b in md.blocks]
+    assert poles == [-0.37, 0.34, 1.37]
+    importance = [b.importance for b in md.blocks]
+    assert np.isnan(importance[0]) and np.isnan(importance[1])
+    assert importance[2] > 0.0
 
 
 def _reference_modal_form(k, cluster_tol=CLUSTER_TOL):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -5,7 +8,7 @@ import scipy.linalg as sla
 
 from ctred import linalg, norms
 from ctred.benchmarks import bench_balanced_vs_modal_pair
-from ctred.decompose import modal_form
+from ctred.decompose import _membership, modal_form
 from ctred.statespace import make_system
 from ctred.errors import (
     DimensionError,
@@ -246,3 +249,66 @@ def test_modal_form_makes_one_schur_reduction(monkeypatch, rng):
     md = modal_form(k)
     assert [b.order for b in md.blocks] == [1] * 8
     assert (len(gees), len(sylvester), len(peak)) == (1, 0, 0)
+
+
+def test_ordered_schur_matches_sorted_gees_bit_for_bit(monkeypatch, rng):
+    # the reference is the route ordered_real_schur replaced, LAPACK gees
+    # with its sort callback: an unsorted Hessenberg-QR sweep, then trsen
+    gees = sla.schur
+    sorts = []
+
+    def recording(*args, **kwargs):
+        sorts.append(kwargs.get("sort"))
+        return gees(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", recording)
+    for draw in range(400):
+        n = int(rng.integers(2, 17))
+        a = rng.standard_normal((n, n))  # real poles and complex pairs
+        if draw % 4 == 3:
+            a = a + a.T  # real poles only
+        values = linalg.eigenvalues(a)
+        if draw % 2:
+            shift = float(rng.uniform(-1.0, 1.0))
+
+            def select(lam, shift=shift):
+                return lam.real < shift
+        else:
+            v = values[int(rng.integers(n))]
+            select = _membership((values == v) | (values == np.conj(v)), values)
+        form = linalg.ordered_real_schur(a, select)
+        t, z, sdim = gees(a, output="real",
+                          sort=lambda re, im: bool(select(complex(re, im))))
+        assert np.array_equal(form.T, t) and np.array_equal(form.Z, z)
+        assert form.n_selected == sdim
+    assert sorts and not any(sorts)
+
+
+def test_half_plane_tolerance_has_one_home():
+    # every stable, antistable or on-axis decision reads linalg.half_plane_tol
+    # or linalg.is_stable; a module with its own stab_tol call would keep a
+    # private copy of the rule that the CTRED_TOL_STAB override could miss
+    package = Path(linalg.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("tolerances.py", "linalg.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "stab_tol":
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "stab_tol" for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_is_stable_reads_the_override(monkeypatch):
+    a = np.array([[-0.5, 1.0], [0.0, -2.0]])
+    assert linalg.half_plane_tol(a) == pytest.approx(2e-8)
+    assert linalg.is_stable(a) and linalg.is_stable(np.zeros((0, 0)))
+    monkeypatch.setenv("CTRED_TOL_STAB", "0.5")
+    assert linalg.half_plane_tol(a) == 0.5
+    assert not linalg.is_stable(a)
