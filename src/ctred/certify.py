@@ -17,6 +17,11 @@ Undefined norms (e.g. the peak gain of an unstable error system) are
 recorded as ``inf`` and fail the condition instead of raising, so batch
 sweeps can proceed.
 
+The unstable poles of a transfer function are those
+:func:`~ctred.reduce.split_cancelled_unstable` leaves in its antistable
+part: ``lemma3`` counts them for ``K`` and ``K_r``, and ``thm3`` matches
+the structural zeros of ``1 - X*delta`` to those of the error.
+
 The small-gain conditions of ``lemma3`` and ``thm1`` are decided bound
 first.  By submultiplicativity ``b = ||X||_inf * d`` bounds both
 ``||X*delta||`` and ``||delta*X||`` on the axis, where ``d`` is the
@@ -70,7 +75,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     AxisPoleError,
-    ConvergenceError,
     SeparationError,
     UnsupportedError,
     WrongCertificateError,
@@ -81,7 +85,6 @@ from .reduce import (
     TruncationResult,
     drop_negligible_antistable,
     hankel_norm_bound,
-    minimal_realization,
     split_cancelled_unstable,
 )
 from .statespace import (
@@ -313,14 +316,6 @@ def _small_gain_bound(loop: _LoopAnalysis, err: _ErrorAnalysis) -> float:
     return (1.0 + 1e-4) * loop.x_hinf * err.delta_bound
 
 
-def _minreal_safe(s: StateSpaceSystem, notes: list):
-    try:
-        return minimal_realization(s)
-    except (AxisPoleError, SeparationError, ConvergenceError) as exc:
-        notes.append(f"minimal realization unavailable: {exc}")
-        return None
-
-
 def _stable_form(s: StateSpaceSystem, notes: list, label: str):
     """Stability of a transfer function with a usable realization.
 
@@ -367,36 +362,30 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
     }
 
 
-def _unstable_pole_count(s_min: StateSpaceSystem, tol: float):
-    """(count of poles with Re > tol, True when any pole is within tol of the axis)."""
-    ev = linalg.eigenvalues(s_min.A)
-    on_axis = bool(np.any(np.abs(ev.real) <= tol))
-    return int(np.sum(ev.real > tol)), on_axis
-
-
 def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
                  k_r: StateSpaceSystem) -> ReductionCertificate:
     """Classical reduced-controller test: matched unstable pole counts plus
     a small-gain condition on the truncation error, in the peak gain over
-    the axis (poles of the error system need not be stable)."""
+    the axis (poles of the error system need not be stable).
+
+    Each count is the order of the antistable part of
+    :func:`~ctred.reduce.split_cancelled_unstable`; a controller whose
+    poles do not split has none, a note says why and the condition fails.
+    """
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
     notes: list[str] = []
     quantities: dict = {}
 
-    counts_ok = False
-    k_min = _minreal_safe(k, notes)
-    kr_min = _minreal_safe(k_r, notes)
-    if k_min is not None and kr_min is not None:
-        tol = max(linalg.half_plane_tol(k.A), linalg.half_plane_tol(k_r.A))
-        n_k, axis_k = _unstable_pole_count(k_min, tol)
-        n_kr, axis_kr = _unstable_pole_count(kr_min, tol)
-        quantities["unstable_poles_original"] = float(n_k)
-        quantities["unstable_poles_reduced"] = float(n_kr)
-        if axis_k or axis_kr:
-            notes.append("imaginary-axis poles make the unstable pole count ill-defined")
-        else:
-            counts_ok = n_k == n_kr
+    counts = {}
+    for name, s in (("original", k), ("reduced", k_r)):
+        try:
+            counts[f"unstable_poles_{name}"] = float(split_cancelled_unstable(s)[1].n)
+        except (AxisPoleError, SeparationError) as exc:
+            notes.append(f"unstable pole count of the {name} controller undefined: {exc}")
+    if len(counts) == 2:
+        quantities.update(counts)
+    counts_ok = len(counts) == 2 and len(set(counts.values())) == 1
 
     bound = _small_gain_bound(loop, err)
     gains, kinds = {}, _computed("x_delta_linf", "delta_x_linf")
@@ -577,14 +566,15 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     if raw_ev.size and np.min(np.abs(raw_ev)) <= linalg.half_plane_tol(delta_raw.A):
         raise ZeroModeError("error system has a pole at the origin")
     if linalg.is_stable(delta_raw.A):
-        delta_min = delta_raw
+        delta_min, unstable_delta_poles = delta_raw, ()
     else:
         # keep genuine unstable modes, drop the exactly cancelled copies
         try:
-            delta_min = split_cancelled_unstable(delta_raw)
+            stable, anti = split_cancelled_unstable(delta_raw)
         except (AxisPoleError, SeparationError) as exc:
             raise AxisPoleError(f"error system has imaginary-axis poles: {exc}")
-    delta_poles = linalg.eigenvalues(delta_min.A)
+        delta_min = add(stable, anti)
+        unstable_delta_poles = linalg.eigenvalues(anti.A)
 
     # norms of the (possibly unstable) error system over the axis
     try:
@@ -604,7 +594,6 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         inverse = StateSpaceSystem(a_inv, prod_min.B, prod_min.C, np.eye(1))
         inv_poles = list(linalg.eigenvalues(a_inv))
         tol = linalg.half_plane_tol(a_inv)
-        unstable_delta_poles = [p for p in delta_poles if p.real > tol]
         for p in unstable_delta_poles:
             match = min(
                 range(len(inv_poles)),

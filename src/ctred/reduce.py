@@ -3,8 +3,9 @@
 Three reductions are provided: balanced truncation of stable systems,
 balanced truncation of the stable part of an unstable controller (the
 antistable part is carried through untouched), and modal truncation
-ranked by per-mode importance.  A Gramian-based minimal realization
-(used heavily by the certificates) also lives here.
+ranked by per-mode importance.  A Gramian-based minimal realization and
+the split that gives the certificates a transfer function's unstable
+poles (:func:`split_cancelled_unstable`) also live here.
 """
 
 from __future__ import annotations
@@ -328,25 +329,28 @@ def drop_negligible_antistable(s: StateSpaceSystem):
     return None
 
 
-def split_cancelled_unstable(s: StateSpaceSystem) -> StateSpaceSystem:
-    """Copy of ``s`` with rounding-level antistable directions removed.
-
-    Genuine antistable modes are preserved; only the near-cancelled ones
-    (Hankel values at the rounding floor of the antistable part) are
-    dropped.  The stable part is kept untouched.
+def split_cancelled_unstable(
+    s: StateSpaceSystem,
+) -> tuple[StateSpaceSystem, StateSpaceSystem]:
+    """``(stable_part, antistable_part)`` of ``s``, the antistable part
+    without the directions whose mirrored Hankel values are at or below
+    its rounding floor (exactly cancelling copies in a difference of
+    systems).  Its order and eigenvalues are the unstable-pole count and
+    the unstable poles of ``s``: the package's one rule for them.  Raises
+    :class:`AxisPoleError` or :class:`SeparationError` when the poles do
+    not split.
     """
     split = split_stable_unstable(s)
     anti = split.unstable_part
-    if anti.n == 0:
-        return s
-    anti_m = mirror(anti)
-    anti_hp = _hankel_pass(anti_m)
-    anti_clean = mirror(_truncate_part_by_tol(anti_m, anti_hp, anti_hp.floor))
-    return add(split.stable_part, anti_clean)
+    if anti.n:
+        anti_m = mirror(anti)
+        anti_hp = _hankel_pass(anti_m)
+        anti = mirror(_truncate_part_by_tol(anti_m, anti_hp, anti_hp.floor))
+    return split.stable_part, anti
 
 
-def minimal_realization(s: StateSpaceSystem, tol: float = MINREAL_TOL) -> StateSpaceSystem:
-    """Remove states whose Hankel contribution is below ``tol`` (relative).
+def minimal_realization(s: StateSpaceSystem) -> StateSpaceSystem:
+    """Remove states whose Hankel value is below ``MINREAL_TOL`` of the largest.
 
     The strictly proper part is split into stable and antistable parts;
     each is reduced by square-root balanced truncation (the antistable
@@ -363,7 +367,7 @@ def minimal_realization(s: StateSpaceSystem, tol: float = MINREAL_TOL) -> StateS
 
     top = max(np.max(stable_hp.sigma, initial=0.0), np.max(anti_hp.sigma, initial=0.0))
     noise_floor = max(stable_hp.floor, anti_hp.floor)
-    cut = max(tol * top, noise_floor)
+    cut = max(MINREAL_TOL * top, noise_floor)
     stable_red = _truncate_part_by_tol(stable, stable_hp, cut)
     anti_red = mirror(_truncate_part_by_tol(anti_m, anti_hp, cut))
     result = add(stable_red, anti_red)

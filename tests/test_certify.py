@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 
 from conftest import criterion_07_triples, grid_peak_oracle
-from ctred import certify, norms, statespace
+from ctred import certify, linalg, norms, statespace
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.certify import (
     ReductionCertificate,
@@ -24,9 +24,11 @@ from ctred.certify import (
 from ctred.decompose import split_stable_unstable
 from ctred.errors import (
     AxisPoleError,
+    ConvergenceError,
     CtredError,
     DimensionError,
     NotStabilizingError,
+    SeparationError,
     UnsupportedError,
     WrongCertificateError,
     ZeroModeError,
@@ -36,7 +38,12 @@ from ctred.gen import (
     random_stable_minimal,
     synthesize_stabilizing_plant,
 )
-from ctred.reduce import TruncationResult, balanced_truncate_unstable, modal_truncate
+from ctred.reduce import (
+    TruncationResult,
+    balanced_truncate_unstable,
+    minimal_realization,
+    modal_truncate,
+)
 from ctred.statespace import (
     StateSpaceSystem,
     add,
@@ -124,6 +131,58 @@ def test_lemma3_conservative_on_unstable_truncation(unstable_pair):
     assert cert.quantities["unstable_poles_original"] == 2.0
     assert cert.quantities["unstable_poles_reduced"] == 1.0
     assert cert.verified_stable  # the sufficient condition is conservative
+
+
+def _minreal_unstable_count(s, tol):
+    """Reference count: eigenvalues right of ``tol`` of a minimal realization
+    (None when that realization is unavailable)."""
+    try:
+        ev = linalg.eigenvalues(minimal_realization(s).A)
+    except (AxisPoleError, SeparationError, ConvergenceError):
+        return None
+    return float(np.sum(ev.real > tol))
+
+
+def test_lemma3_counts_match_the_minimal_realization_route(balmod, unstable_pair):
+    # the split's antistable order counts the same unstable poles as the
+    # eigenvalues of a minimal realization, which cuts both parts at least
+    # as deep
+    triples = list(criterion_07_triples(100))
+    for (g, k), reduced in ((balmod, balanced_truncate_unstable(balmod[1], 2).reduced),
+                            (unstable_pair, modal_truncate(unstable_pair[1], 1).reduced)):
+        triples += [(g, k, k), (g, k, reduced)]
+    for g, k, k_r in triples:
+        tol = max(linalg.half_plane_tol(k.A), linalg.half_plane_tol(k_r.A))
+        ref = [_minreal_unstable_count(s, tol) for s in (k, k_r)]
+        if None in ref:
+            ref = [None, None]
+        q = check_lemma3(g, k, k_r).quantities
+        assert [q.get("unstable_poles_original"), q.get("unstable_poles_reduced")] == ref
+
+
+def test_lemma3_builds_no_minimal_realization(balmod, unstable_pair, monkeypatch):
+    def refuse(s):
+        raise AssertionError("lemma3 built a minimal realization")
+
+    original = minimal_realization
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ctred" and getattr(module, "minimal_realization",
+                                                     None) is original:
+            monkeypatch.setattr(module, "minimal_realization", refuse)
+    cert = check_lemma3(*balmod, balanced_truncate_unstable(balmod[1], 2).reduced)
+    assert cert.quantities["unstable_poles_reduced"] == 1.0
+    cert = check_lemma3(*unstable_pair, modal_truncate(unstable_pair[1], 1).reduced)
+    assert cert.quantities["unstable_poles_original"] == 2.0
+
+
+def test_lemma3_refuses_counts_for_a_pole_at_the_origin(unstable_pair):
+    g, k = unstable_pair
+    k_r = add(k, make_system([[0.0]], [[1.0]], [[1.0]]))  # K + 1/s
+    cert = check_lemma3(g, k, k_r)
+    assert not cert.condition_satisfied
+    assert "unstable_poles_reduced" not in cert.quantities
+    assert any(n.startswith("unstable pole count of the reduced controller undefined")
+               for n in cert.notes)
 
 
 def test_thm1_trivial_identity(balmod):
@@ -575,8 +634,7 @@ def test_small_gain_norms_bound_the_products():
 
         q = lemma3.quantities
         counts_ok = (q.get("unstable_poles_original", -1.0)
-                     == q.get("unstable_poles_reduced", -2.0)
-                     and not any("imaginary-axis" in n for n in lemma3.notes))
+                     == q.get("unstable_poles_reduced", -2.0))
         assert lemma3.condition_satisfied == (
             counts_ok and min(direct["x_delta_linf"], direct["delta_x_linf"]) < 1.0)
         dy_form, _ = certify._stable_form(series(delta, fb.y), [], "delta*Y")

@@ -305,6 +305,33 @@ def test_half_plane_tolerance_has_one_home():
     assert offenders == []
 
 
+def test_every_import_is_used():
+    # a name imported into a ctred module and never read there is dead
+    # weight; names exported through __all__ count as read
+    package = Path(linalg.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used]
+    assert offenders == []
+
+
 def test_is_stable_reads_the_override(monkeypatch):
     a = np.array([[-0.5, 1.0], [0.0, -2.0]])
     assert linalg.half_plane_tol(a) == pytest.approx(2e-8)

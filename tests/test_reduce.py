@@ -22,6 +22,7 @@ from ctred.reduce import (
     minimal_realization,
     modal_truncate,
     mode_ranking,
+    split_cancelled_unstable,
 )
 from ctred.statespace import add, make_system, negate, series
 
@@ -265,6 +266,20 @@ def test_drop_negligible_antistable_bounds_what_it_drops():
         part, bound = out
         assert transfer_close(part, stable)
         assert eps <= bound <= eps * (1 + 1e-6)
+
+
+def test_split_cancelled_unstable_keeps_genuine_and_drops_cancelled_modes(rng):
+    genuine = random_antistable(rng, 1)
+    k = add(random_stable_minimal(rng, 3), genuine)
+    h = random_antistable(rng, 1)
+    # an exactly cancelled copy h - h adds two antistable states and no transfer
+    for s in (k, add(k, add(h, negate(h)))):
+        stable, anti = split_cancelled_unstable(s)
+        assert transfer_close(add(stable, anti), s)
+        assert stable.n == 3 and linalg.is_stable(stable.A)
+        assert anti.n == 1
+        np.testing.assert_allclose(linalg.eigenvalues(anti.A),
+                                   linalg.eigenvalues(genuine.A), rtol=1e-8)
 
 
 def test_minimal_realization_cancels_hidden_unstable_mode():
