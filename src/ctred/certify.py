@@ -80,7 +80,7 @@ from .errors import (
     WrongCertificateError,
     ZeroModeError,
 )
-from .norms import _check_no_axis_poles, h2_norm, hinf_norm, l2_norm, linf_norm
+from .norms import _check_no_axis_poles, h2_norm, hinf_norm, linf_norm
 from .reduce import (
     TruncationResult,
     drop_negligible_antistable,
@@ -93,8 +93,10 @@ from .statespace import (
     _stabilizing_four_block,
     add,
     is_internally_stable,
+    mirror,
     negate,
     series,
+    zero_system,
 )
 from .tolerances import stab_override
 
@@ -566,22 +568,23 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     if raw_ev.size and np.min(np.abs(raw_ev)) <= linalg.half_plane_tol(delta_raw.A):
         raise ZeroModeError("error system has a pole at the origin")
     if linalg.is_stable(delta_raw.A):
-        delta_min, unstable_delta_poles = delta_raw, ()
+        stable, anti = delta_raw, zero_system(delta_raw.p, delta_raw.m)
     else:
         # keep genuine unstable modes, drop the exactly cancelled copies
         try:
             stable, anti = split_cancelled_unstable(delta_raw)
         except (AxisPoleError, SeparationError) as exc:
             raise AxisPoleError(f"error system has imaginary-axis poles: {exc}")
-        delta_min = add(stable, anti)
-        unstable_delta_poles = linalg.eigenvalues(anti.A)
+    delta_min = add(stable, anti)
+    unstable_delta_poles = linalg.eigenvalues(anti.A)
 
-    # norms of the (possibly unstable) error system over the axis
+    # norms of the (possibly unstable) error system over the axis; the L2
+    # norm combines the H2 norms of the split's parts in quadrature
     try:
         quantities["delta_linf"] = linf_norm(delta_min)
-        quantities["delta_l2"] = l2_norm(delta_min)
     except AxisPoleError as exc:
         raise AxisPoleError(f"error system norms undefined: {exc}") from exc
+    quantities["delta_l2"] = math.hypot(h2_norm(stable), h2_norm(mirror(anti)))
 
     # 1 - X*delta; unstable modes of the raw product must cancel through
     # the structural zeros of X, leaving only rounding-level content

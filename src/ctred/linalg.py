@@ -330,7 +330,9 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
     c = c[: nz[-1] + 1]
     if c.size == 1:
         return np.array([], dtype=complex)
-    comp = companion_matrix(c.real if np.allclose(c.imag, 0) else c)
+    # imaginary parts at rounding level relative to the coefficients are dropped
+    real = np.max(np.abs(c.imag)) <= 1e-8 * np.max(np.abs(c))
+    comp = companion_matrix(c.real if real else c)
     ev = np.linalg.eigvals(comp)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

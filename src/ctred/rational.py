@@ -70,8 +70,6 @@ class RationalTransferFunction:
 
     def zeros(self) -> np.ndarray:
         if self.num.size <= 1:
-            if self.num[0] == 0.0:
-                return np.array([], dtype=complex)
             return np.array([], dtype=complex)
         return linalg.poly_roots(self.num)
 

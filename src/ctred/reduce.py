@@ -6,6 +6,11 @@ antistable part is carried through untouched), and modal truncation
 ranked by per-mode importance.  A Gramian-based minimal realization and
 the split that gives the certificates a transfer function's unstable
 poles (:func:`split_cancelled_unstable`) also live here.
+
+Every Gramian is factored in one place, the Hankel pass
+(:func:`_hankel_pass`: two Lyapunov solves, eigen square roots and one
+SVD).  The balancing transform, the Hankel-sum bounds and the rounding
+floor below which Hankel values are noise all read that pass.
 """
 
 from __future__ import annotations
@@ -57,17 +62,15 @@ class TruncationResult:
     truncated_tail: tuple[float, ...]
 
 
-def _gramians(s: StateSpaceSystem):
-    wc = linalg.solve_lyapunov(s.A, s.B @ s.B.T)
-    wo = linalg.solve_lyapunov(s.A.T, s.C.T @ s.C)
-    return wc, wo
-
-
 def balance(s: StateSpaceSystem) -> BalancedRealization:
     """Balanced realization of a stable minimal system.
 
     Both Gramians of the returned realization equal ``diag(sigma)`` with
-    the Hankel singular values in descending order.
+    the Hankel singular values in descending order.  The transform is the
+    square-root one built from the Hankel pass (:func:`_hankel_pass`):
+    with ``Zo^T Zc = U diag(sigma) V^T``, ``T = sigma^{-1/2} U^T Zo^T`` and
+    ``T^{-1} = Zc V sigma^{-1/2}`` (Laub, Heath, Paige & Ward 1987), so the
+    Hankel values come from one SVD and never from their squares.
     """
     if s.n == 0:
         raise InfeasibleOrderError("cannot balance an order-0 system")
@@ -79,32 +82,20 @@ def balance(s: StateSpaceSystem) -> BalancedRealization:
             f"system is not minimal (controllability rank {minimal.controllability_rank}, "
             f"observability rank {minimal.observability_rank}, order {s.n})"
         )
-    wc, wo = _gramians(s)
-    try:
-        q = sla.cholesky(wc, lower=True)
-    except sla.LinAlgError:
-        # near-singular controllability Gramian: eigen square root
-        evals, vecs = np.linalg.eigh(wc)
-        if evals.min() < 1e-12 * max(evals.max(), 0.0):
-            raise MinimalityError(
-                "controllability Gramian is numerically singular"
-            ) from None
-        q = vecs @ np.diag(np.sqrt(evals))
-    mid = q.T @ wo @ q
-    mid = 0.5 * (mid + mid.T)
-    evals, u = np.linalg.eigh(mid)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    u = u[:, order]
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
+    hp = _hankel_pass(s)
+    sigma = hp.sigma
+    if sigma.size < s.n:
+        raise MinimalityError(
+            f"a Gramian of the order-{s.n} system has numerical rank {sigma.size}"
+        )
     if sigma[-1] < HSV_MINIMAL * sigma[0]:
         raise MinimalityError(
             f"smallest Hankel singular value {sigma[-1]:.2e} is below "
             f"{HSV_MINIMAL:.0e} of the largest; realization not minimal enough"
         )
-    sqrt_sigma = np.sqrt(sigma)
-    t = np.diag(sqrt_sigma) @ u.T @ np.linalg.inv(q)
-    tinv = q @ u @ np.diag(1.0 / sqrt_sigma)
+    scale = 1.0 / np.sqrt(sigma)
+    t = scale[:, None] * (hp.u.T @ hp.zo.T)
+    tinv = (hp.zc @ hp.vt.T) * scale
     balanced = StateSpaceSystem(t @ s.A @ tinv, t @ s.B, s.C @ tinv, s.D)
     sigma.flags.writeable = False
     return BalancedRealization(balanced, sigma, t)
@@ -210,20 +201,19 @@ def modal_truncate_decomposition(md: ModalDecomposition, r_red: int) -> Truncati
     return TruncationResult(md.rebuild(kept), "modal", tail)
 
 
-def _gramian_factor(w: np.ndarray) -> np.ndarray:
-    """Rank-revealing factor ``Z`` with ``W ~ Z Z^T`` (columns may be dropped)."""
+def _gramian_factor(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rank-revealing factor ``Z`` with ``W ~ Z Z^T`` (columns may be
+    dropped) and its 2-norm ``sqrt(max eig W)``."""
     w = 0.5 * (w + w.T)
     evals, vecs = np.linalg.eigh(w)
     top = max(evals.max(initial=0.0), 0.0)
     keep = evals > max(top, 1e-300) * 1e-14
-    if not np.any(keep):
-        return np.zeros((w.shape[0], 0))
-    return vecs[:, keep] @ np.diag(np.sqrt(evals[keep]))
+    return vecs[:, keep] * np.sqrt(evals[keep]), math.sqrt(top)
 
 
 class _HankelPass(NamedTuple):
     """Hankel values of a stable part with their noise floor and the
-    factors of its balancing-free square-root projection."""
+    factors of its square-root projections (balanced and balancing-free)."""
 
     sigma: np.ndarray  # descending; empty when unreachable or unobservable
     floor: float  # below it the Hankel values are Gramian rounding noise
@@ -253,15 +243,13 @@ class _HankelPass(NamedTuple):
 def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
     """One Gramian solve and SVD of a stable part (may be non-minimal)."""
     if s.n:
-        wc, wo = _gramians(s)
-        zc = _gramian_factor(wc)
-        zo = _gramian_factor(wo)
+        zc, zc_norm = _gramian_factor(linalg.solve_lyapunov(s.A, s.B @ s.B.T))
+        zo, zo_norm = _gramian_factor(linalg.solve_lyapunov(s.A.T, s.C.T @ s.C))
         if zc.shape[1] and zo.shape[1]:
             u, sv, vt = np.linalg.svd(zo.T @ zc, full_matrices=False)
             # Gramian rounding noise was observed up to ~1e3 eps times the
             # factor scales
-            floor = (1e4 * np.finfo(float).eps
-                     * np.linalg.norm(zc, 2) * np.linalg.norm(zo, 2))
+            floor = 1e4 * np.finfo(float).eps * zc_norm * zo_norm
             return _HankelPass(sv, floor, zc, zo, u, vt)
     return _HankelPass(np.zeros(0), 0.0, None, None, None, None)
 

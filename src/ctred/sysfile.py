@@ -33,19 +33,21 @@ def system_from_dict(doc: dict) -> tuple[StateSpaceSystem, str | None]:
     for key in ("A", "B", "C", "D"):
         if key not in doc:
             raise DimensionError(f"system file is missing key {key!r}")
-    def arr(key):
+    def arr(key, empty_shape=(0, 0)):
         value = doc[key]
         try:
             m = np.array(value, dtype=float)
         except (TypeError, ValueError) as exc:
             raise DimensionError(f"key {key!r} is not a numeric matrix") from exc
         if m.ndim == 1 and m.size == 0:
-            m = m.reshape(0, 0)
+            m = m.reshape(empty_shape)
         if m.ndim != 2:
             raise DimensionError(f"key {key!r} must be a nested (rectangular) array")
         return m
 
-    sys_ = make_system(arr("A"), arr("B"), arr("C"), arr("D"))
+    # an order-0 system saves B as []; an empty B or C takes its shape from D
+    d = arr("D")
+    sys_ = make_system(arr("A"), arr("B", (0, d.shape[1])), arr("C", (d.shape[0], 0)), d)
     return sys_, doc.get("name")
 
 

@@ -6,7 +6,7 @@ import pytest
 from ctred import linalg
 from ctred.errors import DimensionError, SynthesisError
 from ctred.gen import generate_instance, synthesize_stabilizing_plant
-from ctred.statespace import is_internally_stable, make_system
+from ctred.statespace import is_internally_stable, make_system, zero_system
 from ctred.sysfile import load_system, save_system
 
 
@@ -58,6 +58,19 @@ def test_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "sys2.json"
     save_system(path2, loaded, name="controller")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_roundtrip_static_gain(tmp_path):
+    # an order-0 system saves B as []; loading reads its width from D
+    path = tmp_path / "gain.json"
+    gain = make_system(np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0)),
+                       [[1.5, -2.0, 0.1], [0.0, 3.0, 1e-300]])
+    for s in (gain, zero_system(2, 3)):
+        save_system(path, s)
+        loaded, _ = load_system(path)
+        for name in "ABCD":
+            assert getattr(loaded, name).shape == getattr(s, name).shape
+            assert np.array_equal(getattr(loaded, name), getattr(s, name))
 
 
 def test_load_rejects_bad_documents(tmp_path):

@@ -284,6 +284,18 @@ def test_ordered_schur_matches_sorted_gees_bit_for_bit(monkeypatch, rng):
     assert sorts and not any(sorts)
 
 
+def _calls(tree, name):
+    """Line numbers of the calls to ``name`` (bare or as an attribute) in ``tree``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                lines.append(node.lineno)
+    return lines
+
+
 def test_half_plane_tolerance_has_one_home():
     # every stable, antistable or on-axis decision reads linalg.half_plane_tol
     # or linalg.is_stable; a module with its own stab_tol call would keep a
@@ -293,15 +305,41 @@ def test_half_plane_tolerance_has_one_home():
     for path in sorted(package.glob("*.py")):
         if path.name in ("tolerances.py", "linalg.py"):
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "stab_tol":
-                    offenders.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.ImportFrom):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _calls(tree, "stab_tol")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
                 if any(alias.name == "stab_tol" for alias in node.names):
                     offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_poly_roots_keeps_small_complex_coefficients():
+    # whether a coefficient vector is real is judged relative to its size,
+    # so a polynomial whose coefficients are all tiny keeps its imaginary parts
+    np.testing.assert_allclose(linalg.poly_roots([1e-9j, 1e-9]), [-1j], atol=1e-12)
+    got = linalg.poly_roots([2e-9 + 1e-9j, -3e-9, 1e-9])
+    want = np.roots([1e-9, -3e-9, 2e-9 + 1e-9j])
+    np.testing.assert_allclose(got, want[np.lexsort((want.imag, want.real))], rtol=1e-12)
+    # rounding-level imaginary parts still read as real
+    np.testing.assert_allclose(linalg.poly_roots([2.0 + 1e-12j, -3.0, 1.0]), [1.0, 2.0])
+
+
+def test_gramians_are_factored_in_one_place():
+    # the Hankel pass is the one Gramian factorization of reduce.py: no
+    # module takes a Cholesky factor, and no other reduce.py function
+    # solves a Lyapunov equation
+    package = Path(linalg.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _calls(tree, "cholesky")]
+        if path.name == "reduce.py":
+            allowed = {line for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_hankel_pass"
+                       for line in _calls(node, "solve_lyapunov")}
+            offenders += [f"{path.name}:{line}" for line in _calls(tree, "solve_lyapunov")
+                          if line not in allowed]
     assert offenders == []
 
 

@@ -149,6 +149,23 @@ def test_balanced_truncate_order_validation():
         balanced_truncate(s, 0)
 
 
+def test_balance_recovers_known_hankel_values():
+    # a directly balanced system with Hankel values down to 1e-9, moved out
+    # of balanced coordinates by similarities of condition 10: squaring the
+    # values (an eigen-solve of Wc Wo) loses the small ones, the SVD of the
+    # Gramian factors keeps them
+    sigma = np.array([1.0, 0.3, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
+    n = sigma.size
+    s = balanced_fixture(sigma, b=np.sqrt(sigma) * np.linspace(1.0, 3.0, n))
+    for seed in range(20):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        t = q @ np.diag(np.logspace(0.0, 1.0, n))
+        t_inv = np.linalg.inv(t)
+        moved = make_system(t @ s.A @ t_inv, t @ s.B, s.C @ t_inv)
+        got = balance(moved).hankel_singular_values
+        np.testing.assert_allclose(got, sigma, rtol=2e-5, err_msg=f"seed {seed}")
+
+
 def test_balance_preserves_transfer_function(rng):
     s = random_stable_minimal(rng, 5)
     assert transfer_close(balance(s).system, s, 1e-9)
