@@ -80,7 +80,7 @@ from .errors import (
     WrongCertificateError,
     ZeroModeError,
 )
-from .norms import _check_no_axis_poles, h2_norm, hinf_norm, linf_norm
+from .norms import _check_no_axis_poles, _h2_norms, h2_norm, hinf_norm, linf_norm
 from .reduce import (
     TruncationResult,
     drop_negligible_antistable,
@@ -163,7 +163,8 @@ def lqg_cost(g: StateSpaceSystem, k: StateSpaceSystem) -> float:
 def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     """Total cost and the four per-block squared-H2 contributions."""
     fb = _stabilizing_four_block(g, k)
-    parts = [h2_norm(fb.block(i, j)) ** 2 for i in (0, 1) for j in (0, 1)]
+    cols = [_h2_norms(fb.column(j), fb.row_blocks) for j in (0, 1)]
+    parts = [cols[j][i] ** 2 for i in (0, 1) for j in (0, 1)]
     return h2_norm(fb.system) ** 2, parts
 
 
@@ -347,17 +348,19 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
 
     The entries for Y use its identity feedthrough for the peak gain and
     its strictly proper part for the H2 entry (the raw H2 integral of a
-    biproper function diverges).
+    biproper function diverges).  The two H2 entries of each input block
+    share one Gramian; the cost keeps its own.
     """
     fb = loop.fb
-    xk_h2 = h2_norm(fb.xk)
+    x_h2, kx_h2 = _h2_norms(fb.column(0), fb.row_blocks)
+    xk_h2, ky_h2 = _h2_norms(fb.column(1), fb.row_blocks)
     return {
-        "x_h2": h2_norm(fb.x),
+        "x_h2": x_h2,
         "x_hinf": loop.x_hinf,
         "xk_h2": xk_h2,
-        "kx_h2": h2_norm(fb.kx),
+        "kx_h2": kx_h2,
         "kx_hinf": hinf_norm(fb.kx),
-        "ky_h2": h2_norm(fb.ky),
+        "ky_h2": ky_h2,
         "y_hinf": hinf_norm(fb.y),
         "y_h2": xk_h2,  # strictly proper part of Y = I + XK
         "cost_original": h2_norm(fb.system) ** 2,

@@ -18,7 +18,14 @@ Hamiltonian test's double precision.  Its peak is found by a bracketed
 local search instead: the estimate grid plus the pole frequencies, as in
 Bruinsma-Steinbuch, seed up to five brackets that shrink 8x per round
 around their best 33-point sample.  Every frequency sweep is evaluated in
-batches through :func:`~ctred.statespace.frequency_response`.
+batches through :func:`~ctred.statespace.frequency_response` (one stacked
+solve for the sweeps of systems up to order 18); the largest singular
+value of a response with one row or one column is its 2-norm, so only
+true MIMO responses need an SVD.  Each level of the iteration costs one
+solve with ``R = gamma^2 I - D^T D`` and one Hamiltonian eigen-solve.
+
+The H2 norm reads one controllability Gramian; systems that share ``A``
+and ``B`` and differ in their output rows share it too.
 """
 
 from __future__ import annotations
@@ -32,25 +39,48 @@ from .statespace import StateSpaceSystem, frequency_response
 from .tolerances import HAM_AXIS, HINF_MAX_ITER, HINF_REL
 
 
-def h2_norm(s: StateSpaceSystem) -> float:
-    """H2 norm of a stable strictly proper system via the controllability Gramian."""
+def _h2_norms(s: StateSpaceSystem, rows=(slice(None),)) -> list[float]:
+    """H2 norms of the output-row blocks ``s.C[r]`` for ``r`` in ``rows``.
+
+    Every block shares ``A`` and ``B``, so one controllability Gramian
+    serves them all.  ``s`` must be stable and strictly proper.  A trace
+    ``tr(C Wc C^T)`` that rounds below zero is clipped to 0.
+    """
     if np.any(s.D):
         raise UnsupportedError("H2 norm requires a strictly proper system (D = 0)")
     if s.n == 0:
-        return 0.0
+        return [0.0] * len(rows)
     if not linalg.is_stable(s.A):
         raise StabilityError("H2 norm requires a stable system")
     wc = linalg.solve_lyapunov(s.A, s.B @ s.B.T)
-    val = float(np.trace(s.C @ wc @ s.C.T))
-    return float(np.sqrt(max(val, 0.0)))
+    traces = [float(np.trace(s.C[r] @ wc @ s.C[r].T)) for r in rows]
+    return [float(np.sqrt(max(val, 0.0))) for val in traces]
+
+
+def h2_norm(s: StateSpaceSystem) -> float:
+    """H2 norm of a stable strictly proper system via the controllability Gramian."""
+    return _h2_norms(s)[0]
+
+
+def _largest_singular_values(resp: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a ``(k, p, m)`` stack.
+
+    A matrix with one row or one column is a vector whose only singular
+    value is its 2-norm, reduced with ``hypot`` (no overflow, no SVD);
+    true MIMO stacks go through a batched SVD.
+    """
+    k, p, m = resp.shape
+    if p == 0 or m == 0:
+        return np.zeros(k)
+    if p == 1 or m == 1:
+        return np.hypot.reduce(np.abs(resp.reshape(k, p * m)), axis=1)
+    return np.linalg.svd(resp, compute_uv=False)[:, 0]
 
 
 def _sigma_max(s: StateSpaceSystem, ws) -> np.ndarray:
-    """Largest singular value of the transfer function at each ``j*w``."""
-    resp = frequency_response(s, ws)
-    if resp.shape[1] == 0 or resp.shape[2] == 0:
-        return np.zeros(resp.shape[0])
-    return np.linalg.svd(resp, compute_uv=False)[:, 0]
+    """Largest singular value of the transfer function at each ``j*w``
+    (:func:`_largest_singular_values` of the frequency response)."""
+    return _largest_singular_values(frequency_response(s, ws))
 
 
 def _initial_grid(s: StateSpaceSystem, points: int = 200) -> np.ndarray:
@@ -115,22 +145,24 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
     probe through which ``bench/layers.py`` counts Hamiltonian eigen-solves.
     """
     a, b, c, d = s.A, s.B, s.C, s.D
-    m = s.m
-    r = gamma**2 * np.eye(m) - d.T @ d
+    n = s.n
     # gamma at or below the feedthrough gain can never be an upper bound;
-    # report a crossing at infinite frequency, where no midpoint lies
-    try:
-        rinv_bt = sla.solve(r, b.T, assume_a="pos")
-        rinv_dt = sla.solve(r, d.T, assume_a="pos")
-    except sla.LinAlgError:
+    # report a crossing at infinite frequency, where no midpoint lies.
+    # (On a 1x1 r the "pos" solve divides without checking the sign.)
+    if gamma <= _largest_singular_values(d[None])[0]:
         return np.array([np.inf])
+    r = gamma**2 * np.eye(s.m) - d.T @ d
+    try:
+        rinv_bdt = sla.solve(r, np.hstack([b.T, d.T]), assume_a="pos")
+    except sla.LinAlgError:  # gamma within rounding of the feedthrough gain
+        return np.array([np.inf])
+    rinv_bt, rinv_dt = rinv_bdt[:, :n], rinv_bdt[:, n:]
     acl = a + b @ rinv_dt @ c
-    ham = np.block(
-        [
-            [acl, gamma * (b @ rinv_bt)],
-            [-(c.T @ (np.eye(s.p) + d @ rinv_dt) @ c) / gamma, -acl.T],
-        ]
-    )
+    ham = np.empty((2 * n, 2 * n))
+    ham[:n, :n] = acl
+    ham[:n, n:] = gamma * (b @ rinv_bt)
+    ham[n:, :n] = -(c.T @ (np.eye(s.p) + d @ rinv_dt) @ c) / gamma
+    ham[n:, n:] = -acl.T
     ev = np.linalg.eigvals(ham)
     axis_tol = HAM_AXIS * max(np.linalg.norm(ham, np.inf), 1e-300)
     return np.sort(np.abs(ev[np.abs(ev.real) <= axis_tol].imag))

@@ -160,16 +160,18 @@ def mirror(s: StateSpaceSystem) -> StateSpaceSystem:
     return StateSpaceSystem(-s.A.T, s.C.T, s.B.T, s.D.T)
 
 
-# Frequencies per stacked solve in frequency_response.
-_RESPONSE_CHUNK = 32
+# Complex entries of the ``(chunk, n, n)`` work array of one stacked solve
+# in frequency_response (1 MiB): a 201-point sweep is one solve up to n = 18.
+_RESPONSE_BUDGET = 1 << 16
 
 
 def frequency_response(s: StateSpaceSystem, omegas) -> np.ndarray:
     """Transfer function values at ``j*omega`` for an array of frequencies.
 
     Returns an array of shape ``(len(omegas), p, m)``.  The resolvents are
-    computed by one stacked solve per chunk of frequencies; the chunk size
-    bounds the ``(chunk, n, n)`` work array.
+    computed by one stacked solve per chunk of frequencies; each chunk
+    holds as many frequencies as fit ``_RESPONSE_BUDGET`` complex entries
+    of the ``(chunk, n, n)`` work array (at least one).
     """
     ws = np.atleast_1d(np.asarray(omegas, dtype=float))
     out = np.empty((ws.size, s.p, s.m), dtype=complex)
@@ -177,8 +179,9 @@ def frequency_response(s: StateSpaceSystem, omegas) -> np.ndarray:
         out[:] = s.D
         return out
     diag = np.arange(s.n)
-    for start in range(0, ws.size, _RESPONSE_CHUNK):
-        chunk = ws[start:start + _RESPONSE_CHUNK]
+    step = max(1, _RESPONSE_BUDGET // (s.n * s.n))
+    for start in range(0, ws.size, step):
+        chunk = ws[start:start + step]
         # built in place: one (chunk, n, n) array instead of two temporaries
         pencils = np.empty((chunk.size, s.n, s.n), dtype=complex)
         pencils[:] = -s.A
@@ -223,12 +226,28 @@ class FourBlockMap:
     p: int
     m: int
 
+    @property
+    def row_blocks(self) -> tuple[slice, slice]:
+        """Output rows of blocks 0 (plant output) and 1 (control input)."""
+        return slice(0, self.p), slice(self.p, self.p + self.m)
+
+    @property
+    def col_blocks(self) -> tuple[slice, slice]:
+        """Input columns of blocks 0 (state noise) and 1 (measurement noise)."""
+        return slice(0, self.m), slice(self.m, self.m + self.p)
+
+    def column(self, j: int) -> StateSpaceSystem:
+        """Subsystem for input block ``j`` (0-based) and both output blocks."""
+        if j not in (0, 1):
+            raise DimensionError("block indices must be 0 or 1")
+        s, cols = self.system, self.col_blocks[j]
+        return StateSpaceSystem(s.A, s.B[:, cols], s.C, s.D[:, cols])
+
     def block(self, i: int, j: int) -> StateSpaceSystem:
         """Subsystem for output block ``i`` and input block ``j`` (0-based)."""
         if i not in (0, 1) or j not in (0, 1):
             raise DimensionError("block indices must be 0 or 1")
-        rows = slice(0, self.p) if i == 0 else slice(self.p, self.p + self.m)
-        cols = slice(0, self.m) if j == 0 else slice(self.m, self.m + self.p)
+        rows, cols = self.row_blocks[i], self.col_blocks[j]
         s = self.system
         return StateSpaceSystem(s.A, s.B[:, cols], s.C[rows, :], s.D[rows, cols])
 

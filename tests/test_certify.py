@@ -38,6 +38,7 @@ from ctred.gen import (
     random_stable_minimal,
     synthesize_stabilizing_plant,
 )
+from ctred.norms import h2_norm
 from ctred.reduce import (
     TruncationResult,
     balanced_truncate_unstable,
@@ -91,6 +92,31 @@ def test_lqg_cost_equals_block_sum(balmod):
     g, k = balmod
     total, parts = lqg_cost_blocks(g, k)
     assert total == pytest.approx(sum(parts), rel=1e-8)
+
+
+def test_lqg_cost_blocks_match_h2_of_each_block(balmod, unstable_pair):
+    for g, k in (balmod, unstable_pair):
+        fb = four_block(g, k)
+        _, parts = lqg_cost_blocks(g, k)
+        assert parts == [h2_norm(fb.block(i, j)) ** 2 for i in (0, 1) for j in (0, 1)]
+
+
+def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair,
+                                                           monkeypatch):
+    # x and kx share the first input block, xk and ky the second, and the
+    # cost keeps its own solve: three Lyapunov solves per loop
+    for g, k in (balmod, unstable_pair):
+        loop = certify._LoopAnalysis(g, k)
+        calls = {}
+        with monkeypatch.context() as mp:
+            _count_calls(mp, linalg, "solve_lyapunov", calls)
+            q = loop.quantities()
+        assert calls == {"solve_lyapunov": 3}
+        fb = loop.fb
+        for name, block in (("x_h2", fb.x), ("kx_h2", fb.kx), ("xk_h2", fb.xk),
+                            ("ky_h2", fb.ky)):
+            assert q[name] == h2_norm(block), name
+        assert q["cost_original"] == h2_norm(fb.system) ** 2
 
 
 def test_lqg_cost_quadrature_oracle(balmod):

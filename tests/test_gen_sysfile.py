@@ -7,7 +7,7 @@ from ctred import linalg
 from ctred.errors import DimensionError, SynthesisError
 from ctred.gen import generate_instance, synthesize_stabilizing_plant
 from ctred.statespace import is_internally_stable, make_system, zero_system
-from ctred.sysfile import load_system, save_system
+from ctred.sysfile import load_system, save_system, system_to_dict
 
 
 def test_generate_instance_stabilizes():
@@ -71,6 +71,37 @@ def test_roundtrip_static_gain(tmp_path):
         for name in "ABCD":
             assert getattr(loaded, name).shape == getattr(s, name).shape
             assert np.array_equal(getattr(loaded, name), getattr(s, name))
+
+
+def test_roundtrip_without_inputs_or_outputs(tmp_path):
+    # D of a system without outputs saves as []; the counts keep its shape
+    path = tmp_path / "empty.json"
+    for s in (zero_system(0, 3), zero_system(2, 0)):
+        save_system(path, s)
+        loaded, _ = load_system(path)
+        for name in "ABCD":
+            assert getattr(loaded, name).shape == getattr(s, name).shape
+
+
+def test_load_without_counts(tmp_path):
+    # files written before the counts were saved still load
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"A": [], "B": [], "C": [[], []],
+                                "D": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}))
+    loaded, _ = load_system(path)
+    assert (loaded.n, loaded.p, loaded.m) == (0, 2, 3)
+    path.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[2.0]], "D": [[0.0]]}))
+    loaded, _ = load_system(path)
+    assert loaded.C.tolist() == [[2.0]]
+
+
+def test_load_rejects_counts_that_disagree(tmp_path):
+    path = tmp_path / "bad.json"
+    s = make_system([[-1.0]], [[1.0, 2.0]], [[1.0]])
+    for counts in ({"m": 3}, {"p": 2}, {"m": -1}, {"m": 1.5}, {"p": True}):
+        path.write_text(json.dumps({**system_to_dict(s), **counts}))
+        with pytest.raises(DimensionError):
+            load_system(path)
 
 
 def test_load_rejects_bad_documents(tmp_path):

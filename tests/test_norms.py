@@ -70,6 +70,76 @@ def test_h2_gramian_symmetry(rng):
         assert abs(v1 - v2) <= 1e-9 * max(1.0, abs(v1))
 
 
+def _counted(mp, owner, name) -> list:
+    """Patch ``owner.name`` to record its calls; returns the record."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    mp.setattr(owner, name, counted)
+    return calls
+
+
+def test_h2_row_blocks_share_one_gramian(rng, monkeypatch):
+    # each row block's norm equals h2_norm of that block bit for bit
+    s = random_stable_minimal(rng, 5, m=2, p=3)
+    rows = (slice(0, 1), slice(1, 3), slice(None))
+    with monkeypatch.context() as mp:
+        solves = _counted(mp, linalg, "solve_lyapunov")
+        got = norms._h2_norms(s, rows)
+    assert len(solves) == 1
+    for r, value in zip(rows, got):
+        assert value == h2_norm(StateSpaceSystem(s.A, s.B, s.C[r], s.D[r]))
+    assert norms._h2_norms(zero_system(3, 2), rows) == [0.0, 0.0, 0.0]
+
+
+def _svd_sigma_max(s, ws):
+    return np.linalg.svd(frequency_response(s, ws), compute_uv=False)[:, 0]
+
+
+def test_sigma_max_of_vectors_matches_the_svd(rng, monkeypatch):
+    # one row or one column: the 2-norm, without an SVD and without
+    # overflow or underflow at extreme magnitudes
+    ws = np.concatenate([[0.0], np.logspace(-3, 3, 60)])
+    for p, m in ((1, 1), (1, 3), (3, 1)):
+        base = random_stable_minimal(rng, 4, m=m, p=p)
+        for scale in (1e-200, 1.0, 1e200):
+            s = StateSpaceSystem(base.A, base.B, base.C * scale,
+                                 rng.uniform(-1.0, 1.0, (p, m)) * scale)
+            ref = _svd_sigma_max(s, ws)
+            with monkeypatch.context() as mp:
+                svd_calls = _counted(mp, np.linalg, "svd")
+                got = norms._sigma_max(s, ws)
+            assert not svd_calls
+            assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-15, (p, m, scale)
+
+
+def test_sigma_max_of_mimo_responses_uses_the_svd(rng, monkeypatch):
+    s = random_stable_minimal(rng, 4, m=2, p=2)
+    ws = np.logspace(-2, 2, 20)
+    with monkeypatch.context() as mp:
+        svd_calls = _counted(mp, np.linalg, "svd")
+        got = norms._sigma_max(s, ws)
+    assert svd_calls
+    assert np.array_equal(got, _svd_sigma_max(s, ws))
+
+
+def test_level_at_or_below_the_feedthrough_is_never_an_upper_bound():
+    # 1/(s+1) + 2 peaks at 3 (w = 0); with ||D|| = 2 a level of 1.0 or 1.9
+    # has R = gamma^2 I - D^T D indefinite, so it bounds nothing
+    siso = make_system([[-1.0]], [[1.0]], [[1.0]], [[2.0]])
+    row = make_system([[-1.0]], [[0.6, 0.8]], [[1.0]], [[1.2, 1.6]])
+    for s in (siso, row):
+        for gamma in (1.0, 1.9, 2.0):
+            assert np.array_equal(norms._gamma_is_upper_bound(s, gamma), [np.inf]), (s, gamma)
+        assert norms._gamma_is_upper_bound(s, 2.5).size  # between ||D|| and the peak
+        assert not norms._gamma_is_upper_bound(s, 3.5).size
+        assert hinf_norm(s) == pytest.approx(3.0, rel=1e-8)
+
+
 def test_hinf_first_order():
     assert abs(hinf_norm(lag(-1.0)) - 1.0) < 1e-7
 

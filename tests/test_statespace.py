@@ -282,7 +282,7 @@ def test_four_block_random_pole_subset(rng):
         assert np.max(np.abs(acl - fbe)) < 1e-8
 
 
-def test_frequency_response_matches_pointwise_eval(rng):
+def test_frequency_response_matches_pointwise_eval(rng, monkeypatch):
     from ctred import statespace
     from ctred.gen import random_stable_minimal
 
@@ -290,16 +290,31 @@ def test_frequency_response_matches_pointwise_eval(rng):
     mimo = StateSpaceSystem(mimo.A, mimo.B, mimo.C, rng.uniform(-1.0, 1.0, (3, 2)))
     static = make_system(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)),
                          rng.uniform(-1.0, 1.0, (3, 2)))
+    # a work-array budget of 32 frequencies of the 6-state system, plus a
+    # remainder that the chunk size rounds away: the long sweep spans four
+    # stacked solves, the last one partial
+    monkeypatch.setattr(statespace, "_RESPONSE_BUDGET", 32 * 6 * 6 + 7)
     short = np.array([0.0, 0.3, 7.0])
-    long = np.concatenate([[0.0], np.logspace(-3, 3, 3 * statespace._RESPONSE_CHUNK + 5)])
+    long = np.concatenate([[0.0], np.logspace(-3, 3, 3 * 32 + 5)])
     cases = [
         (static, short),
         (random_stable_minimal(rng, 4), short),
         (mimo, short),
         (mimo, long),
     ]
+    solve = np.linalg.solve
     for s, ws in cases:
-        got = frequency_response(s, ws)
+        batches = []
+
+        def counted(a, b):
+            batches.append(a.shape[0])
+            return solve(a, b)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "solve", counted)
+            got = frequency_response(s, ws)
         ref = np.array([s.eval(1j * w) for w in ws])
         assert got.shape == (ws.size, s.p, s.m)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        if s is mimo and ws is long:
+            assert batches == [32, 32, 32, 6]
