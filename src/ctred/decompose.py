@@ -8,6 +8,16 @@ exactly.  A modal decomposition reduces the state matrix to Schur form
 once: each cluster is peeled off by reordering the remaining Schur block
 and a triangular Sylvester solve (Bavely and Stewart's block
 diagonalization), so only the first step runs a Hessenberg-QR sweep.
+
+Each step starts from a Schur form whose diagonal spectrum it already
+knows: the first from the one reduction, every later one from the
+trailing block and eigenvalues the step before left.  A step selects with
+a vectorised rule over that spectrum (the nearest-cluster rule, or the open
+left half-plane for the stable/antistable split) and runs the checked
+reordering and Sylvester steps of :mod:`ctred.linalg`, the same ones behind
+:func:`~ctred.linalg.ordered_real_schur` and
+:func:`~ctred.linalg.solve_sylvester`, without detecting the Schur form or
+recomputing a spectrum again.
 """
 
 from __future__ import annotations
@@ -23,16 +33,20 @@ from .statespace import StateSpaceSystem, zero_system
 from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm
 
 
-def _decouple_leading(sys_abc, select):
-    """Split (A,B,C) into the invariant part selected by ``select`` and the rest.
+def _decouple_leading(sys_abc, schur, rule):
+    """Split (A,B,C) into the invariant part that ``rule`` selects and the rest.
 
-    Returns ``((A1,B1,C1,ev1), (A2,B2,C2,ev2))`` where the first part carries
-    the selected eigenvalues ``ev1``; an empty part is ``None``.  Both state
-    matrices are in real Schur form.  Off-diagonal coupling is removed by a
-    Sylvester solve, so the two parts sum to the original transfer function.
+    ``schur`` is a real Schur form ``(T, Z, ev)`` of ``A`` with the spectrum
+    ``ev`` of its diagonal blocks (``linalg._real_schur``); ``rule`` maps an
+    eigenvalue array to a mask.  Returns ``((A1,B1,C1,ev1), (A2,B2,C2,ev2))``
+    where the first part carries the selected eigenvalues ``ev1``; an empty
+    part is ``None``.  Both state matrices are in real Schur form, so the
+    second part with ``(A2, I, ev2)`` is the Schur form of the next step.
+    Off-diagonal coupling is removed by a triangular Sylvester solve on the
+    known spectra, so the two parts sum to the original transfer function.
     """
     a, b, c = sys_abc
-    form = linalg.ordered_real_schur(a, select)
+    form = linalg._reorder_schur(a, *schur, rule)
     k = form.n_selected
     n = a.shape[0]
     t = form.T
@@ -43,7 +57,7 @@ def _decouple_leading(sys_abc, select):
         parts = ((t, bt, ct, ev), None) if k == n else (None, (t, bt, ct, ev))
         return parts
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    x = linalg.solve_sylvester(t11, -t22, t12)
+    x = linalg._solve_sylvester(t11, -t22, t12, ev[:k], -ev[k:], schur_pair=True)
     # similarity [[I, X],[0, I]] zeroes the coupling; transform B and C along
     b1 = bt[:k] - x @ bt[k:]
     b2 = bt[k:]
@@ -73,13 +87,15 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
             "stable/antistable split is ill-posed: eigenvalue within "
             f"{tol:.1e} of the imaginary axis"
         )
+    empty = zero_system(k.p, k.m)
+    if k.n == 0:
+        return StableUnstableSplit(k, empty)
     try:
         part1, part2 = _decouple_leading(
-            (k.A, k.B, k.C), lambda lam: lam.real < 0.0
+            (k.A, k.B, k.C), linalg._real_schur(k.A), lambda ev: ev.real < 0.0
         )
     except SeparationError as exc:
         raise SeparationError(f"ill-conditioned stable/antistable split: {exc}") from exc
-    empty = zero_system(k.p, k.m)
     a1, b1, c1 = (empty.A, empty.B, empty.C) if part1 is None else part1[:3]
     stable = StateSpaceSystem(a1, b1, c1, k.D)
     unstable = empty if part2 is None else StateSpaceSystem(*part2[:3], empty.D)
@@ -168,12 +184,13 @@ def _cluster_eigenvalues(ev: np.ndarray, cluster_tol: float):
                 1.0 + abs(canon[j])
             ):
                 parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(k):
-        groups.setdefault(find(i), []).append(canon[i])
-    clusters = [tuple(sorted(g, key=lambda z: (z.real, z.imag))) for g in groups.values()]
-    clusters.sort(key=lambda g: (np.mean([z.real for z in g]), np.mean([abs(z.imag) for z in g])))
-    return clusters
+        groups.setdefault(find(i), []).append(i)
+    # canon is sorted by (real, imag) parts, so each group is too
+    members = [canon[g] for g in groups.values()]
+    members.sort(key=lambda g: (g.real.sum() / g.size, np.abs(g.imag).sum() / g.size))
+    return [tuple(g) for g in members]
 
 
 def _full_cluster_values(cluster) -> np.ndarray:
@@ -215,8 +232,12 @@ def modal_form(k: StateSpaceSystem, cluster_tol: float = CLUSTER_TOL) -> ModalDe
     blocks: list[ModalBlock] = []
     remaining = (k.A, k.B, k.C, ev)
     for idx in range(len(clusters) - 1):
-        select = _membership(labels == idx, values)
-        part, remaining = _decouple_leading(remaining[:3], select)
+        # one Schur reduction; every later step peels the trailing Schur block
+        t = remaining[0]
+        schur = (t, np.eye(t.shape[0]), remaining[3]) if idx else linalg._real_schur(t)
+        part, remaining = _decouple_leading(
+            remaining[:3], schur, _membership(labels == idx, values)
+        )
         if part is None or remaining is None:
             raise SeparationError(
                 "modal decoupling selected an empty or full block; "
@@ -239,16 +260,18 @@ def _modal_block(a, b, c, ev) -> ModalBlock:
 
 
 def _membership(own: np.ndarray, values: np.ndarray):
-    """Predicate selecting eigenvalues nearest to the cluster values ``values[own]``."""
+    """Rule selecting the eigenvalues nearest to the cluster values
+    ``values[own]`` (a tie selects).  It takes one eigenvalue or an array
+    of them and returns one flag per eigenvalue."""
 
-    def select(lam: complex) -> bool:
-        d = np.abs(values - lam)
-        return d[own].min() <= d.min()
+    def select(lam):
+        d = np.abs(np.subtract.outer(lam, values))
+        return d[..., own].min(axis=-1) <= d.min(axis=-1)
     return select
 
 
 def _representative(ev: np.ndarray) -> complex:
     """Canonical eigenvalue of a block: mean real part, +|mean imag| part."""
-    re = float(np.mean(ev.real))
-    im = float(np.mean(np.abs(ev.imag)))
+    re = float(ev.real.sum() / ev.size)
+    im = float(np.abs(ev.imag).sum() / ev.size)
     return complex(re, im)

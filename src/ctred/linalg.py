@@ -16,6 +16,14 @@ already in that form skip the sweep, and :func:`solve_sylvester` only
 back-substitutes on them (``trsyl``), as in Bavely and Stewart's block
 diagonalization, where every reduction after the first starts from a
 Schur form.
+
+Both are boundary validation around two checked steps, which
+:mod:`ctred.decompose` also calls directly on the Schur blocks and spectra
+it carries: ``_reorder_schur`` (the ``trsen`` info, the reconstruction
+residual and the partition of the reordered spectrum) and
+``_solve_sylvester`` (the spectral gap, the ``trsyl`` info and scale, and
+the residual).  Every check of a reordering or a Sylvester solve lives in
+one of them.
 """
 
 from __future__ import annotations
@@ -90,10 +98,19 @@ def half_plane_tol(a: np.ndarray) -> float:
     return stab_tol(inf_norm(a))
 
 
+def _stability(a: np.ndarray, ev: np.ndarray | None = None) -> tuple[bool, float]:
+    """``(stable, spectral abscissa)`` of ``a``: stable when every eigenvalue
+    lies more than :func:`half_plane_tol` left of the imaginary axis.  ``ev``
+    is the spectrum of ``a`` when the caller has it already."""
+    ev = eigenvalues(a) if ev is None else ev
+    alpha = float(ev.real.max()) if ev.size else -np.inf
+    return alpha < -half_plane_tol(a), alpha
+
+
 def is_stable(a: np.ndarray) -> bool:
     """Every eigenvalue of ``a`` lies more than :func:`half_plane_tol` left
     of the imaginary axis; True for an empty matrix."""
-    return a.size == 0 or spectral_abscissa(a) < -half_plane_tol(a)
+    return a.size == 0 or _stability(a)[0]
 
 
 @dataclass(frozen=True)
@@ -148,6 +165,48 @@ def _is_real_schur(t: np.ndarray) -> bool:
     return True
 
 
+def _real_schur(m: np.ndarray):
+    """Real Schur form ``(T, Z, ev)`` of a square matrix, ``m = Z T Z^T``,
+    with ``ev`` the spectrum of ``T``'s diagonal blocks.
+
+    A matrix already in real Schur canonical form is its own ``T``; any
+    other takes an unsorted Hessenberg-QR sweep (``gees``).
+    """
+    t, z = (m, np.eye(m.shape[0])) if _is_real_schur(m) else sla.schur(m, output="real")
+    return t, z, _block_eigenvalues(t)
+
+
+def _reorder_schur(m: np.ndarray, t: np.ndarray, z: np.ndarray, ev: np.ndarray,
+                   rule: Callable[[np.ndarray], np.ndarray]) -> SchurForm:
+    """Move the eigenvalues that ``rule`` selects to the front of the real
+    Schur form ``m = z t z^T`` with one ``trsen`` call, and check the result.
+
+    ``ev`` is the diagonal spectrum of ``t``; ``rule`` maps an array of
+    eigenvalues to a boolean mask.  Raises :class:`ReorderingError` when
+    ``trsen`` fails, when ``Z T Z^T`` misses ``m`` by more than
+    ``SCHUR_RESID``, or when the reordered spectrum does not split cleanly
+    under ``rule`` (selected eigenvalues first, the others after).
+    """
+    chosen = rule(ev).astype(np.int32)
+    t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, t, z, job="N")
+    if info != 0:
+        raise ReorderingError(f"Schur reordering failed (trsen info {info})")
+
+    resid = np.linalg.norm(z @ t @ z.T - m)
+    if resid > SCHUR_RESID * max(1.0, np.linalg.norm(m)):
+        raise ReorderingError(
+            f"Schur reconstruction residual {resid:.2e} exceeds tolerance"
+        )
+    ev = _block_eigenvalues(t)
+    flags = rule(ev)
+    if flags.sum() != sdim or not flags[:sdim].all() or flags[sdim:].any():
+        raise ReorderingError(
+            "eigenvalue partition is inconsistent after reordering "
+            "(nearly identical eigenvalues across the split?)"
+        )
+    return SchurForm(t, z, ev, int(sdim))
+
+
 def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
     """Real Schur form with eigenvalues satisfying ``select`` moved to the front.
 
@@ -159,30 +218,13 @@ def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
     """
     m = as_matrix(a, "A")
     _require_square(m, "A")
-    n = m.shape[0]
-    if n == 0:
+    if m.shape[0] == 0:
         return SchurForm(m.copy(), np.eye(0), np.array([], dtype=complex), 0)
 
-    t, z = (m, np.eye(n)) if _is_real_schur(m) else sla.schur(m, output="real")
-    chosen = np.array([select(v) for v in _block_eigenvalues(t)], dtype=np.int32)
-    t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, t, z, job="N")
-    if info != 0:
-        raise ReorderingError(f"Schur reordering failed (trsen info {info})")
+    def rule(ev):
+        return np.array([bool(select(v)) for v in ev], dtype=bool)
 
-    resid = np.linalg.norm(z @ t @ z.T - m)
-    if resid > SCHUR_RESID * max(1.0, np.linalg.norm(m)):
-        raise ReorderingError(
-            f"Schur reconstruction residual {resid:.2e} exceeds tolerance"
-        )
-    ev = _block_eigenvalues(t)
-    # The partition must be clean: selected eigenvalues lead, others trail.
-    flags = [bool(select(v)) for v in ev]
-    if sum(flags) != sdim or not all(flags[:sdim]) or any(flags[sdim:]):
-        raise ReorderingError(
-            "eigenvalue partition is inconsistent after reordering "
-            "(nearly identical eigenvalues across the split?)"
-        )
-    return SchurForm(t, z, ev, int(sdim))
+    return _reorder_schur(m, *_real_schur(m), rule)
 
 
 def solve_lyapunov(a, q) -> np.ndarray:
@@ -208,6 +250,37 @@ def solve_lyapunov(a, q) -> np.ndarray:
     return x
 
 
+def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                     ea: np.ndarray, eb: np.ndarray, schur_pair: bool) -> np.ndarray:
+    """Solve ``A X + X B + C = 0`` for validated matrices with spectra
+    ``ea`` and ``eb``, and check the result.
+
+    Raises :class:`SeparationError` when an eigenvalue of ``A`` lies within
+    ``SEP_REL`` (relative) of one of ``-B``, and :class:`ConvergenceError`
+    when the solve fails or its residual exceeds ``SYLV_RESID``.  A
+    ``schur_pair`` (both in real Schur canonical form) is only
+    back-substituted (``trsyl``); other pairs go through Bartels-Stewart.
+    """
+    gap = np.abs(ea[:, None] + eb[None, :]).min()
+    tol_sep = SEP_REL * max(inf_norm(a), inf_norm(b))
+    if gap <= tol_sep:
+        raise SeparationError(
+            f"spectral gap {gap:.2e} between A and -B is below tolerance {tol_sep:.2e}"
+        )
+    if schur_pair:
+        x, scale, info = sla.lapack.dtrsyl(a, b, -c)
+        if info != 0 or scale != 1.0:
+            raise ConvergenceError(
+                f"triangular Sylvester solve failed (trsyl info {info}, scale {scale:.2e})"
+            )
+    else:
+        x = sla.solve_sylvester(a, b, -c)
+    resid = np.linalg.norm(a @ x + x @ b + c)
+    if resid > SYLV_RESID * max(1.0, np.linalg.norm(c)):
+        raise ConvergenceError(f"Sylvester residual {resid:.2e} exceeds tolerance")
+    return x
+
+
 def solve_sylvester(a, b, c) -> np.ndarray:
     """Solve ``A X + X B + C = 0``; spectra of A and -B must be separated.
 
@@ -227,26 +300,7 @@ def solve_sylvester(a, b, c) -> np.ndarray:
         return np.zeros(cm.shape)
     schur_pair = _is_real_schur(am) and _is_real_schur(bm)
     spectrum = _block_eigenvalues if schur_pair else eigenvalues
-    ea = spectrum(am)
-    eb = spectrum(bm)
-    gap = np.abs(ea[:, None] + eb[None, :]).min()
-    tol_sep = SEP_REL * max(inf_norm(am), inf_norm(bm))
-    if gap <= tol_sep:
-        raise SeparationError(
-            f"spectral gap {gap:.2e} between A and -B is below tolerance {tol_sep:.2e}"
-        )
-    if schur_pair:
-        x, scale, info = sla.lapack.dtrsyl(am, bm, -cm)
-        if info != 0 or scale != 1.0:
-            raise ConvergenceError(
-                f"triangular Sylvester solve failed (trsyl info {info}, scale {scale:.2e})"
-            )
-    else:
-        x = sla.solve_sylvester(am, bm, -cm)
-    resid = np.linalg.norm(am @ x + x @ bm + cm)
-    if resid > SYLV_RESID * max(1.0, np.linalg.norm(cm)):
-        raise ConvergenceError(f"Sylvester residual {resid:.2e} exceeds tolerance")
-    return x
+    return _solve_sylvester(am, bm, cm, spectrum(am), spectrum(bm), schur_pair)
 
 
 def solve_care(a, b, q, r) -> np.ndarray:

@@ -50,9 +50,10 @@ def _h2_norms(s: StateSpaceSystem, rows=(slice(None),)) -> list[float]:
         raise UnsupportedError("H2 norm requires a strictly proper system (D = 0)")
     if s.n == 0:
         return [0.0] * len(rows)
-    if not linalg.is_stable(s.A):
-        raise StabilityError("H2 norm requires a stable system")
-    wc = linalg.solve_lyapunov(s.A, s.B @ s.B.T)
+    try:
+        wc = linalg.solve_lyapunov(s.A, s.B @ s.B.T)
+    except StabilityError as exc:
+        raise StabilityError("H2 norm requires a stable system") from exc
     traces = [float(np.trace(s.C[r] @ wc @ s.C[r].T)) for r in rows]
     return [float(np.sqrt(max(val, 0.0))) for val in traces]
 
@@ -83,8 +84,9 @@ def _sigma_max(s: StateSpaceSystem, ws) -> np.ndarray:
     return _largest_singular_values(frequency_response(s, ws))
 
 
-def _initial_grid(s: StateSpaceSystem, points: int = 200) -> np.ndarray:
-    ev = linalg.eigenvalues(s.A) if s.n else np.array([])
+def _initial_grid(s: StateSpaceSystem, ev: np.ndarray, points: int = 200) -> np.ndarray:
+    """Zero and ``points`` log-spaced frequencies around the pole scales of
+    ``s``, whose spectrum is ``ev``."""
     scales = np.concatenate([np.abs(ev), np.abs(ev.real), np.abs(ev.imag)])
     scales = scales[scales > 0]
     lo = 0.01 * scales.min() if scales.size else 1e-2
@@ -95,20 +97,20 @@ def _initial_grid(s: StateSpaceSystem, points: int = 200) -> np.ndarray:
     return np.concatenate([[0.0], grid])
 
 
-def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray) -> float:
+def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
+                       ev: np.ndarray) -> float:
     """Bracketed local search for the peak gain, seeded by the pole frequencies.
 
     Used when the realization evaluates its transfer function through
     heavy cancellation (tiny gain from order-one coefficients); the
     level-set Hamiltonian cannot resolve such gains in double precision.
     ``ws`` and ``gains`` are the estimate sweep; the frequencies ``|Im lambda|``
-    and ``|lambda|`` of the poles join it, as in Bruinsma-Steinbuch.  Each of
+    and ``|lambda|`` of the poles ``ev`` join it, as in Bruinsma-Steinbuch.  Each of
     the largest local maxima of the merged sweep is bracketed by its
     neighbours, and every bracket shrinks 8x per round around the best of
     its 33-point sweep until it is below ``1e-13`` relative frequency.
     Returns the best gain seen, at least ``||D||``.
     """
-    ev = linalg.eigenvalues(s.A)
     extra = np.setdiff1d(np.concatenate([np.abs(ev.imag), np.abs(ev)]), ws)
     ws = np.concatenate([ws, extra])
     gains = np.concatenate([gains, _sigma_max(s, extra)])
@@ -168,12 +170,13 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
     return np.sort(np.abs(ev[np.abs(ev.real) <= axis_tol].imag))
 
 
-def _peak_gain(s: StateSpaceSystem) -> float:
-    """Shared level-set core; assumes no imaginary-axis poles."""
+def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
+    """Shared level-set core; ``ev`` is the spectrum of ``s.A``, which has
+    no imaginary-axis eigenvalues."""
     d_gain = float(np.linalg.svd(s.D, compute_uv=False)[0]) if s.D.size else 0.0
     if s.n == 0 or not np.any(s.B) or not np.any(s.C):
         return d_gain
-    ws = _initial_grid(s)
+    ws = _initial_grid(s, ev)
     gains = _sigma_max(s, ws)
     estimate = max(float(gains.max()), d_gain)
     if estimate <= 1e-300:
@@ -184,7 +187,7 @@ def _peak_gain(s: StateSpaceSystem) -> float:
     xi = float(np.linalg.norm(s.C))
     coupling = beta * xi
     if coupling > 1e7 * estimate:
-        return _refined_grid_peak(s, ws, gains)
+        return _refined_grid_peak(s, ws, gains, ev)
     # normalize the gain to order one, splitting the scaling between B and
     # C so the Hamiltonian blocks stay balanced in magnitude
     target = np.sqrt(coupling / estimate)
@@ -221,28 +224,29 @@ def _peak_gain(s: StateSpaceSystem) -> float:
     raise ConvergenceError("level-set iteration for the peak gain did not converge")
 
 
-def _check_no_axis_poles(s: StateSpaceSystem) -> None:
-    if s.n == 0:
-        return
+def _check_no_axis_poles(s: StateSpaceSystem) -> np.ndarray:
+    """The spectrum of ``s.A``; raises :class:`AxisPoleError` when an
+    eigenvalue lies within :func:`~ctred.linalg.half_plane_tol` of the axis."""
     ev = linalg.eigenvalues(s.A)
     if np.any(np.abs(ev.real) <= linalg.half_plane_tol(s.A)):
         raise AxisPoleError("system has poles on (or too close to) the imaginary axis")
+    return ev
 
 
 def linf_norm(s: StateSpaceSystem) -> float:
     """Peak singular value over the imaginary axis; poles may be unstable."""
-    _check_no_axis_poles(s)
-    return _peak_gain(s)
+    return _peak_gain(s, _check_no_axis_poles(s))
 
 
 def hinf_norm(s: StateSpaceSystem) -> float:
     """H-infinity norm of a stable system."""
-    if not linalg.is_stable(s.A):
+    ev = linalg.eigenvalues(s.A)
+    if not linalg._stability(s.A, ev)[0]:
         raise StabilityError(
             "H-infinity norm requires a stable system; use linf_norm for "
             "unstable systems without imaginary-axis poles"
         )
-    return _peak_gain(s)
+    return _peak_gain(s, ev)
 
 
 def l2_norm(s: StateSpaceSystem) -> float:

@@ -206,11 +206,17 @@ def closed_loop_matrix(g: StateSpaceSystem, k: StateSpaceSystem) -> np.ndarray:
     return np.block([[g.A, g.B @ k.C], [k.B @ g.C, k.A]])
 
 
+def _loop_stability(acl: np.ndarray) -> tuple[bool, float]:
+    """``(stable, spectral_abscissa)`` of a closed-loop state matrix: the
+    internal-stability test of :func:`is_internally_stable` and of
+    :func:`_stabilizing_four_block`, by :func:`~ctred.linalg.is_stable`'s
+    rule."""
+    return linalg._stability(acl)
+
+
 def is_internally_stable(g: StateSpaceSystem, k: StateSpaceSystem):
     """Internal stability of the loop; returns ``(stable, spectral_abscissa)``."""
-    acl = closed_loop_matrix(g, k)
-    alpha = linalg.spectral_abscissa(acl)
-    return alpha < -linalg.half_plane_tol(acl), alpha
+    return _loop_stability(closed_loop_matrix(g, k))
 
 
 @dataclass(frozen=True)
@@ -297,13 +303,14 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
 def _stabilizing_four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     """``four_block(g, k)``; raises :class:`NotStabilizingError` unless ``k``
     internally stabilizes ``g``."""
-    stable, alpha = is_internally_stable(g, k)
+    fb = four_block(g, k)
+    stable, alpha = _loop_stability(fb.system.A)
     if not stable:
         raise NotStabilizingError(
             f"controller does not internally stabilize the plant "
             f"(closed-loop abscissa {alpha:.3e})"
         )
-    return four_block(g, k)
+    return fb
 
 
 def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):

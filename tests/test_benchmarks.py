@@ -30,16 +30,17 @@ def test_spread_comparison_counts_refusals(monkeypatch):
 
 
 def test_scaling_sweep_tests_each_loop_once(monkeypatch):
-    # lqg_cost decides stability; the sweep does not test it again
+    # lqg_cost decides stability; the sweep does not test it again.  Every
+    # internal-stability test of a loop (is_internally_stable, and the one
+    # lqg_cost makes on its four-block map) goes through _loop_stability
     calls = []
-    stable = statespace.is_internally_stable
+    stable = statespace._loop_stability
 
-    def counted(g, k):
-        calls.append(k)
-        return stable(g, k)
+    def counted(acl):
+        calls.append(acl)
+        return stable(acl)
 
-    monkeypatch.setattr(statespace, "is_internally_stable", counted)
-    monkeypatch.setattr(benchmarks, "is_internally_stable", counted, raising=False)
+    monkeypatch.setattr(statespace, "_loop_stability", counted)
     benchmarks.run_scaling_sweep()
     assert len(calls) == 31  # the core loop and 30 sweep points
 

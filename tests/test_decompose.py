@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import grid_peak_oracle, transfer_close
+from conftest import criterion_07_triples, grid_peak_oracle, transfer_close
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.decompose import (
     ModalBlock,
     ModalDecomposition,
     _cluster_eigenvalues,
     _full_cluster_values,
+    _membership,
+    _modal_block,
     _representative,
     mode_importance,
     modal_form,
@@ -22,7 +24,13 @@ from ctred.errors import (
 )
 from ctred.gen import random_antistable, random_stable_minimal
 from ctred.norms import hinf_norm, linf_norm
-from ctred.statespace import add, frequency_response, make_system
+from ctred.statespace import (
+    StateSpaceSystem,
+    add,
+    frequency_response,
+    make_system,
+    zero_system,
+)
 from ctred.tolerances import CLUSTER_TOL, HINF_REL
 from ctred import linalg
 
@@ -283,3 +291,70 @@ def test_modal_form_matches_the_sequential_reference(rng):
         rel = np.abs(r_got - r_ref).max() / np.abs(r_ref).max()
         worst = max(worst, rel)
     assert worst <= 1e-10
+
+
+def _peel_per_cluster(sys_abc, select):
+    """One peel step through the public ``ordered_real_schur`` and
+    ``solve_sylvester``, which re-validate the matrices, re-detect the
+    Schur form and recompute the spectra (the route before modal_form
+    carried them from step to step)."""
+    a, b, c = sys_abc
+    form = linalg.ordered_real_schur(a, select)
+    k, n = form.n_selected, a.shape[0]
+    t, bt, ct, ev = form.T, form.Z.T @ b, c @ form.Z, form.eigenvalues
+    if k == 0 or k == n:
+        return ((t, bt, ct, ev), None) if k == n else (None, (t, bt, ct, ev))
+    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
+    x = linalg.solve_sylvester(t11, -t22, t12)
+    return ((t11, bt[:k] - x @ bt[k:], ct[:, :k], ev[:k]),
+            (t22, bt[k:], ct[:, k:] + ct[:, :k] @ x, ev[k:]))
+
+
+def _per_cluster_modal_form(k):
+    clusters = _cluster_eigenvalues(linalg.eigenvalues(k.A), CLUSTER_TOL)
+    values = [_full_cluster_values(c) for c in clusters]
+    labels = np.repeat(np.arange(len(values)), [v.size for v in values])
+    values = np.concatenate(values)
+    blocks = []
+    remaining = (k.A, k.B, k.C, linalg.eigenvalues(k.A))
+    for idx in range(len(clusters) - 1):
+        part, remaining = _peel_per_cluster(remaining[:3], _membership(labels == idx, values))
+        blocks.append(_modal_block(*part))
+    blocks.append(_modal_block(*remaining))
+    blocks.sort(key=lambda b: (b.eigenvalue.real, abs(b.eigenvalue.imag)))
+    return blocks
+
+
+def _per_cluster_split(k):
+    part1, part2 = _peel_per_cluster((k.A, k.B, k.C), lambda lam: lam.real < 0.0)
+    empty = zero_system(k.p, k.m)
+    stable = empty if part1 is None else StateSpaceSystem(*part1[:3], k.D)
+    unstable = empty if part2 is None else StateSpaceSystem(*part2[:3], empty.D)
+    return stable, unstable
+
+
+def _assert_same_as_per_cluster(k):
+    """modal_form and split_stable_unstable equal the per-cluster route
+    array for array (importance NaN where both are)."""
+    got, ref = modal_form(k).blocks, _per_cluster_modal_form(k)
+    assert len(got) == len(ref)
+    for bg, br in zip(got, ref):
+        for x, y in ((bg.A, br.A), (bg.B, br.B), (bg.C, br.C)):
+            assert np.array_equal(x, y)
+        assert bg.eigenvalue == br.eigenvalue
+        assert np.array_equal(bg.importance, br.importance, equal_nan=True)
+    split = split_stable_unstable(k)
+    for part, ref in zip((split.stable_part, split.unstable_part), _per_cluster_split(k)):
+        for x, y in zip((part.A, part.B, part.C, part.D), (ref.A, ref.B, ref.C, ref.D)):
+            assert np.array_equal(x, y)
+
+
+def test_modal_form_and_split_match_the_per_cluster_route(rng):
+    for draw in range(300):
+        _assert_same_as_per_cluster(_random_modal_system(rng, draw))
+
+
+def test_criterion_07_controllers_match_the_per_cluster_route():
+    for _, k, k_r in criterion_07_triples(120):
+        _assert_same_as_per_cluster(k)
+        _assert_same_as_per_cluster(k_r)

@@ -11,8 +11,10 @@ from ctred.benchmarks import bench_balanced_vs_modal_pair
 from ctred.decompose import _membership, modal_form
 from ctred.statespace import make_system
 from ctred.errors import (
+    ConvergenceError,
     DimensionError,
     NoStabilizingSolutionError,
+    ReorderingError,
     SeparationError,
     StabilityError,
 )
@@ -240,15 +242,16 @@ def test_sylvester_schur_pair_separation_error():
 
 def test_modal_form_makes_one_schur_reduction(monkeypatch, rng):
     # eight real stable poles: seven clusters to peel, eight first-order blocks
-    t = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
-    a = t @ np.diag(-np.arange(1.0, 9.0)) @ np.linalg.inv(t)
-    k = make_system(a, rng.standard_normal((8, 1)), rng.standard_normal((1, 8)))
+    k = _eight_real_poles(rng)
     gees = _counting(monkeypatch, sla, "schur")
     sylvester = _counting(monkeypatch, sla, "solve_sylvester")
     peak = _counting(monkeypatch, norms, "_peak_gain")
+    detect = _counting(monkeypatch, linalg, "_is_real_schur")
     md = modal_form(k)
     assert [b.order for b in md.blocks] == [1] * 8
     assert (len(gees), len(sylvester), len(peak)) == (1, 0, 0)
+    # later steps peel the trailing block they already know is in Schur form
+    assert len(detect) <= 1
 
 
 def test_ordered_schur_matches_sorted_gees_bit_for_bit(monkeypatch, rng):
@@ -377,3 +380,59 @@ def test_is_stable_reads_the_override(monkeypatch):
     monkeypatch.setenv("CTRED_TOL_STAB", "0.5")
     assert linalg.half_plane_tol(a) == 0.5
     assert not linalg.is_stable(a)
+
+
+def _eight_real_poles(rng):
+    """Eight real stable poles behind a random similarity: seven peel steps."""
+    t = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
+    a = t @ np.diag(-np.arange(1.0, 9.0)) @ np.linalg.inv(t)
+    return make_system(a, rng.standard_normal((8, 1)), rng.standard_normal((1, 8)))
+
+
+def _corrupt_second_call(monkeypatch, name, corrupt):
+    """Let LAPACK ``name`` run, but pass its second result through ``corrupt``:
+    the first call is modal_form's first step, the second a later peel step."""
+    real = getattr(sla.lapack, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        out = list(real(*args, **kwargs))
+        calls.append(name)
+        return tuple(corrupt(out) if len(calls) == 2 else out)
+
+    monkeypatch.setattr(sla.lapack, name, patched)
+    return calls
+
+
+def _set(index, change):
+    def corrupt(out):
+        out[index] = change(out[index])
+        return out
+    return corrupt
+
+
+@pytest.mark.parametrize("name, corrupt, error, message", [
+    ("dtrsen", _set(7, lambda info: 1), ReorderingError, "trsen info 1"),
+    ("dtrsen", _set(0, lambda t: t + 1e-6 * np.triu(np.ones_like(t))),
+     ReorderingError, "reconstruction residual"),
+    ("dtrsen", _set(4, lambda sdim: sdim + 1), ReorderingError, "partition is inconsistent"),
+    ("dtrsyl", _set(2, lambda info: 1), ConvergenceError, "trsyl info 1"),
+    ("dtrsyl", _set(1, lambda scale: 0.5), ConvergenceError, "scale 5.00e-01"),
+    ("dtrsyl", _set(0, lambda x: x + 1e-6), ConvergenceError, "Sylvester residual"),
+])
+def test_every_peel_step_is_checked(monkeypatch, rng, name, corrupt, error, message):
+    # modal_form peels with the checks of ordered_real_schur and
+    # solve_sylvester: a bad LAPACK result at a later step still raises
+    k = _eight_real_poles(rng)
+    calls = _corrupt_second_call(monkeypatch, name, corrupt)
+    with pytest.raises(error, match=message):
+        modal_form(k)
+    assert len(calls) == 2
+
+
+def test_peel_step_checks_the_spectral_gap(monkeypatch, rng):
+    # modal_form's own cluster gap passes; the Sylvester step's gap, read
+    # from the spectra the peel carries, refuses
+    monkeypatch.setattr(linalg, "SEP_REL", 1.0)
+    with pytest.raises(SeparationError, match="spectral gap"):
+        modal_form(_eight_real_poles(rng))

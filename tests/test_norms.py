@@ -330,7 +330,7 @@ def _bisection_upper_bound(s: StateSpaceSystem, gamma: float) -> bool:
 def _bisection_peak_gain(s: StateSpaceSystem) -> float:
     """Frozen reference: grid estimate, then doubling and Hamiltonian bisection."""
     d_gain = float(np.linalg.svd(s.D, compute_uv=False)[0])
-    grid_gains = np.linalg.svd(frequency_response(s, _initial_grid(s)), compute_uv=False)
+    grid_gains = np.linalg.svd(frequency_response(s, _initial_grid(s, linalg.eigenvalues(s.A))), compute_uv=False)
     estimate = max(float(grid_gains[:, 0].max()), d_gain)
     beta = float(np.linalg.norm(s.B))
     xi = float(np.linalg.norm(s.C))
@@ -381,9 +381,9 @@ def _recorded_fallback():
         evaluated.append(np.size(ws))
         return respond(s, ws)
 
-    def recording(s, ws, gains):
+    def recording(s, ws, gains, ev):
         evaluated.clear()
-        value = refine(s, ws, gains)
+        value = refine(s, ws, gains, ev)
         calls.append((s, value, sum(evaluated)))
         return value
 
@@ -400,7 +400,7 @@ def _dense_grid_peak_reference(s: StateSpaceSystem) -> float:
     def gains(ws):
         return np.linalg.svd(frequency_response(s, ws), compute_uv=False)[:, 0]
 
-    coarse = _initial_grid(s, points=2000)
+    coarse = _initial_grid(s, linalg.eigenvalues(s.A), points=2000)
     vals = gains(coarse)
     best = float(vals.max())
     for idx in np.argsort(vals)[::-1][:3]:
