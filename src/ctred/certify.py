@@ -162,10 +162,21 @@ def lqg_cost(g: StateSpaceSystem, k: StateSpaceSystem) -> float:
 
 def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     """Total cost and the four per-block squared-H2 contributions."""
-    fb = _stabilizing_four_block(g, k)
-    cols = [_h2_norms(fb.column(j), fb.row_blocks) for j in (0, 1)]
+    cols, whole = _four_block_h2(_stabilizing_four_block(g, k))
     parts = [cols[j][i] ** 2 for i in (0, 1) for j in (0, 1)]
-    return h2_norm(fb.system) ** 2, parts
+    return whole ** 2, parts
+
+
+def _four_block_h2(fb):
+    """H2 norms of the four blocks of ``fb``, as ``[[x, kx], [xk, ky]]`` by
+    input block, and of the whole map: three Gramians (input block 0,
+    input block 1, all inputs) on one Schur form of the closed-loop
+    matrix."""
+    every = slice(None)
+    *cols, (whole,) = _h2_norms(
+        fb.system, [(c, fb.row_blocks) for c in fb.col_blocks] + [(every, (every,))]
+    )
+    return cols, whole
 
 
 class _ErrorAnalysis:
@@ -349,11 +360,11 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
     The entries for Y use its identity feedthrough for the peak gain and
     its strictly proper part for the H2 entry (the raw H2 integral of a
     biproper function diverges).  The two H2 entries of each input block
-    share one Gramian; the cost keeps its own.
+    share one Gramian, the cost keeps its own, and the three share one
+    Schur form of the closed-loop matrix (:func:`_four_block_h2`).
     """
     fb = loop.fb
-    x_h2, kx_h2 = _h2_norms(fb.column(0), fb.row_blocks)
-    xk_h2, ky_h2 = _h2_norms(fb.column(1), fb.row_blocks)
+    ((x_h2, kx_h2), (xk_h2, ky_h2)), whole = _four_block_h2(fb)
     return {
         "x_h2": x_h2,
         "x_hinf": loop.x_hinf,
@@ -363,7 +374,7 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
         "ky_h2": ky_h2,
         "y_hinf": hinf_norm(fb.y),
         "y_h2": xk_h2,  # strictly proper part of Y = I + XK
-        "cost_original": h2_norm(fb.system) ** 2,
+        "cost_original": whole ** 2,
     }
 
 

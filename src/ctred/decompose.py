@@ -17,7 +17,9 @@ left half-plane for the stable/antistable split) and runs the checked
 reordering and Sylvester steps of :mod:`ctred.linalg`, the same ones behind
 :func:`~ctred.linalg.ordered_real_schur` and
 :func:`~ctred.linalg.solve_sylvester`, without detecting the Schur form or
-recomputing a spectrum again.
+recomputing a spectrum again.  The clustering of :func:`modal_form` and
+the axis check of :func:`split_stable_unstable` read the spectrum of that
+one reduction too, so neither runs a separate eigen-solve.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import AxisPoleError, SeparationError, ZeroModeError
@@ -80,19 +81,19 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
     Every eigenvalue must be bounded away from the imaginary axis; the
     feedthrough (if any) stays with the stable part.
     """
+    empty = zero_system(k.p, k.m)
+    if k.n == 0:
+        return StableUnstableSplit(k, empty)
+    schur = linalg._real_schur(k.A)
     tol = linalg.half_plane_tol(k.A)
-    ev = linalg.eigenvalues(k.A)
-    if np.any(np.abs(ev.real) <= tol):
+    if np.any(np.abs(schur[2].real) <= tol):
         raise AxisPoleError(
             "stable/antistable split is ill-posed: eigenvalue within "
             f"{tol:.1e} of the imaginary axis"
         )
-    empty = zero_system(k.p, k.m)
-    if k.n == 0:
-        return StableUnstableSplit(k, empty)
     try:
         part1, part2 = _decouple_leading(
-            (k.A, k.B, k.C), linalg._real_schur(k.A), lambda ev: ev.real < 0.0
+            (k.A, k.B, k.C), schur, lambda ev: ev.real < 0.0
         )
     except SeparationError as exc:
         raise SeparationError(f"ill-conditioned stable/antistable split: {exc}") from exc
@@ -135,7 +136,12 @@ class ModalDecomposition:
         blocks = [self.blocks[i] for i in idx]
         if not blocks:
             return zero_system(self.p, self.m)
-        a = sla.block_diag(*[b.A for b in blocks])
+        n = sum(b.order for b in blocks)
+        a = np.zeros((n, n))
+        i = 0
+        for b in blocks:
+            a[i:i + b.order, i:i + b.order] = b.A
+            i += b.order
         bmat = np.vstack([b.B for b in blocks])
         c = np.hstack([b.C for b in blocks])
         return StateSpaceSystem(a, bmat, c, np.zeros((self.p, self.m)))
@@ -210,8 +216,8 @@ def modal_form(k: StateSpaceSystem, cluster_tol: float = CLUSTER_TOL) -> ModalDe
     block; distinct clusters must be separated well enough for the
     Sylvester decoupling.  Blocks are sorted by ascending real part.
     """
-    ev = linalg.eigenvalues(k.A)
-    clusters = _cluster_eigenvalues(ev, cluster_tol)
+    schur = linalg._real_schur(k.A)
+    clusters = _cluster_eigenvalues(schur[2], cluster_tol)
     if not clusters:
         return ModalDecomposition((), m=k.m, p=k.p)
     # pairwise separation between clusters, over conjugate-closed value sets
@@ -230,11 +236,11 @@ def modal_form(k: StateSpaceSystem, cluster_tol: float = CLUSTER_TOL) -> ModalDe
         )
 
     blocks: list[ModalBlock] = []
-    remaining = (k.A, k.B, k.C, ev)
+    remaining = (k.A, k.B, k.C, schur[2])
     for idx in range(len(clusters) - 1):
-        # one Schur reduction; every later step peels the trailing Schur block
-        t = remaining[0]
-        schur = (t, np.eye(t.shape[0]), remaining[3]) if idx else linalg._real_schur(t)
+        if idx:  # every step after the one reduction peels the trailing Schur block
+            t = remaining[0]
+            schur = (t, np.eye(t.shape[0]), remaining[3])
         part, remaining = _decouple_leading(
             remaining[:3], schur, _membership(labels == idx, values)
         )

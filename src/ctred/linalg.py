@@ -24,6 +24,13 @@ residual and the partition of the reordered spectrum) and
 ``_solve_sylvester`` (the spectral gap, the ``trsyl`` info and scale, and
 the residual).  Every check of a reordering or a Sylvester solve lives in
 one of them.
+
+Every Lyapunov solve of the package goes through one checked kernel,
+``_gramians``: all Gramians of one state matrix from one real Schur form
+(Bartels-Stewart), which is the matrix itself, or its negated transpose,
+when the stable/antistable split left it in that form.  Its stability
+test reads the Schur diagonal, so no separate eigen-solve runs.
+:func:`solve_lyapunov` is boundary validation around it.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return m
 
@@ -227,6 +234,59 @@ def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
     return _reorder_schur(m, *_real_schur(m), rule)
 
 
+def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
+              observability: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
+    """Solutions of ``A X + X A^T + Q = 0`` for each ``Q`` in
+    ``controllability``, then of ``A^T X + X A + Q = 0`` for each ``Q`` in
+    ``observability``, all from one real Schur form ``A = Z T Z^T``
+    (Bartels and Stewart 1972: one Schur form, then a triangular ``trsyl``
+    solve per equation).
+
+    ``a`` is a validated square matrix and every ``Q`` a symmetric matrix
+    of its shape.  ``T`` is ``A`` itself when it is in real Schur canonical
+    form, ``-A^T`` (solved with the transposed ``trsyl`` operations) when
+    that is, as for the mirror of an antistable part, and one ``gees``
+    otherwise.  The diagonal of ``T`` holds the real parts of the
+    eigenvalues.  Raises :class:`StabilityError` unless they all lie more
+    than :func:`half_plane_tol` of ``A`` left of the imaginary axis, and
+    :class:`ConvergenceError` when ``trsyl`` fails (info or scale) or a
+    residual exceeds ``LYAP_RESID`` relative to ``max(1, ||Q||)``.
+    """
+    if not a.shape[0]:
+        return [np.zeros((0, 0)) for _ in (*controllability, *observability)]
+    z, sign = None, 1.0
+    if _is_real_schur(a):
+        t = a
+    elif _is_real_schur(-a.T):
+        t, sign = -a.T, -1.0
+    else:
+        t, z = sla.schur(a, output="real")
+    if not (sign * t.diagonal()).max() < -half_plane_tol(a):
+        raise StabilityError("A must have all eigenvalues strictly in the left half-plane")
+
+    solutions = []
+    for q, adjoint in [(q, False) for q in controllability] + [(q, True) for q in observability]:
+        q = 0.5 * (q + q.T)
+        # A X + X A^T = -Q is T Y + Y T^T = -Z^T Q Z with X = Z Y Z^T; the
+        # adjoint equation and the mirror T = -A^T each transpose the
+        # triangular operations (the mirror also flips the sign)
+        f = -sign * q if z is None else z.T @ (-q @ z)
+        trana, tranb = ("T", "N") if adjoint != (sign < 0.0) else ("N", "T")
+        y, scale, info = sla.lapack.dtrsyl(t, t, f, trana=trana, tranb=tranb)
+        if info != 0 or scale != 1.0:
+            raise ConvergenceError(
+                f"triangular Lyapunov solve failed (trsyl info {info}, scale {scale:.2e})"
+            )
+        x = y if z is None else z @ y @ z.T
+        x = 0.5 * (x + x.T)
+        op = a.T if adjoint else a
+        resid = np.linalg.norm(op @ x + x @ op.T + q)
+        if resid > LYAP_RESID * max(1.0, np.linalg.norm(q)):
+            raise ConvergenceError(f"Lyapunov residual {resid:.2e} exceeds tolerance")
+        solutions.append(x)
+    return solutions
+
+
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve ``A X + X A^T + Q = 0`` for stable ``A`` and symmetric ``Q``."""
     am = as_matrix(a, "A")
@@ -237,17 +297,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
         raise DimensionError(f"A {am.shape} and Q {qm.shape} must match")
     if qm.size and np.linalg.norm(qm - qm.T) > 1e-8 * max(1.0, np.linalg.norm(qm)):
         raise DimensionError("Q must be symmetric")
-    if am.shape[0] == 0:
-        return np.zeros((0, 0))
-    if not is_stable(am):
-        raise StabilityError("A must have all eigenvalues strictly in the left half-plane")
-    qm = 0.5 * (qm + qm.T)
-    x = sla.solve_continuous_lyapunov(am, -qm)
-    x = 0.5 * (x + x.T)
-    resid = np.linalg.norm(am @ x + x @ am.T + qm)
-    if resid > LYAP_RESID * max(1.0, np.linalg.norm(qm)):
-        raise ConvergenceError(f"Lyapunov residual {resid:.2e} exceeds tolerance")
-    return x
+    return _gramians(am, (qm,))[0]
 
 
 def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray,

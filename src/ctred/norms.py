@@ -24,8 +24,10 @@ value of a response with one row or one column is its 2-norm, so only
 true MIMO responses need an SVD.  Each level of the iteration costs one
 solve with ``R = gamma^2 I - D^T D`` and one Hamiltonian eigen-solve.
 
-The H2 norm reads one controllability Gramian; systems that share ``A``
-and ``B`` and differ in their output rows share it too.
+The H2 norm reads one controllability Gramian; blocks of a system that
+share its input columns and differ in their output rows share it too,
+and the Gramians of different input columns share one real Schur form of
+``A`` (:func:`~ctred.linalg._gramians`, Bartels-Stewart).
 """
 
 from __future__ import annotations
@@ -39,28 +41,34 @@ from .statespace import StateSpaceSystem, frequency_response
 from .tolerances import HAM_AXIS, HINF_MAX_ITER, HINF_REL
 
 
-def _h2_norms(s: StateSpaceSystem, rows=(slice(None),)) -> list[float]:
-    """H2 norms of the output-row blocks ``s.C[r]`` for ``r`` in ``rows``.
+def _h2_norms(s: StateSpaceSystem,
+              blocks=((slice(None), (slice(None),)),)) -> list[list[float]]:
+    """H2 norms of blocks ``C[r] (sI - A)^{-1} B[:, c]`` of ``s``.
 
-    Every block shares ``A`` and ``B``, so one controllability Gramian
-    serves them all.  ``s`` must be stable and strictly proper.  A trace
-    ``tr(C Wc C^T)`` that rounds below zero is clipped to 0.
+    Each of ``blocks`` is ``(c, rows)``: an input-column selection and the
+    output-row selections ``r`` read with it (by default the whole
+    system); one list of norms is returned per block.  Each ``c`` takes one
+    controllability Gramian, which its rows share, and every Gramian
+    shares one Schur form of ``A``.  ``s`` must be stable and strictly
+    proper.  A trace ``tr(C Wc C^T)`` that rounds below zero is clipped to
+    0.
     """
     if np.any(s.D):
         raise UnsupportedError("H2 norm requires a strictly proper system (D = 0)")
     if s.n == 0:
-        return [0.0] * len(rows)
+        return [[0.0] * len(rows) for _, rows in blocks]
     try:
-        wc = linalg.solve_lyapunov(s.A, s.B @ s.B.T)
+        gramians = linalg._gramians(s.A, [s.B[:, c] @ s.B[:, c].T for c, _ in blocks])
     except StabilityError as exc:
         raise StabilityError("H2 norm requires a stable system") from exc
-    traces = [float(np.trace(s.C[r] @ wc @ s.C[r].T)) for r in rows]
-    return [float(np.sqrt(max(val, 0.0))) for val in traces]
+    traces = [[float(np.trace(s.C[r] @ wc @ s.C[r].T)) for r in rows]
+              for wc, (_, rows) in zip(gramians, blocks)]
+    return [[float(np.sqrt(max(val, 0.0))) for val in vals] for vals in traces]
 
 
 def h2_norm(s: StateSpaceSystem) -> float:
     """H2 norm of a stable strictly proper system via the controllability Gramian."""
-    return _h2_norms(s)[0]
+    return _h2_norms(s)[0][0]
 
 
 def _largest_singular_values(resp: np.ndarray) -> np.ndarray:

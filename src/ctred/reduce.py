@@ -8,9 +8,12 @@ the split that gives the certificates a transfer function's unstable
 poles (:func:`split_cancelled_unstable`) also live here.
 
 Every Gramian is factored in one place, the Hankel pass
-(:func:`_hankel_pass`: two Lyapunov solves, eigen square roots and one
-SVD).  The balancing transform, the Hankel-sum bounds and the rounding
-floor below which Hankel values are noise all read that pass.
+(:func:`_hankel_pass`: both Gramians from one real Schur form of the
+state matrix, eigen square roots and one SVD).  The parts the
+stable/antistable split leaves are already in Schur form, so their
+Gramians take only triangular solves.  The balancing transform, the
+Hankel-sum bounds and the rounding floor below which Hankel values are
+noise all read that pass.
 """
 
 from __future__ import annotations
@@ -241,10 +244,18 @@ class _HankelPass(NamedTuple):
 
 
 def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
-    """One Gramian solve and SVD of a stable part (may be non-minimal)."""
+    """Both Gramians of a stable part (may be non-minimal) from one Schur
+    form of its state matrix, their eigen square roots and one SVD.
+
+    A part that :func:`~ctred.decompose.split_stable_unstable` left, or
+    its mirror, is already in Schur form (or is the negated transpose of
+    one), so its Gramians take only triangular solves
+    (:func:`~ctred.linalg._gramians`).
+    """
     if s.n:
-        zc, zc_norm = _gramian_factor(linalg.solve_lyapunov(s.A, s.B @ s.B.T))
-        zo, zo_norm = _gramian_factor(linalg.solve_lyapunov(s.A.T, s.C.T @ s.C))
+        wc, wo = linalg._gramians(s.A, (s.B @ s.B.T,), (s.C.T @ s.C,))
+        zc, zc_norm = _gramian_factor(wc)
+        zo, zo_norm = _gramian_factor(wo)
         if zc.shape[1] and zo.shape[1]:
             u, sv, vt = np.linalg.svd(zo.T @ zc, full_matrices=False)
             # Gramian rounding noise was observed up to ~1e3 eps times the

@@ -242,13 +242,6 @@ class FourBlockMap:
         """Input columns of blocks 0 (state noise) and 1 (measurement noise)."""
         return slice(0, self.m), slice(self.m, self.m + self.p)
 
-    def column(self, j: int) -> StateSpaceSystem:
-        """Subsystem for input block ``j`` (0-based) and both output blocks."""
-        if j not in (0, 1):
-            raise DimensionError("block indices must be 0 or 1")
-        s, cols = self.system, self.col_blocks[j]
-        return StateSpaceSystem(s.A, s.B[:, cols], s.C, s.D[:, cols])
-
     def block(self, i: int, j: int) -> StateSpaceSystem:
         """Subsystem for output block ``i`` and input block ``j`` (0-based)."""
         if i not in (0, 1) or j not in (0, 1):

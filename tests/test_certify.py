@@ -104,19 +104,47 @@ def test_lqg_cost_blocks_match_h2_of_each_block(balmod, unstable_pair):
 def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair,
                                                            monkeypatch):
     # x and kx share the first input block, xk and ky the second, and the
-    # cost keeps its own solve: three Lyapunov solves per loop
+    # cost keeps its own Gramian: one kernel call with three right-hand
+    # sides per loop
     for g, k in (balmod, unstable_pair):
         loop = certify._LoopAnalysis(g, k)
-        calls = {}
+        calls = []
+        original = linalg._gramians
+
+        def counted(a, controllability, observability=()):
+            calls.append((len(controllability), len(observability)))
+            return original(a, controllability, observability)
+
         with monkeypatch.context() as mp:
-            _count_calls(mp, linalg, "solve_lyapunov", calls)
+            mp.setattr(linalg, "_gramians", counted)
             q = loop.quantities()
-        assert calls == {"solve_lyapunov": 3}
+        assert calls == [(3, 0)]
         fb = loop.fb
         for name, block in (("x_h2", fb.x), ("kx_h2", fb.kx), ("xk_h2", fb.xk),
                             ("ky_h2", fb.ky)):
             assert q[name] == h2_norm(block), name
         assert q["cost_original"] == h2_norm(fb.system) ** 2
+
+
+def test_loop_analysis_makes_one_schur_form(balmod, unstable_pair, monkeypatch):
+    # the three loop Gramians share one real Schur form of the closed-loop
+    # matrix, and no other quantity of the loop makes one; lqg_cost_blocks
+    # reads the same three Gramians
+    for g, k in (balmod, unstable_pair):
+        loop = certify._LoopAnalysis(g, k)
+        calls, original = [], linalg.sla.schur
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return original(a, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg.sla, "schur", counted)
+            loop.quantities()
+            assert len(calls) == 1
+            lqg_cost_blocks(g, k)
+        assert len(calls) == 2
+        assert all(np.array_equal(a, loop.fb.system.A) for a in calls)
 
 
 def test_lqg_cost_quadrature_oracle(balmod):

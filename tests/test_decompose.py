@@ -123,6 +123,10 @@ def test_modal_form_mixed_random(rng):
     md = modal_form(s)
     assert [b.order for b in md.blocks] == [1, 2, 1]
     assert transfer_close(md.rebuild(), s, 1e-7)
+    # the kept blocks fill a block-diagonal state matrix, in the given order
+    for keep in (None, [2, 1], [1]):
+        kept = md.blocks if keep is None else [md.blocks[i] for i in keep]
+        assert np.array_equal(md.rebuild(keep).A, sla.block_diag(*[b.A for b in kept]))
     ev = np.sort_complex(np.concatenate([linalg.eigenvalues(b.A) for b in md.blocks]))
     assert np.max(np.abs(ev - linalg.eigenvalues(s.A))) < 1e-9
 

@@ -330,19 +330,25 @@ def test_poly_roots_keeps_small_complex_coefficients():
 
 def test_gramians_are_factored_in_one_place():
     # the Hankel pass is the one Gramian factorization of reduce.py: no
-    # module takes a Cholesky factor, and no other reduce.py function
-    # solves a Lyapunov equation
+    # module takes a Cholesky factor, no other reduce.py function solves a
+    # Lyapunov equation, and every Lyapunov solve of the package goes
+    # through the Gramian kernel (no module calls scipy's solver)
     package = Path(linalg.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line}" for line in _calls(tree, "cholesky")]
+        offenders += [f"{path.name}:{line}"
+                      for line in _calls(tree, "solve_continuous_lyapunov")]
         if path.name == "reduce.py":
+            solves = [line for name in ("_gramians", "solve_lyapunov")
+                      for line in _calls(tree, name)]
             allowed = {line for node in tree.body
                        if isinstance(node, ast.FunctionDef) and node.name == "_hankel_pass"
-                       for line in _calls(node, "solve_lyapunov")}
-            offenders += [f"{path.name}:{line}" for line in _calls(tree, "solve_lyapunov")
-                          if line not in allowed]
+                       for name in ("_gramians", "solve_lyapunov")
+                       for line in _calls(node, name)}
+            assert allowed, "_hankel_pass no longer solves for the Gramians"
+            offenders += [f"{path.name}:{line}" for line in solves if line not in allowed]
     assert offenders == []
 
 
@@ -436,3 +442,95 @@ def test_peel_step_checks_the_spectral_gap(monkeypatch, rng):
     monkeypatch.setattr(linalg, "SEP_REL", 1.0)
     with pytest.raises(SeparationError, match="spectral gap"):
         modal_form(_eight_real_poles(rng))
+
+
+def _shifted_draw(rng, n):
+    """Random n x n matrix with complex eigenvalues, shifted so its spectral
+    abscissa lies 0.3 to 2 left of the imaginary axis."""
+    m = rng.standard_normal((n, n)) / np.sqrt(n)
+    return m - (np.linalg.eigvals(m).real.max() + rng.uniform(0.3, 2.0)) * np.eye(n)
+
+
+def _counted_schur(mp):
+    """Record the arguments of every ``scipy.linalg.schur`` call."""
+    calls, original = [], sla.schur
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    mp.setattr(sla, "schur", counted)
+    return calls
+
+
+@pytest.mark.parametrize("form", ["schur", "mirror", "general"])
+def test_gramian_kernel_matches_scipy(rng, monkeypatch, form):
+    # both Gramians from one Schur form: A itself, the mirror T = -A^T, or
+    # one gees; each matches scipy's solver to 1e-12 relative
+    blocks = taken = 0
+    for _ in range(130):
+        n = int(rng.integers(1, 17))
+        if form == "schur":
+            a = sla.schur(_shifted_draw(rng, n), output="real")[0]
+        elif form == "mirror":
+            a = -sla.schur(-_shifted_draw(rng, n), output="real")[0].T
+        else:
+            a = _shifted_draw(rng, n)
+        # an order-1 matrix, or one 2x2 block, is also its own Schur form
+        path = ("schur" if linalg._is_real_schur(a) else
+                "mirror" if linalg._is_real_schur(-a.T) else "general")
+        taken += path == form
+        blocks += int(np.count_nonzero(np.diag(a, -1 if form == "schur" else 1)))
+        b = rng.standard_normal((n, 2))
+        c = rng.standard_normal((3, n))
+        with monkeypatch.context() as mp:
+            calls = _counted_schur(mp)
+            wc, wo = linalg._gramians(a, (b @ b.T,), (c.T @ c,))
+        assert len(calls) == (path == "general")
+        for x, ref in ((wc, sla.solve_continuous_lyapunov(a, -b @ b.T)),
+                       (wo, sla.solve_continuous_lyapunov(a.T, -c.T @ c))):
+            assert np.array_equal(x, x.T)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert taken >= 100
+    if form != "general":
+        assert blocks > 100  # the draws have 2x2 blocks
+
+
+@pytest.mark.parametrize("form", ["schur", "mirror", "general"])
+def test_gramian_kernel_refuses_an_unstable_matrix(rng, form):
+    # stability is read from the Schur diagonal against half_plane_tol(A)
+    t = sla.schur(_shifted_draw(rng, 6), output="real")[0]
+    for shift in (0.0, -1e-9):  # an eigenvalue on the axis, or within the tolerance
+        lead = t - (t[0, 0] + shift) * np.eye(6)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        a = {"schur": lead, "mirror": -lead.T, "general": q @ lead @ q.T}[form]
+        with pytest.raises(StabilityError, match="left half-plane"):
+            linalg._gramians(a, (np.eye(6),))
+        with pytest.raises(StabilityError, match="left half-plane"):
+            linalg.solve_lyapunov(a, np.eye(6))
+
+
+@pytest.mark.parametrize("form", ["schur", "mirror", "general"])
+@pytest.mark.parametrize("corrupt, message", [
+    (_set(2, lambda info: 1), "trsyl info 1"),
+    (_set(1, lambda scale: 0.5), "scale 5.00e-01"),
+    (_set(0, lambda x: x + 1e-6), "Lyapunov residual"),
+])
+def test_every_gramian_solve_is_checked(monkeypatch, rng, form, corrupt, message):
+    # a bad trsyl result raises, whichever Schur form the kernel took
+    m = _shifted_draw(rng, 6)
+    a = {"schur": sla.schur(m, output="real")[0],
+         "mirror": -sla.schur(-m, output="real")[0].T, "general": m}[form]
+    real = sla.lapack.dtrsyl
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(kwargs)
+        return tuple(corrupt(list(real(*args, **kwargs))))
+
+    monkeypatch.setattr(sla.lapack, "dtrsyl", patched)
+    with pytest.raises(ConvergenceError, match=message):
+        linalg._gramians(a, (np.eye(6),))
+    with pytest.raises(ConvergenceError, match=message):
+        linalg.solve_lyapunov(a, np.eye(6))
+    assert len(calls) == 2

@@ -83,16 +83,17 @@ def _counted(mp, owner, name) -> list:
 
 
 def test_h2_row_blocks_share_one_gramian(rng, monkeypatch):
-    # each row block's norm equals h2_norm of that block bit for bit
+    # each row block's norm equals h2_norm of that block bit for bit; the
+    # Gramian kernel runs once, for one right-hand side
     s = random_stable_minimal(rng, 5, m=2, p=3)
     rows = (slice(0, 1), slice(1, 3), slice(None))
     with monkeypatch.context() as mp:
-        solves = _counted(mp, linalg, "solve_lyapunov")
-        got = norms._h2_norms(s, rows)
-    assert len(solves) == 1
+        solves = _counted(mp, linalg, "_gramians")
+        [got] = norms._h2_norms(s, [(slice(None), rows)])
+    assert [len(args[1]) for args in solves] == [1]
     for r, value in zip(rows, got):
         assert value == h2_norm(StateSpaceSystem(s.A, s.B, s.C[r], s.D[r]))
-    assert norms._h2_norms(zero_system(3, 2), rows) == [0.0, 0.0, 0.0]
+    assert norms._h2_norms(zero_system(3, 2), [(slice(None), rows)]) == [[0.0, 0.0, 0.0]]
 
 
 def _svd_sigma_max(s, ws):

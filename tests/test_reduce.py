@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import transfer_close
 from ctred import linalg
@@ -14,6 +15,7 @@ from ctred.errors import (
 from ctred.gen import random_antistable, random_stable_minimal
 from ctred.norms import hinf_norm, linf_norm
 from ctred.reduce import (
+    _hankel_pass,
     balance,
     balanced_truncate,
     balanced_truncate_unstable,
@@ -24,7 +26,7 @@ from ctred.reduce import (
     mode_ranking,
     split_cancelled_unstable,
 )
-from ctred.statespace import add, make_system, negate, series
+from ctred.statespace import add, make_system, mirror, negate, series
 
 
 def balanced_fixture(sigmas, b=None):
@@ -343,3 +345,32 @@ def test_stability_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("CTRED_TOL_STAB", "1e-3")
     stable2, _ = is_internally_stable(g, k)
     assert not stable2
+
+
+def test_split_born_hankel_pass_makes_no_eigen_solve(rng, monkeypatch):
+    # the parts of the stable/antistable split are in real Schur form (the
+    # antistable part's mirror is its negated transpose), so their Hankel
+    # passes take triangular solves only: no gees and no geev
+    for _ in range(20):
+        n1, n2 = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        stable = rng.standard_normal((n1, n1)) - 2.5 * np.eye(n1)
+        anti = rng.standard_normal((n2, n2)) + 2.5 * np.eye(n2)
+        q, _ = np.linalg.qr(rng.standard_normal((n1 + n2, n1 + n2)))
+        a = q @ sla.block_diag(stable, anti) @ q.T
+        k = make_system(a, rng.standard_normal((n1 + n2, 2)), rng.standard_normal((2, n1 + n2)))
+        split = split_stable_unstable(k)
+        parts = (split.stable_part, mirror(split.unstable_part))
+        calls = []
+        with monkeypatch.context() as mp:
+            for owner, name in ((sla, "schur"), (np.linalg, "eigvals")):
+                original = getattr(owner, name)
+                mp.setattr(owner, name,
+                           lambda *args, f=original, name=name, **kw: calls.append(name)
+                           or f(*args, **kw))
+            passes = [_hankel_pass(part) for part in parts]
+        assert calls == []
+        for part, hp in zip(parts, passes):
+            wc = sla.solve_continuous_lyapunov(part.A, -part.B @ part.B.T)
+            wo = sla.solve_continuous_lyapunov(part.A.T, -part.C.T @ part.C)
+            ref = np.sqrt(np.sort(np.linalg.eigvals(wc @ wo).real)[::-1])
+            np.testing.assert_allclose(hp.sigma, ref[:hp.sigma.size], rtol=1e-8)
