@@ -581,7 +581,7 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     raw_ev = linalg.eigenvalues(delta_raw.A)
     if raw_ev.size and np.min(np.abs(raw_ev)) <= linalg.half_plane_tol(delta_raw.A):
         raise ZeroModeError("error system has a pole at the origin")
-    if linalg.is_stable(delta_raw.A):
+    if linalg._stability(delta_raw.A, raw_ev)[0]:
         stable, anti = delta_raw, zero_system(delta_raw.p, delta_raw.m)
     else:
         # keep genuine unstable modes, drop the exactly cancelled copies

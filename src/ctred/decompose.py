@@ -42,7 +42,7 @@ def _decouple_leading(sys_abc, schur, rule):
     eigenvalue array to a mask.  Returns ``((A1,B1,C1,ev1), (A2,B2,C2,ev2))``
     where the first part carries the selected eigenvalues ``ev1``; an empty
     part is ``None``.  Both state matrices are in real Schur form, so the
-    second part with ``(A2, I, ev2)`` is the Schur form of the next step.
+    second part with ``(A2, None, ev2)`` is the Schur form of the next step.
     Off-diagonal coupling is removed by a triangular Sylvester solve on the
     known spectra, so the two parts sum to the original transfer function.
     """
@@ -58,7 +58,7 @@ def _decouple_leading(sys_abc, schur, rule):
         parts = ((t, bt, ct, ev), None) if k == n else (None, (t, bt, ct, ev))
         return parts
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    x = linalg._solve_sylvester(t11, -t22, t12, ev[:k], -ev[k:], schur_pair=True)
+    x = linalg._solve_sylvester(t11, -t22, t12, (t11, None, ev[:k]), (-t22, None, -ev[k:]))
     # similarity [[I, X],[0, I]] zeroes the coupling; transform B and C along
     b1 = bt[:k] - x @ bt[k:]
     b2 = bt[k:]
@@ -209,15 +209,15 @@ def _full_cluster_values(cluster) -> np.ndarray:
     return np.array(vals)
 
 
-def modal_form(k: StateSpaceSystem, cluster_tol: float = CLUSTER_TOL) -> ModalDecomposition:
+def modal_form(k: StateSpaceSystem) -> ModalDecomposition:
     """Decompose a system into decoupled eigenvalue blocks.
 
-    Eigenvalues closer than ``cluster_tol`` (relative) are kept in one
+    Eigenvalues closer than ``CLUSTER_TOL`` (relative) are kept in one
     block; distinct clusters must be separated well enough for the
     Sylvester decoupling.  Blocks are sorted by ascending real part.
     """
     schur = linalg._real_schur(k.A)
-    clusters = _cluster_eigenvalues(schur[2], cluster_tol)
+    clusters = _cluster_eigenvalues(schur[2], CLUSTER_TOL)
     if not clusters:
         return ModalDecomposition((), m=k.m, p=k.p)
     # pairwise separation between clusters, over conjugate-closed value sets
@@ -239,8 +239,7 @@ def modal_form(k: StateSpaceSystem, cluster_tol: float = CLUSTER_TOL) -> ModalDe
     remaining = (k.A, k.B, k.C, schur[2])
     for idx in range(len(clusters) - 1):
         if idx:  # every step after the one reduction peels the trailing Schur block
-            t = remaining[0]
-            schur = (t, np.eye(t.shape[0]), remaining[3])
+            schur = (remaining[0], None, remaining[3])
         part, remaining = _decouple_leading(
             remaining[:3], schur, _membership(labels == idx, values)
         )

@@ -1,36 +1,29 @@
 """Dense linear-algebra kernels.
 
-Eigenvalues, ordered real Schur decomposition, Lyapunov/Sylvester solvers
-(Bartels-Stewart, via LAPACK) and a continuous algebraic Riccati solver
-built on the ordered Schur form of the Hamiltonian.  All functions accept
-and return plain ``numpy`` arrays of float64 and validate their inputs.
+Eigenvalues, ordered real Schur forms, and Lyapunov, Sylvester and
+continuous algebraic Riccati solvers.  All functions accept and return
+plain ``numpy`` arrays of float64 and validate their inputs.
 
 Every eigenvalue classification of the package (stable, antistable or on
 the imaginary axis) reads one tolerance, :func:`half_plane_tol`, and
 :func:`is_stable` is the package's one stability test of a state matrix.
 
-:func:`ordered_real_schur` reorders with one LAPACK ``trsen`` call, after
-an unsorted Hessenberg-QR sweep for an input not yet in real Schur
-canonical form (``gees`` with sorting is the same two steps).  Inputs
-already in that form skip the sweep, and :func:`solve_sylvester` only
-back-substitutes on them (``trsyl``), as in Bavely and Stewart's block
-diagonalization, where every reduction after the first starts from a
-Schur form.
+Every matrix equation is solved after Bartels and Stewart (1972): one real
+Schur form per operand (``_real_schur``: a matrix in real Schur canonical
+form is its own, any other takes one unsorted Hessenberg-QR sweep), then
+one checked triangular step, ``_trsyl`` (LAPACK ``trsyl``, its info and
+scale), and one acceptance rule, ``_check_residual`` (``||R|| <= tol *
+max(1, ||rhs||)``, with the tolerance of each equation).  Every Lyapunov
+solve is ``_gramians``: all Gramians of one state matrix from one Schur
+form, the matrix itself or its negated transpose when the stable/antistable
+split left it in that form.  ``_solve_sylvester`` serves
+:func:`solve_sylvester` and :mod:`ctred.decompose`, which hands it the
+Schur blocks it carries.  No scipy Lyapunov or Sylvester solver runs.
 
-Both are boundary validation around two checked steps, which
-:mod:`ctred.decompose` also calls directly on the Schur blocks and spectra
-it carries: ``_reorder_schur`` (the ``trsen`` info, the reconstruction
-residual and the partition of the reordered spectrum) and
-``_solve_sylvester`` (the spectral gap, the ``trsyl`` info and scale, and
-the residual).  Every check of a reordering or a Sylvester solve lives in
-one of them.
-
-Every Lyapunov solve of the package goes through one checked kernel,
-``_gramians``: all Gramians of one state matrix from one real Schur form
-(Bartels-Stewart), which is the matrix itself, or its negated transpose,
-when the stable/antistable split left it in that form.  Its stability
-test reads the Schur diagonal, so no separate eigen-solve runs.
-:func:`solve_lyapunov` is boundary validation around it.
+Reordering is one LAPACK ``trsen`` call, checked in ``_reorder_schur``
+(its info, the reconstruction residual and the partition of the reordered
+spectrum); :func:`solve_care` reorders the one Schur form of its
+Hamiltonian, whose spectrum its axis test reads.
 """
 
 from __future__ import annotations
@@ -176,10 +169,11 @@ def _real_schur(m: np.ndarray):
     """Real Schur form ``(T, Z, ev)`` of a square matrix, ``m = Z T Z^T``,
     with ``ev`` the spectrum of ``T``'s diagonal blocks.
 
-    A matrix already in real Schur canonical form is its own ``T``; any
-    other takes an unsorted Hessenberg-QR sweep (``gees``).
+    A matrix already in real Schur canonical form is its own ``T``, with
+    ``Z`` ``None`` for the identity; any other takes an unsorted
+    Hessenberg-QR sweep (``gees``).
     """
-    t, z = (m, np.eye(m.shape[0])) if _is_real_schur(m) else sla.schur(m, output="real")
+    t, z = (m, None) if _is_real_schur(m) else sla.schur(m, output="real")
     return t, z, _block_eigenvalues(t)
 
 
@@ -188,13 +182,17 @@ def _reorder_schur(m: np.ndarray, t: np.ndarray, z: np.ndarray, ev: np.ndarray,
     """Move the eigenvalues that ``rule`` selects to the front of the real
     Schur form ``m = z t z^T`` with one ``trsen`` call, and check the result.
 
-    ``ev`` is the diagonal spectrum of ``t``; ``rule`` maps an array of
+    ``z`` is ``None`` when ``m`` is its own Schur form ``t``, ``ev`` is the
+    diagonal spectrum of ``t``, and ``rule`` maps an array of
     eigenvalues to a boolean mask.  Raises :class:`ReorderingError` when
     ``trsen`` fails, when ``Z T Z^T`` misses ``m`` by more than
     ``SCHUR_RESID``, or when the reordered spectrum does not split cleanly
     under ``rule`` (selected eigenvalues first, the others after).
     """
+    if m.shape[0] == 0:
+        return SchurForm(m.copy(), np.eye(0), ev, 0)
     chosen = rule(ev).astype(np.int32)
+    z = np.eye(m.shape[0]) if z is None else z
     t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, t, z, job="N")
     if info != 0:
         raise ReorderingError(f"Schur reordering failed (trsen info {info})")
@@ -225,13 +223,31 @@ def ordered_real_schur(a, select: Callable[[complex], bool]) -> SchurForm:
     """
     m = as_matrix(a, "A")
     _require_square(m, "A")
-    if m.shape[0] == 0:
-        return SchurForm(m.copy(), np.eye(0), np.array([], dtype=complex), 0)
 
     def rule(ev):
         return np.array([bool(select(v)) for v in ev], dtype=bool)
 
     return _reorder_schur(m, *_real_schur(m), rule)
+
+
+def _trsyl(a: np.ndarray, b: np.ndarray, f: np.ndarray, equation: str,
+           trana: str = "N", tranb: str = "N") -> np.ndarray:
+    """``Y`` with ``op(A) Y + Y op(B) = F`` for ``A``, ``B`` in real Schur form;
+    raises :class:`ConvergenceError` unless ``trsyl`` succeeds unscaled."""
+    y, scale, info = sla.lapack.dtrsyl(a, b, f, trana=trana, tranb=tranb)
+    if info != 0 or scale != 1.0:
+        raise ConvergenceError(
+            f"triangular {equation} solve failed (trsyl info {info}, scale {scale:.2e})"
+        )
+    return y
+
+
+def _check_residual(r: np.ndarray, rhs: np.ndarray, tol: float, equation: str) -> None:
+    """Raise :class:`ConvergenceError` when the residual ``r`` of an equation
+    with right-hand side ``rhs`` exceeds ``tol * max(1, ||rhs||)``."""
+    resid = np.linalg.norm(r)
+    if resid > tol * max(1.0, np.linalg.norm(rhs)):
+        raise ConvergenceError(f"{equation} residual {resid:.2e} exceeds tolerance")
 
 
 def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
@@ -249,8 +265,8 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     otherwise.  The diagonal of ``T`` holds the real parts of the
     eigenvalues.  Raises :class:`StabilityError` unless they all lie more
     than :func:`half_plane_tol` of ``A`` left of the imaginary axis, and
-    :class:`ConvergenceError` when ``trsyl`` fails (info or scale) or a
-    residual exceeds ``LYAP_RESID`` relative to ``max(1, ||Q||)``.
+    :class:`ConvergenceError` from ``_trsyl`` or ``_check_residual``
+    (``LYAP_RESID``).
     """
     if not a.shape[0]:
         return [np.zeros((0, 0)) for _ in (*controllability, *observability)]
@@ -272,17 +288,11 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
         # triangular operations (the mirror also flips the sign)
         f = -sign * q if z is None else z.T @ (-q @ z)
         trana, tranb = ("T", "N") if adjoint != (sign < 0.0) else ("N", "T")
-        y, scale, info = sla.lapack.dtrsyl(t, t, f, trana=trana, tranb=tranb)
-        if info != 0 or scale != 1.0:
-            raise ConvergenceError(
-                f"triangular Lyapunov solve failed (trsyl info {info}, scale {scale:.2e})"
-            )
+        y = _trsyl(t, t, f, "Lyapunov", trana, tranb)
         x = y if z is None else z @ y @ z.T
         x = 0.5 * (x + x.T)
         op = a.T if adjoint else a
-        resid = np.linalg.norm(op @ x + x @ op.T + q)
-        if resid > LYAP_RESID * max(1.0, np.linalg.norm(q)):
-            raise ConvergenceError(f"Lyapunov residual {resid:.2e} exceeds tolerance")
+        _check_residual(op @ x + x @ op.T + q, q, LYAP_RESID, "Lyapunov")
         solutions.append(x)
     return solutions
 
@@ -301,41 +311,36 @@ def solve_lyapunov(a, q) -> np.ndarray:
 
 
 def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                     ea: np.ndarray, eb: np.ndarray, schur_pair: bool) -> np.ndarray:
-    """Solve ``A X + X B + C = 0`` for validated matrices with spectra
-    ``ea`` and ``eb``, and check the result.
+                     schur_a: tuple, schur_b: tuple) -> np.ndarray:
+    """Solve ``A X + X B + C = 0`` for validated ``A`` and ``B`` from their
+    real Schur forms ``(T, Z, ev)`` (``_real_schur``; ``Z`` is ``None`` for
+    a matrix that is its own ``T``), and check the result.
 
     Raises :class:`SeparationError` when an eigenvalue of ``A`` lies within
     ``SEP_REL`` (relative) of one of ``-B``, and :class:`ConvergenceError`
-    when the solve fails or its residual exceeds ``SYLV_RESID``.  A
-    ``schur_pair`` (both in real Schur canonical form) is only
-    back-substituted (``trsyl``); other pairs go through Bartels-Stewart.
+    from ``_trsyl`` or ``_check_residual`` (``SYLV_RESID``).
     """
+    (ta, za, ea), (tb, zb, eb) = schur_a, schur_b
     gap = np.abs(ea[:, None] + eb[None, :]).min()
     tol_sep = SEP_REL * max(inf_norm(a), inf_norm(b))
     if gap <= tol_sep:
         raise SeparationError(
             f"spectral gap {gap:.2e} between A and -B is below tolerance {tol_sep:.2e}"
         )
-    if schur_pair:
-        x, scale, info = sla.lapack.dtrsyl(a, b, -c)
-        if info != 0 or scale != 1.0:
-            raise ConvergenceError(
-                f"triangular Sylvester solve failed (trsyl info {info}, scale {scale:.2e})"
-            )
-    else:
-        x = sla.solve_sylvester(a, b, -c)
-    resid = np.linalg.norm(a @ x + x @ b + c)
-    if resid > SYLV_RESID * max(1.0, np.linalg.norm(c)):
-        raise ConvergenceError(f"Sylvester residual {resid:.2e} exceeds tolerance")
+    # A X + X B = -C is Ta Y + Y Tb = -Za^T C Zb with X = Za Y Zb^T
+    f = -c if za is None else za.T @ -c
+    x = _trsyl(ta, tb, f if zb is None else f @ zb, "Sylvester")
+    x = x if za is None else za @ x
+    x = x if zb is None else x @ zb.T
+    _check_residual(a @ x + x @ b + c, c, SYLV_RESID, "Sylvester")
     return x
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
     """Solve ``A X + X B + C = 0``; spectra of A and -B must be separated.
 
-    When A and B are both in real Schur canonical form, the triangular
-    solve runs on them directly.
+    An operand already in real Schur canonical form is its own Schur form;
+    any other takes one unsorted Hessenberg-QR sweep first.
     """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
@@ -348,16 +353,14 @@ def solve_sylvester(a, b, c) -> np.ndarray:
         )
     if am.shape[0] == 0 or bm.shape[0] == 0:
         return np.zeros(cm.shape)
-    schur_pair = _is_real_schur(am) and _is_real_schur(bm)
-    spectrum = _block_eigenvalues if schur_pair else eigenvalues
-    return _solve_sylvester(am, bm, cm, spectrum(am), spectrum(bm), schur_pair)
+    return _solve_sylvester(am, bm, cm, _real_schur(am), _real_schur(bm))
 
 
 def solve_care(a, b, q, r) -> np.ndarray:
     """Stabilizing solution of ``A^T P + P A - P B R^{-1} B^T P + Q = 0``.
 
-    Computed from the ordered real Schur form of the 2n x 2n Hamiltonian,
-    selecting its stable invariant subspace.  The closed loop
+    Computed from one real Schur form of the 2n x 2n Hamiltonian, reordered
+    to lead with its stable invariant subspace.  The closed loop
     ``A - B R^{-1} B^T P`` is verified stable before returning.
     """
     am = as_matrix(a, "A")
@@ -380,13 +383,10 @@ def solve_care(a, b, q, r) -> np.ndarray:
         raise DimensionError("R must be symmetric positive definite") from exc
 
     ham = np.block([[am, -bm @ rinv_bt], [-qm, -am.T]])
-    tol = half_plane_tol(ham)
-    ev = eigenvalues(ham)
-    if np.any(np.abs(ev.real) <= tol):
-        raise NoStabilizingSolutionError(
-            "Hamiltonian has eigenvalues on the imaginary axis"
-        )
-    form = ordered_real_schur(ham, lambda lam: lam.real < 0.0)
+    t, z, ev = _real_schur(ham)
+    if np.any(np.abs(ev.real) <= half_plane_tol(ham)):
+        raise NoStabilizingSolutionError("Hamiltonian has eigenvalues on the imaginary axis")
+    form = _reorder_schur(ham, t, z, ev, lambda ev: ev.real < 0.0)
     if form.n_selected != n:
         raise NoStabilizingSolutionError(
             f"stable invariant subspace has dimension {form.n_selected}, expected {n}"
@@ -398,10 +398,8 @@ def solve_care(a, b, q, r) -> np.ndarray:
     except sla.LinAlgError as exc:
         raise NoStabilizingSolutionError("stable subspace is not a graph") from exc
     p = 0.5 * (p + p.T)
-    resid = np.linalg.norm(am.T @ p + p @ am - p @ bm @ rinv_bt @ p + qm)
-    if resid > CARE_RESID * max(1.0, np.linalg.norm(qm)):
-        raise ConvergenceError(f"Riccati residual {resid:.2e} exceeds tolerance")
-    if spectral_abscissa(am - bm @ rinv_bt @ p) >= 0.0:
+    _check_residual(am.T @ p + p @ am - p @ bm @ rinv_bt @ p + qm, qm, CARE_RESID, "Riccati")
+    if not is_stable(am - bm @ rinv_bt @ p):
         raise NoStabilizingSolutionError("computed solution is not stabilizing")
     return p
 

@@ -71,6 +71,12 @@ def h2_norm(s: StateSpaceSystem) -> float:
     return _h2_norms(s)[0][0]
 
 
+def _feedthrough_gain(d: np.ndarray) -> float:
+    """``||D||_2``, the gain of a system with feedthrough ``D`` at infinite
+    frequency; 0 for an empty ``D``."""
+    return float(np.linalg.svd(d, compute_uv=False)[0]) if d.size else 0.0
+
+
 def _largest_singular_values(resp: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a ``(k, p, m)`` stack.
 
@@ -129,7 +135,7 @@ def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
     peaks = peaks[np.argsort(gains[peaks])[::-1][:5]]
     lo = ws[np.maximum(peaks - 1, 0)]
     hi = ws[np.minimum(peaks + 1, ws.size - 1)]
-    best = max(float(gains.max()), float(np.linalg.norm(s.D, 2)))
+    best = max(float(gains.max()), _feedthrough_gain(s.D))
     floor = ws[ws > 0].min()  # relative scale for a bracket at zero frequency
     steps = np.linspace(0.0, 1.0, 33)
     for _ in range(16):  # a bracket as wide as its centre needs 15
@@ -159,7 +165,7 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
     # gamma at or below the feedthrough gain can never be an upper bound;
     # report a crossing at infinite frequency, where no midpoint lies.
     # (On a 1x1 r the "pos" solve divides without checking the sign.)
-    if gamma <= _largest_singular_values(d[None])[0]:
+    if gamma <= _feedthrough_gain(d):
         return np.array([np.inf])
     r = gamma**2 * np.eye(s.m) - d.T @ d
     try:
@@ -181,7 +187,7 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
 def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
     """Shared level-set core; ``ev`` is the spectrum of ``s.A``, which has
     no imaginary-axis eigenvalues."""
-    d_gain = float(np.linalg.svd(s.D, compute_uv=False)[0]) if s.D.size else 0.0
+    d_gain = _feedthrough_gain(s.D)
     if s.n == 0 or not np.any(s.B) or not np.any(s.C):
         return d_gain
     ws = _initial_grid(s, ev)

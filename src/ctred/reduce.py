@@ -35,6 +35,7 @@ from .errors import (
     StabilityError,
     ZeroModeError,
 )
+from .norms import _feedthrough_gain
 from .statespace import (
     StateSpaceSystem,
     add,
@@ -118,7 +119,7 @@ def balanced_truncate(s: StateSpaceSystem, r: int) -> TruncationResult:
         )
     sb = bal.system
     reduced = StateSpaceSystem(sb.A[:r, :r], sb.B[:r, :], sb.C[:, :r], sb.D)
-    if linalg.spectral_abscissa(reduced.A) >= 0.0:
+    if not linalg.is_stable(reduced.A):
         raise StabilityError("truncated system lost stability; split is ill-conditioned")
     return TruncationResult(reduced, "balanced", tuple(float(v) for v in sigma[r:]))
 
@@ -297,8 +298,7 @@ def hankel_norm_bound(s: StateSpaceSystem) -> float:
     poles do not separate.
     """
     split = split_stable_unstable(s)
-    d_gain = float(np.linalg.svd(s.D, compute_uv=False)[0]) if s.D.size else 0.0
-    return (d_gain + _hankel_pass(split.stable_part).upper_bound
+    return (_feedthrough_gain(s.D) + _hankel_pass(split.stable_part).upper_bound
             + _hankel_pass(mirror(split.unstable_part)).upper_bound)
 
 
@@ -319,9 +319,7 @@ def drop_negligible_antistable(s: StateSpaceSystem):
         return split.stable_part, 0.0
     stable_hp = _hankel_pass(split.stable_part)
     anti_hp = _hankel_pass(mirror(anti))
-    stable_scale = stable_hp.bound
-    if s.D.size:
-        stable_scale += float(np.linalg.svd(s.D, compute_uv=False)[0])
+    stable_scale = stable_hp.bound + _feedthrough_gain(s.D)
     floor = max(stable_hp.floor, anti_hp.floor)
     if anti_hp.bound <= max(1e-6 * stable_scale, floor):
         return split.stable_part, anti_hp.upper_bound

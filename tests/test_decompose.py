@@ -32,7 +32,7 @@ from ctred.statespace import (
     zero_system,
 )
 from ctred.tolerances import CLUSTER_TOL, HINF_REL
-from ctred import linalg
+from ctred import decompose, linalg
 
 
 def test_split_stable_system():
@@ -131,20 +131,22 @@ def test_modal_form_mixed_random(rng):
     assert np.max(np.abs(ev - linalg.eigenvalues(s.A))) < 1e-9
 
 
-def test_modal_form_clustered_eigenvalues():
+def test_modal_form_clustered_eigenvalues(monkeypatch):
     # two nearly identical eigenvalues form one block
+    monkeypatch.setattr(decompose, "CLUSTER_TOL", 1e-6)
     s = make_system(np.diag([-1.0, -1.0 + 1e-9, -3.0]),
                     [[1.0], [1.0], [1.0]], [[1.0, 1.0, 1.0]])
-    md = modal_form(s, cluster_tol=1e-6)
+    md = modal_form(s)
     # blocks are sorted by ascending real part: the single mode at -3 leads
     assert [b.order for b in md.blocks] == [1, 2]
     assert md.blocks[1].order == 2
 
 
-def test_modal_form_inseparable_error():
+def test_modal_form_inseparable_error(monkeypatch):
+    monkeypatch.setattr(decompose, "CLUSTER_TOL", 1e-12)
     s = make_system(np.diag([1.0, 1.0 + 1e-8]), [[1.0], [1.0]], [[1.0, 1.0]])
     with pytest.raises(SeparationError):
-        modal_form(s, cluster_tol=1e-12)
+        modal_form(s)
 
 
 def test_mode_importance_stable_scalar():

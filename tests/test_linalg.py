@@ -168,6 +168,27 @@ def test_care_random(rng):
     assert linalg.spectral_abscissa(closed) < 0.0
 
 
+def test_care_makes_one_schur_reduction_of_its_hamiltonian(monkeypatch, rng):
+    # the axis test reads the spectrum of the one Schur form the reordering
+    # starts from: no eigen-solve of the 2n x 2n Hamiltonian
+    a = rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 2))
+    expected = linalg.solve_care(a, b, np.eye(3), np.eye(2))
+    gees = _counted_schur(monkeypatch)
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recording(m):
+        shapes.append(np.shape(m))
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    p = linalg.solve_care(a, b, np.eye(3), np.eye(2))
+    assert [m.shape for m in gees] == [(6, 6)]
+    assert shapes and (6, 6) not in shapes
+    assert np.array_equal(p, expected)
+
+
 def test_care_no_stabilizing_solution():
     # oscillator with no control authority: axis Hamiltonian eigenvalues
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -220,17 +241,30 @@ def test_ordered_schur_nonstandard_block_takes_gees(monkeypatch):
 
 
 def test_sylvester_schur_pair_matches_the_general_path(monkeypatch, rng):
-    a, _ = sla.schur(rng.standard_normal((5, 5)) - 4.0 * np.eye(5))
-    b, _ = sla.schur(rng.standard_normal((3, 3)) - 4.0 * np.eye(3))
-    b = -b
-    c = rng.standard_normal((5, 3))
-    assert linalg._is_real_schur(a) and linalg._is_real_schur(b)
-    assert np.any(np.diagonal(a, -1)) and np.any(np.diagonal(b, -1))
-    general = sla.solve_sylvester(a, b, -c)
-    scipy_path = _counting(monkeypatch, sla, "solve_sylvester")
-    x = linalg.solve_sylvester(a, b, c)
-    assert scipy_path == []
-    assert np.linalg.norm(x - general) <= 1e-12 * np.linalg.norm(general)
+    # an operand in real Schur form is its own Schur form, any other takes
+    # one gees; scipy's solver (the reference here) never runs.  The spectra
+    # of A and -B lie about 8 apart, so both solvers are exact to rounding
+    blocks = 0
+    for draw in range(150):
+        a = rng.standard_normal((5, 5)) - 4.0 * np.eye(5)
+        b = rng.standard_normal((3, 3)) - 4.0 * np.eye(3)
+        schur_operands = draw % 3  # general, mixed, or a Schur pair
+        if schur_operands:
+            a = sla.schur(a, output="real")[0]
+        if schur_operands == 2:
+            b = sla.schur(b, output="real")[0]
+            blocks += bool(np.any(np.diagonal(a, -1)) and np.any(np.diagonal(b, -1)))
+        assert linalg._is_real_schur(a) + linalg._is_real_schur(b) == schur_operands
+        c = rng.standard_normal((5, 3))
+        general = sla.solve_sylvester(a, b, -c)
+        with monkeypatch.context() as mp:
+            scipy_path = _counting(mp, sla, "solve_sylvester")
+            gees = _counting(mp, sla, "schur")
+            x = linalg.solve_sylvester(a, b, c)
+        assert scipy_path == []
+        assert len(gees) == 2 - schur_operands
+        assert np.linalg.norm(x - general) <= 1e-12 * np.linalg.norm(general)
+    assert blocks > 10  # Schur pairs with 2x2 blocks in both operands
 
 
 def test_sylvester_schur_pair_separation_error():
@@ -287,16 +321,16 @@ def test_ordered_schur_matches_sorted_gees_bit_for_bit(monkeypatch, rng):
     assert sorts and not any(sorts)
 
 
+def _called(call):
+    """Name of the function a call node calls, bare or as an attribute."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _calls(tree, name):
     """Line numbers of the calls to ``name`` (bare or as an attribute) in ``tree``."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called == name:
-                lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called(node) == name]
 
 
 def test_half_plane_tolerance_has_one_home():
@@ -335,11 +369,21 @@ def test_gramians_are_factored_in_one_place():
     # through the Gramian kernel (no module calls scipy's solver)
     package = Path(linalg.__file__).parent
     offenders = []
+    trsyl = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line}" for line in _calls(tree, "cholesky")]
         offenders += [f"{path.name}:{line}"
                       for line in _calls(tree, "solve_continuous_lyapunov")]
+        # no scipy Sylvester solver either: every Sylvester solve is the
+        # Bartels-Stewart path of linalg, whose public entry is the only
+        # solve_sylvester a module may call
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _called(node) == "solve_sylvester"
+                      and not (isinstance(node.func, ast.Attribute)
+                               and isinstance(node.func.value, ast.Name)
+                               and node.func.value.id == "linalg")]
+        trsyl += [f"{path.name}:{line}" for line in _calls(tree, "dtrsyl")]
         if path.name == "reduce.py":
             solves = [line for name in ("_gramians", "solve_lyapunov")
                       for line in _calls(tree, name)]
@@ -350,6 +394,8 @@ def test_gramians_are_factored_in_one_place():
             assert allowed, "_hankel_pass no longer solves for the Gramians"
             offenders += [f"{path.name}:{line}" for line in solves if line not in allowed]
     assert offenders == []
+    # one triangular step serves every Lyapunov and Sylvester solve
+    assert len(trsyl) == 1 and trsyl[0].startswith("linalg.py:"), trsyl
 
 
 def test_every_import_is_used():

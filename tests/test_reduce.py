@@ -143,6 +143,18 @@ def test_balanced_truncate_tie_error():
         balanced_truncate(s, 1)
 
 
+def test_balanced_truncate_reads_the_stability_override(monkeypatch):
+    # the order-1 truncation of poles -1 and -2 keeps a pole at -0.41:
+    # stable by default, but inside an overridden half-plane tolerance of
+    # 0.5, where the original system is still stable
+    s = make_system([[-1.0, 2.0], [0.0, -2.0]], [[1.0], [-1.0]], [[1.0, 1.0]])
+    assert balanced_truncate(s, 1).reduced.A[0, 0] == pytest.approx(-0.40859, abs=1e-5)
+    monkeypatch.setenv("CTRED_TOL_STAB", "0.5")
+    assert linalg.is_stable(s.A)
+    with pytest.raises(StabilityError, match="lost stability"):
+        balanced_truncate(s, 1)
+
+
 def test_balanced_truncate_order_validation():
     s = balanced_fixture([1.0, 0.5])
     with pytest.raises(InfeasibleOrderError):
