@@ -71,12 +71,6 @@ def h2_norm(s: StateSpaceSystem) -> float:
     return _h2_norms(s)[0][0]
 
 
-def _feedthrough_gain(d: np.ndarray) -> float:
-    """``||D||_2``, the gain of a system with feedthrough ``D`` at infinite
-    frequency; 0 for an empty ``D``."""
-    return float(np.linalg.svd(d, compute_uv=False)[0]) if d.size else 0.0
-
-
 def _largest_singular_values(resp: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a ``(k, p, m)`` stack.
 
@@ -90,6 +84,12 @@ def _largest_singular_values(resp: np.ndarray) -> np.ndarray:
     if p == 1 or m == 1:
         return np.hypot.reduce(np.abs(resp.reshape(k, p * m)), axis=1)
     return np.linalg.svd(resp, compute_uv=False)[:, 0]
+
+
+def _feedthrough_gain(d: np.ndarray) -> float:
+    """``||D||_2``, the gain of a system with feedthrough ``D`` at infinite
+    frequency (:func:`_largest_singular_values` of ``D`` alone)."""
+    return float(_largest_singular_values(d[None])[0])
 
 
 def _sigma_max(s: StateSpaceSystem, ws) -> np.ndarray:

@@ -241,9 +241,25 @@ def test_ordered_schur_nonstandard_block_takes_gees(monkeypatch):
 
 
 def test_sylvester_schur_pair_matches_the_general_path(monkeypatch, rng):
-    # an operand in real Schur form is its own Schur form, any other takes
-    # one gees; scipy's solver (the reference here) never runs.  The spectra
-    # of A and -B lie about 8 apart, so both solvers are exact to rounding
+    # a Schur pair whose spectra of A and -B nearly meet (both near -4)
+    a, _ = sla.schur(rng.standard_normal((5, 5)) - 4.0 * np.eye(5))
+    b, _ = sla.schur(rng.standard_normal((3, 3)) - 4.0 * np.eye(3))
+    b = -b
+    c = rng.standard_normal((5, 3))
+    assert linalg._is_real_schur(a) and linalg._is_real_schur(b)
+    assert np.any(np.diagonal(a, -1)) and np.any(np.diagonal(b, -1))
+    general = sla.solve_sylvester(a, b, -c)
+    scipy_path = _counting(monkeypatch, sla, "solve_sylvester")
+    x = linalg.solve_sylvester(a, b, c)
+    assert scipy_path == []
+    assert np.linalg.norm(x - general) <= 1e-12 * np.linalg.norm(general)
+
+    # general, mixed and Schur-pair operands: an operand in real Schur form
+    # is its own Schur form, any other takes one gees.  The spectra of A and
+    # -B lie about 8 apart here.  Where they nearly meet, ctred (gees of B)
+    # and scipy (gees of B^T) can differ by more than 1e-12 on general
+    # operands, and neither lies nearer the exact solution
+    monkeypatch.undo()
     blocks = 0
     for draw in range(150):
         a = rng.standard_normal((5, 5)) - 4.0 * np.eye(5)
