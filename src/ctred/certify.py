@@ -17,51 +17,71 @@ Undefined norms (e.g. the peak gain of an unstable error system) are
 recorded as ``inf`` and fail the condition instead of raising, so batch
 sweeps can proceed.
 
-The unstable poles of a transfer function are those
-:func:`~ctred.reduce.split_cancelled_unstable` leaves in its antistable
-part: ``lemma3`` counts them for ``K`` and ``K_r``, and ``thm3`` matches
-the structural zeros of ``1 - X*delta`` to those of the error.
+Every quantity of ``delta`` is read from one stable/antistable split of
+each controller (:class:`~ctred.reduce._Split`): the loop analysis holds
+the split ``K = K_s + K_u`` and each error analysis that of ``K_r``.
+``delta``'s parts are their differences, ``delta_s = K_rs - K_s`` and
+``delta_u = K_ru - K_u``; both are block-diagonal sums of Schur forms, so
+their Hankel passes need no Schur reduction, and ``delta`` itself is never
+split.  The unstable poles of a controller are those its
+split keeps after dropping the directions at its rounding floor
+(:meth:`~ctred.reduce._Split.cancelled_anti`, the rule of
+:func:`~ctred.reduce.split_cancelled_unstable`): ``lemma3`` counts them
+for ``K`` and ``K_r``, and ``thm3`` matches the structural zeros of
+``1 - X*delta`` to those ``delta_u`` keeps.  ``delta`` is stable as
+realized when ``delta_u`` has order 0; when ``delta_u`` is rounding noise
+(:attr:`~ctred.reduce._Split.anti_negligible`, the rule of
+:func:`~ctred.reduce.drop_negligible_antistable`), ``delta_s`` is its
+stable realization; otherwise ``delta`` has genuine unstable poles.
 
 The small-gain conditions of ``lemma3`` and ``thm1`` are decided bound
 first.  By submultiplicativity ``b = ||X||_inf * d`` bounds both
-``||X*delta||`` and ``||delta*X||`` on the axis, where ``d`` is the
-Hankel-sum bound ``2 sum sigma`` of the stable part of ``delta`` plus
-that of its mirrored antistable part
-(:func:`~ctred.reduce.hankel_norm_bound`) and ``||X||_inf`` carries a
-margin for the error of the computed peak gain
-(:func:`_small_gain_bound`).  When ``b < 1`` the gain part of the
-condition holds: ``b`` is recorded in place of the product norms and
-their peak-gain searches are skipped (``thm1`` first adds the bound of
-any rounding-level antistable part its stability test dropped).
-Otherwise, and whenever ``delta`` does not split, the product norms are
-computed, so a failing condition always rests on computed norms and the
-verdicts are those of the norms themselves.  Every certificate names, in
-``kinds``, each norm its condition reads as ``"upper_bound"`` or
-``"computed"``.
+``||X*delta||`` and ``||delta*X||`` on the axis, where ``d = ||D|| +
+2 sum sigma(delta_s) + 2 sum sigma(mirror(delta_u))`` is the Hankel-sum
+bound of the two parts (:attr:`~ctred.reduce._Split.upper_bound`, Glover
+1984) and ``||X||_inf`` carries a margin for the error of the computed
+peak gain (:func:`_small_gain_bound`).  When ``b < 1`` the gain part of
+the condition holds: ``b`` is recorded in place of the product norms and
+their peak-gain searches are skipped.  ``lemma3`` still refuses a product
+with a pole on the axis, read from the spectra of the loop and of the two
+splits.  ``thm1`` measures the stable realization of ``delta`` times
+``X`` (stable because both factors are) and first adds the proven bound
+on the product it dropped, ``(1 + 1e-4) ||X||_inf 2 sum
+sigma(mirror(delta_u))`` with the margin of :func:`_small_gain_bound`
+(0 when ``delta_u`` has order 0); only a genuine ``delta_u``, or a
+controller that does not split, sends ``thm1`` to the stability test of
+each whole product (:func:`_stable_form`).  When ``b >= 1``, and whenever
+a controller does not split, the product norms are computed, so a
+failing condition always rests on computed norms and the verdicts are
+those of the norms themselves.  Every certificate names, in ``kinds``,
+each norm its condition reads as ``"upper_bound"`` or ``"computed"``.
 
 The bound certificates ``thm2``, ``cor1`` and ``cor2`` read ``delta_hinf``
 and ``delta_h2`` from one error analysis: both norms are measured once
-per reduced controller, on the stable realization of ``K_r - K``.
-``cor1`` takes only its Hankel tail from the truncation result.
+per reduced controller, on the stable realization of ``K_r - K``
+(``delta`` itself or ``delta_s``).  ``cor1`` takes only its Hankel tail
+from the truncation result.
 
 Certificates on the same plant and controller share one loop analysis:
-the stabilizing check, the four-block map and its norms, and, for the
-last reduced controller seen, the error system and its norms, the error
-products with ``X``, their peak gains and the reduced loop's eigenvalue
-verdict.  The analysis sits in a single process-wide slot keyed on the
-*identity* of ``g`` and ``k`` (and the ``CTRED_TOL_STAB`` override it was
-computed under), never on their content: systems are immutable and own
-their arrays, so the same objects always describe the same loop, while
-equal content built anew -- each request of a batch, each repeated round
--- gets its own analysis.  A content key would make a repeated experiment
+the stabilizing check, the four-block map, its spectrum and its norms
+(the peak gains of ``X``, ``KX`` and ``Y`` read that spectrum), the
+split of ``K``, and, for the last reduced controller seen, the split of
+``K_r``, the error system and its norms, the error products with ``X``,
+their peak gains and the reduced loop's eigenvalue verdict.  The
+analysis sits in a single process-wide slot keyed on the *identity* of
+``g`` and ``k`` (and the ``CTRED_TOL_STAB`` override it was computed
+under), never on their content: systems are immutable and own their
+arrays, so the same objects always describe the same loop, while equal
+content built anew -- each request of a batch, each repeated round --
+gets its own analysis.  A content key would make a repeated experiment
 skip the work it is meant to repeat.  Each certificate gets its own copy
 of the shared quantities.  The slot is read once into a local and
 replaced only by a fully built analysis, so concurrent callers at worst
 recompute.  Within an analysis every shared quantity is a
-``functools.cached_property``, stored only once fully computed; where the
-descriptor locks while it computes (Python 3.11 and older), no property
-waits on another in a cycle, and a product replaced by a racing thread
-only makes the losing caller compute its own peak gain.
+``functools.cached_property``, stored only once fully computed; where
+the descriptor locks while it computes (Python 3.11 and older), no
+property waits on another in a cycle, and a product replaced by a racing
+thread only makes the losing caller compute its own peak gain.
 """
 
 from __future__ import annotations
@@ -72,7 +92,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, norms
 from .errors import (
     AxisPoleError,
     SeparationError,
@@ -81,12 +101,7 @@ from .errors import (
     ZeroModeError,
 )
 from .norms import _check_no_axis_poles, _h2_norms, h2_norm, hinf_norm, linf_norm
-from .reduce import (
-    TruncationResult,
-    drop_negligible_antistable,
-    hankel_norm_bound,
-    split_cancelled_unstable,
-)
+from .reduce import TruncationResult, _Split, drop_negligible_antistable
 from .statespace import (
     StateSpaceSystem,
     _check_loop_dims,
@@ -96,7 +111,6 @@ from .statespace import (
     mirror,
     negate,
     series,
-    zero_system,
 )
 from .tolerances import stab_override
 
@@ -157,12 +171,12 @@ def lqg_cost(g: StateSpaceSystem, k: StateSpaceSystem) -> float:
     Equals the squared H2 norm of the joint closed-loop map from the two
     noise channels to the performance output and the control input.
     """
-    return h2_norm(_stabilizing_four_block(g, k).system) ** 2
+    return h2_norm(_stabilizing_four_block(g, k)[0].system) ** 2
 
 
 def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     """Total cost and the four per-block squared-H2 contributions."""
-    cols, whole = _four_block_h2(_stabilizing_four_block(g, k))
+    cols, whole = _four_block_h2(_stabilizing_four_block(g, k)[0])
     parts = [cols[j][i] ** 2 for i in (0, 1) for j in (0, 1)]
     return whole ** 2, parts
 
@@ -179,47 +193,89 @@ def _four_block_h2(fb):
     return cols, whole
 
 
+def _split(s: StateSpaceSystem):
+    """The split of a controller (:meth:`~ctred.reduce._Split.of`), or the
+    :class:`AxisPoleError` or :class:`SeparationError` that refused it
+    (without its traceback, which would keep the failed call's frames)."""
+    try:
+        return _Split.of(s)
+    except (AxisPoleError, SeparationError) as exc:
+        return exc.with_traceback(None)
+
+
 class _ErrorAnalysis:
     """The error ``delta = k_r - k`` of one reduced controller on a loop.
 
-    Holds ``delta``, its Hankel-sum bound, the norms of its stable
-    realization, the products ``X*delta`` and ``delta*X``, their peak
-    gains once computed, and the eigenvalue verdict on ``(g, k_r)``.  All
-    but ``delta`` are computed on first use and stored only when fully
-    built.
+    Holds the splits of ``k`` and ``k_r``, and computes on first use (each
+    stored only when fully built) ``delta``, its split made from them, its
+    Hankel-sum bound, the norms of its stable realization, the products
+    ``X*delta`` and ``delta*X``, their peak gains, and the eigenvalue
+    verdict on ``(g, k_r)``.
     """
 
     def __init__(self, loop: _LoopAnalysis, k_r: StateSpaceSystem):
-        self.g, self.fb = loop.g, loop.fb  # not the loop: no reference cycle
-        self.k_r = k_r
-        self.delta = add(k_r, negate(loop.k))
+        # not the loop: no reference cycle
+        self.g, self.k, self.fb, self.k_split = loop.g, loop.k, loop.fb, loop.k_split
+        self.k_r, self.k_r_split = k_r, _split(k_r)
         self._gains: dict = {}
+
+    @cached_property
+    def delta(self) -> StateSpaceSystem:
+        """``k_r - k`` as realized, with a block-diagonal state matrix."""
+        return add(self.k_r, negate(self.k))
+
+    @cached_property
+    def parts(self):
+        """The split of ``delta``: ``delta_s = K_rs - K_s`` and ``delta_u =
+        K_ru - K_u`` from the parts of the held splits, both block-diagonal
+        sums of Schur forms; the exception of a controller that does not
+        split."""
+        if not isinstance(self.k_r_split, _Split):
+            return self.k_r_split
+        if not isinstance(self.k_split, _Split):
+            return self.k_split
+        return _Split(add(self.k_r_split.stable, negate(self.k_split.stable)),
+                      add(self.k_r_split.anti, negate(self.k_split.anti)))
 
     @cached_property
     def delta_bound(self) -> float:
         """Upper bound on ``||delta||`` over the axis
-        (:func:`~ctred.reduce.hankel_norm_bound`); ``inf`` when the error's
-        poles do not split into stable and antistable parts."""
-        try:
-            return hankel_norm_bound(self.delta)
-        except (AxisPoleError, SeparationError):
-            return math.inf
+        (:attr:`~ctred.reduce._Split.upper_bound` of :attr:`parts`); ``inf``
+        when a controller's poles do not split into stable and antistable
+        parts."""
+        return self.parts.upper_bound if isinstance(self.parts, _Split) else math.inf
+
+    @cached_property
+    def delta_stable(self) -> StateSpaceSystem | None:
+        """A stable realization of ``delta``: ``delta`` itself when
+        ``delta_u`` has order 0, ``delta_s`` when ``delta_u`` is rounding
+        noise (:attr:`~ctred.reduce._Split.anti_negligible`); ``None`` when
+        it is genuine or :attr:`parts` is an exception."""
+        splits = (self.k_split, self.k_r_split)
+        if all(isinstance(s, _Split) and s.anti.n == 0 for s in splits):
+            return self.delta  # delta_u has order 0; its parts are not needed
+        parts = self.parts
+        if not isinstance(parts, _Split):
+            return None
+        return parts.stable if parts.anti_negligible else None
 
     @cached_property
     def _delta_norms(self) -> tuple[dict, tuple]:
-        notes: list[str] = []
-        form, _ = _stable_form(self.delta, notes, "error system")
-        if form is None:
-            notes.append("error system is not stable; its H norms are undefined")
-            return dict.fromkeys(("delta_hinf", "delta_h2"), math.inf), tuple(notes)
-        return {"delta_hinf": hinf_norm(form), "delta_h2": h2_norm(form)}, tuple(notes)
+        form = self.delta_stable
+        if form is not None:
+            return {"delta_hinf": hinf_norm(form), "delta_h2": h2_norm(form)}, ()
+        parts = self.parts
+        why = ("error system is not stable" if isinstance(parts, _Split)
+               else f"error system: stability undecidable ({parts})")
+        return dict.fromkeys(("delta_hinf", "delta_h2"), math.inf), (
+            why, "error system is not stable; its H norms are undefined")
 
     def delta_norms(self) -> tuple[dict, list]:
-        """``delta_hinf`` and ``delta_h2`` of the stable realization of
-        ``delta`` (:func:`_stable_form`; ``inf`` when ``delta`` is not
-        stable), with the notes of that test; fresh copies of both."""
-        norms, notes = self._delta_norms
-        return dict(norms), list(notes)
+        """``delta_hinf`` and ``delta_h2`` of :attr:`delta_stable` (``inf``
+        when ``delta`` is not stable, with notes that say why); fresh
+        copies of both."""
+        values, notes = self._delta_norms
+        return dict(values), list(notes)
 
     @cached_property
     def x_delta(self) -> StateSpaceSystem:
@@ -231,19 +287,15 @@ class _ErrorAnalysis:
         """``delta*X``."""
         return series(self.delta, self.fb.x)
 
-    def peak_gain(self, name: str, form: StateSpaceSystem, norm) -> float:
-        """``norm(form)``, shared when ``form`` is the raw product ``name``
-        (``"x_delta"`` or ``"delta_x"``).
-
-        On a raw product ``linf_norm`` and ``hinf_norm`` agree wherever both
-        are defined: the latter is only asked for when the product is
-        stable, so both evaluate the same peak-gain search.
-        """
+    def peak_gain(self, name: str, form: StateSpaceSystem) -> float:
+        """``linf_norm(form)``, shared when ``form`` is the raw product
+        ``name`` (``"x_delta"`` or ``"delta_x"``).  On a stable ``form`` it
+        is the H-infinity norm."""
         if form is not getattr(self, name):
-            return norm(form)
+            return linf_norm(form)
         gain = self._gains.get(name)
         if gain is None:
-            gain = self._gains[name] = norm(form)
+            gain = self._gains[name] = linf_norm(form)
         return gain
 
     @cached_property
@@ -255,9 +307,11 @@ class _ErrorAnalysis:
 class _LoopAnalysis:
     """The nominal loop ``(g, k)`` as every certificate starts from it.
 
-    Construction checks that ``k`` stabilizes ``g`` and builds the
-    four-block map; ``||X||_inf`` and the other loop norms are computed on
-    first use.  The error analysis of the last reduced controller is kept.
+    Construction checks that ``k`` stabilizes ``g``, builds the four-block
+    map, keeps the spectrum of its state matrix and splits ``k``;
+    ``||X||_inf`` and the other loop norms are computed on first use, on
+    that spectrum.  The error analysis of the last reduced controller is
+    kept.
     """
 
     last: _LoopAnalysis | None = None  # the slot :func:`_loop` reuses
@@ -265,13 +319,20 @@ class _LoopAnalysis:
     def __init__(self, g: StateSpaceSystem, k: StateSpaceSystem):
         self.g, self.k = g, k
         self.tol_override = stab_override()
-        self.fb = _stabilizing_four_block(g, k)
+        self.fb, self.spectrum = _stabilizing_four_block(g, k)
+        self.k_split = _split(k)
         self._error = None
+
+    def block_hinf(self, block: StateSpaceSystem) -> float:
+        """``hinf_norm`` of a block of the four-block map, on the kept
+        spectrum: every block has the closed-loop state matrix, which the
+        construction found stable."""
+        return norms._peak_gain(block, self.spectrum)
 
     @cached_property
     def x_hinf(self) -> float:
         """``||X||_inf``, the loop norm every small-gain condition reads."""
-        return hinf_norm(self.fb.x)
+        return self.block_hinf(self.fb.x)
 
     @cached_property
     def _quantities(self) -> dict:
@@ -316,18 +377,19 @@ def _computed(*names: str) -> dict:
     return dict.fromkeys(names, "computed")
 
 
-def _small_gain_bound(loop: _LoopAnalysis, err: _ErrorAnalysis) -> float:
-    """Upper bound on ``||X*delta||`` and ``||delta*X||`` over the axis.
+def _small_gain_bound(loop: _LoopAnalysis, d: float) -> float:
+    """Upper bound on ``||X*e||`` and ``||e*X||`` over the axis for an
+    ``e`` with ``||e|| <= d``.
 
-    Submultiplicativity gives ``(1 + 1e-4) ||X||_inf d`` with ``d`` from
-    :attr:`_ErrorAnalysis.delta_bound`.  ``d`` is proven; the computed
-    ``||X||_inf`` is not: ``hinf_norm`` was measured low by up to 3.4e-9
-    relative on loop blocks ``X`` and by up to 1.7e-5 on 15-state error
-    products, more than its ``HINF_REL``.  The factor 1e-4 covers the
-    worst of these with a 5x margin and costs nothing in practice: a
-    bound within 1e-4 of one falls through to the computed norm.
+    Submultiplicativity gives ``(1 + 1e-4) ||X||_inf d``.  ``d`` is proven;
+    the computed ``||X||_inf`` is not: ``hinf_norm`` was measured low by
+    up to 3.4e-9 relative on loop blocks ``X`` and by up to 1.7e-5 on
+    15-state error products, more than its ``HINF_REL``.  The factor 1e-4
+    covers the worst of these with a 5x margin and costs nothing in
+    practice: a bound within 1e-4 of one falls through to the computed
+    norm.
     """
-    return (1.0 + 1e-4) * loop.x_hinf * err.delta_bound
+    return (1.0 + 1e-4) * loop.x_hinf * d
 
 
 def _stable_form(s: StateSpaceSystem, notes: list, label: str):
@@ -370,9 +432,9 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
         "x_hinf": loop.x_hinf,
         "xk_h2": xk_h2,
         "kx_h2": kx_h2,
-        "kx_hinf": hinf_norm(fb.kx),
+        "kx_hinf": loop.block_hinf(fb.kx),
         "ky_h2": ky_h2,
-        "y_hinf": hinf_norm(fb.y),
+        "y_hinf": loop.block_hinf(fb.y),
         "y_h2": xk_h2,  # strictly proper part of Y = I + XK
         "cost_original": whole ** 2,
     }
@@ -384,7 +446,8 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     a small-gain condition on the truncation error, in the peak gain over
     the axis (poles of the error system need not be stable).
 
-    Each count is the order of the antistable part of
+    Each count is :attr:`~ctred.reduce._Split.unstable_count` of the held
+    split of the controller, the order of the antistable part of
     :func:`~ctred.reduce.split_cancelled_unstable`; a controller whose
     poles do not split has none, a note says why and the condition fails.
     """
@@ -394,26 +457,30 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     quantities: dict = {}
 
     counts = {}
-    for name, s in (("original", k), ("reduced", k_r)):
-        try:
-            counts[f"unstable_poles_{name}"] = float(split_cancelled_unstable(s)[1].n)
-        except (AxisPoleError, SeparationError) as exc:
-            notes.append(f"unstable pole count of the {name} controller undefined: {exc}")
+    for name, split in (("original", err.k_split), ("reduced", err.k_r_split)):
+        if isinstance(split, _Split):
+            counts[f"unstable_poles_{name}"] = float(split.unstable_count)
+        else:
+            notes.append(f"unstable pole count of the {name} controller undefined: {split}")
     if len(counts) == 2:
         quantities.update(counts)
     counts_ok = len(counts) == 2 and len(set(counts.values())) == 1
 
-    bound = _small_gain_bound(loop, err)
+    bound = _small_gain_bound(loop, err.delta_bound)
     gains, kinds = {}, _computed("x_delta_linf", "delta_x_linf")
     for product in ("x_delta", "delta_x"):
         name = f"{product}_linf"
         form = getattr(err, product)
         try:
             if bound < 1.0:
-                _check_no_axis_poles(form)  # an undefined norm stays undefined
+                # an undefined norm stays undefined; a finite bound means
+                # both controllers split, and the product's poles are those
+                # of the loop and of the two splits
+                _check_no_axis_poles(form, np.concatenate([loop.spectrum,
+                                                           err.parts.spectrum]))
                 gains[name], kinds[name] = bound, "upper_bound"
             else:
-                gains[name] = err.peak_gain(product, form, linf_norm)
+                gains[name] = err.peak_gain(product, form)
         except AxisPoleError as exc:
             gains[name], kinds[name] = math.inf, "computed"
             notes.append(f"{name} undefined: {exc}")
@@ -431,30 +498,50 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     and both sensitivity-weighted error gains to be below one.  Stability
     verdicts are taken on cancellation-cleaned realizations so exactly
     cancelling hidden modes cannot fail the test spuriously.
+
+    When ``delta`` has a stable realization ``d``
+    (:attr:`_ErrorAnalysis.delta_stable`), the products of ``d`` with the
+    stable ``Y`` and ``X`` are stable as realized; what they drop is
+    ``X*delta_u`` or ``delta_u*X``, bounded by :func:`_small_gain_bound`
+    of the Hankel bound of ``delta_u`` (0 when ``d`` is ``delta``).
+    Otherwise each whole product is tested by :func:`_stable_form`.
     """
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
     notes: list[str] = []
     quantities: dict = {}
 
-    dy_form, _ = _stable_form(series(err.delta, loop.fb.y), notes, "delta*Y")
-    bound = _small_gain_bound(loop, err)
+    d, x = err.delta_stable, loop.fb.x
+    if d is None:
+        dy_form, _ = _stable_form(series(err.delta, loop.fb.y), notes, "delta*Y")
+        dy_stable = dy_form is not None
+        forms = {product: _stable_form(getattr(err, product), notes, label)
+                 for product, label in (("x_delta", "X*delta"), ("delta_x", "delta*X"))}
+    else:
+        dy_stable = True
+        dropped = _small_gain_bound(loop, err.parts.anti_pass.upper_bound)
+        raw = d is err.delta
+        forms = {"x_delta": (err.x_delta if raw else series(x, d), dropped),
+                 "delta_x": (err.delta_x if raw else series(d, x), dropped)}
+    bound = _small_gain_bound(loop, err.delta_bound)
     kinds = _computed("x_delta_hinf", "delta_x_hinf")
-    for product, label in (("x_delta", "X*delta"), ("delta_x", "delta*X")):
+    for product, (form, dropped) in forms.items():
         name = f"{product}_hinf"
-        form, dropped = _stable_form(getattr(err, product), notes, label)
         if form is None:
             quantities[name] = math.inf
         elif bound + dropped < 1.0:
-            # the cleaned form is the product minus the dropped part
+            # the stable form is the product minus the dropped part
             quantities[name], kinds[name] = bound + dropped, "upper_bound"
         else:
-            quantities[name] = err.peak_gain(product, form, hinf_norm)
-    if dy_form is None:
+            try:
+                quantities[name] = err.peak_gain(product, form)
+            except AxisPoleError as exc:
+                quantities[name] = math.inf
+                notes.append(f"{name} undefined: {exc}")
+    if not dy_stable:
         notes.append("delta*(I-GK)^{-1} is not stable")
     condition = (
-        dy_form is not None
-        and max(quantities["x_delta_hinf"], quantities["delta_x_hinf"]) < 1.0
+        dy_stable and max(quantities["x_delta_hinf"], quantities["delta_x_hinf"]) < 1.0
     )
     return _epilogue("thm1", err, quantities, condition, None, notes, kinds)
 
@@ -577,33 +664,37 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     notes: list[str] = []
     quantities = loop.quantities()
 
-    delta_raw = err.delta
-    raw_ev = linalg.eigenvalues(delta_raw.A)
-    if raw_ev.size and np.min(np.abs(raw_ev)) <= linalg.half_plane_tol(delta_raw.A):
-        raise ZeroModeError("error system has a pole at the origin")
-    if linalg._stability(delta_raw.A, raw_ev)[0]:
-        stable, anti = delta_raw, zero_system(delta_raw.p, delta_raw.m)
+    # the poles of delta are those of both controllers
+    parts = err.parts
+    if isinstance(parts, _Split):
+        ev = parts.spectrum
     else:
-        # keep genuine unstable modes, drop the exactly cancelled copies
-        try:
-            stable, anti = split_cancelled_unstable(delta_raw)
-        except (AxisPoleError, SeparationError) as exc:
-            raise AxisPoleError(f"error system has imaginary-axis poles: {exc}")
+        ev = np.concatenate([linalg.eigenvalues(s.A) for s in (k, k_r)])
+    if ev.size and np.min(np.abs(ev)) <= linalg.half_plane_tol(err.delta.A):
+        raise ZeroModeError("error system has a pole at the origin")
+    if not isinstance(parts, _Split):
+        raise AxisPoleError(f"error system has imaginary-axis poles: {parts}")
+    # keep genuine unstable modes, drop the exactly cancelled copies
+    stable, anti = parts.stable, parts.cancelled_anti()
     delta_min = add(stable, anti)
     unstable_delta_poles = linalg.eigenvalues(anti.A)
 
     # norms of the (possibly unstable) error system over the axis; the L2
     # norm combines the H2 norms of the split's parts in quadrature
     try:
-        quantities["delta_linf"] = linf_norm(delta_min)
+        ev = np.concatenate([linalg._block_eigenvalues(stable.A), unstable_delta_poles])
+        quantities["delta_linf"] = norms._peak_gain(delta_min,
+                                                    _check_no_axis_poles(delta_min, ev))
     except AxisPoleError as exc:
         raise AxisPoleError(f"error system norms undefined: {exc}") from exc
     quantities["delta_l2"] = math.hypot(h2_norm(stable), h2_norm(mirror(anti)))
 
-    # 1 - X*delta; unstable modes of the raw product must cancel through
-    # the structural zeros of X, leaving only rounding-level content
-    # (hidden stable modes are harmless to the zero test below)
-    prod_min, _ = _stable_form(series(loop.fb.x, delta_min), notes, "X*delta")
+    # 1 - X*delta; unstable modes of the product must cancel through the
+    # structural zeros of X, leaving only rounding-level content (hidden
+    # stable modes are harmless to the zero test below)
+    prod_min = series(loop.fb.x, delta_min)
+    if anti.n:
+        prod_min, _ = _stable_form(prod_min, notes, "X*delta")
     condition = prod_min is not None
     prefactor = math.inf
     if condition:

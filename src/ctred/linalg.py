@@ -187,12 +187,16 @@ def _reorder_schur(m: np.ndarray, t: np.ndarray, z: np.ndarray, ev: np.ndarray,
     eigenvalues to a boolean mask.  Raises :class:`ReorderingError` when
     ``trsen`` fails, when ``Z T Z^T`` misses ``m`` by more than
     ``SCHUR_RESID``, or when the reordered spectrum does not split cleanly
-    under ``rule`` (selected eigenvalues first, the others after).
+    under ``rule`` (selected eigenvalues first, the others after).  A rule
+    that selects all eigenvalues or none moves nothing (``trsen`` would
+    return ``t`` and ``z`` as they are), so the form is returned unchanged.
     """
     if m.shape[0] == 0:
         return SchurForm(m.copy(), np.eye(0), ev, 0)
     chosen = rule(ev).astype(np.int32)
     z = np.eye(m.shape[0]) if z is None else z
+    if chosen.all() or not chosen.any():
+        return SchurForm(t.copy(), z, ev, int(chosen.sum()))
     t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, t, z, job="N")
     if info != 0:
         raise ReorderingError(f"Schur reordering failed (trsen info {info})")
@@ -393,10 +397,14 @@ def solve_care(a, b, q, r) -> np.ndarray:
         )
     u1 = form.Z[:n, :n]
     u2 = form.Z[n:, :n]
-    try:
-        p = sla.solve(u1.T, u2.T).T
-    except sla.LinAlgError as exc:
-        raise NoStabilizingSolutionError("stable subspace is not a graph") from exc
+    # a numerically singular u1 (reciprocal condition number at or below
+    # n eps, numpy's matrix-rank tolerance) leaves the stable subspace no
+    # graph over the first n coordinates: the solve would only warn and
+    # return noise
+    sv = np.linalg.svd(u1, compute_uv=False)
+    if n and sv[-1] <= n * np.finfo(float).eps * sv[0]:
+        raise NoStabilizingSolutionError("stable subspace is not a graph")
+    p = sla.solve(u1.T, u2.T).T
     p = 0.5 * (p + p.T)
     _check_residual(am.T @ p + p @ am - p @ bm @ rinv_bt @ p + qm, qm, CARE_RESID, "Riccati")
     if not is_stable(am - bm @ rinv_bt @ p):

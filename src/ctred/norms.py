@@ -238,10 +238,11 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
     raise ConvergenceError("level-set iteration for the peak gain did not converge")
 
 
-def _check_no_axis_poles(s: StateSpaceSystem) -> np.ndarray:
+def _check_no_axis_poles(s: StateSpaceSystem, ev: np.ndarray | None = None) -> np.ndarray:
     """The spectrum of ``s.A``; raises :class:`AxisPoleError` when an
-    eigenvalue lies within :func:`~ctred.linalg.half_plane_tol` of the axis."""
-    ev = linalg.eigenvalues(s.A)
+    eigenvalue lies within :func:`~ctred.linalg.half_plane_tol` of the axis.
+    ``ev`` is that spectrum when the caller has it already."""
+    ev = linalg.eigenvalues(s.A) if ev is None else ev
     if np.any(np.abs(ev.real) <= linalg.half_plane_tol(s.A)):
         raise AxisPoleError("system has poles on (or too close to) the imaginary axis")
     return ev

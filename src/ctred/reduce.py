@@ -3,9 +3,8 @@
 Three reductions are provided: balanced truncation of stable systems,
 balanced truncation of the stable part of an unstable controller (the
 antistable part is carried through untouched), and modal truncation
-ranked by per-mode importance.  A Gramian-based minimal realization and
-the split that gives the certificates a transfer function's unstable
-poles (:func:`split_cancelled_unstable`) also live here.
+ranked by per-mode importance.  A Gramian-based minimal realization also
+lives here.
 
 Every Gramian is factored in one place, the Hankel pass
 (:func:`_hankel_pass`: both Gramians from one real Schur form of the
@@ -14,12 +13,20 @@ stable/antistable split leaves are already in Schur form, so their
 Gramians take only triangular solves.  The balancing transform, the
 Hankel-sum bounds and the rounding floor below which Hankel values are
 noise all read that pass.
+
+A split with the passes of its two parts (:class:`_Split`) is the one
+home of three rules on them: the Hankel-sum bound on the peak gain, when
+an antistable part is rounding noise, and which unstable poles are
+genuine.  :func:`hankel_norm_bound`, :func:`drop_negligible_antistable`
+and :func:`split_cancelled_unstable` apply them to one system; the
+certificates apply them to the splits they hold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -266,6 +273,12 @@ def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
     return _HankelPass(np.zeros(0), 0.0, None, None, None, None)
 
 
+def _order_above(hp: _HankelPass, cut: float) -> int:
+    """The number of Hankel values of ``hp`` above ``cut``: the order
+    :func:`_truncate_part_by_tol` keeps."""
+    return int(np.sum(hp.sigma > cut))
+
+
 def _truncate_part_by_tol(s: StateSpaceSystem, hp: _HankelPass, cut: float):
     """Balancing-free square-root truncation keeping states with sigma > cut.
 
@@ -273,7 +286,7 @@ def _truncate_part_by_tol(s: StateSpaceSystem, hp: _HankelPass, cut: float):
     Hankel subspaces give a far better conditioned projection than the
     balanced one when the cut sits near the rounding floor of the Gramians.
     """
-    k = int(np.sum(hp.sigma > cut))
+    k = _order_above(hp, cut)
     if k == s.n:
         return s
     if k == 0:
@@ -288,6 +301,80 @@ def _truncate_part_by_tol(s: StateSpaceSystem, hp: _HankelPass, cut: float):
     return StateSpaceSystem(a_r, b_r, c_r, s.D)
 
 
+class _Split:
+    """Stable and antistable parts of a transfer function, both in real Schur
+    form, with the Hankel passes of the stable part and of the mirrored
+    antistable part, each made on first use.
+
+    :meth:`of` splits a system (:func:`~ctred.decompose.split_stable_unstable`);
+    the certificates also build one from the differences of two such
+    splits' parts.  The feedthrough stays with the stable part.
+    """
+
+    def __init__(self, stable: StateSpaceSystem, anti: StateSpaceSystem):
+        self.stable, self.anti = stable, anti
+
+    @classmethod
+    def of(cls, s: StateSpaceSystem) -> _Split:
+        """The split of ``s``; raises :class:`AxisPoleError` or
+        :class:`SeparationError` when its poles do not separate."""
+        split = split_stable_unstable(s)
+        return cls(split.stable_part, split.unstable_part)
+
+    @cached_property
+    def stable_pass(self) -> _HankelPass:
+        return _hankel_pass(self.stable)
+
+    @cached_property
+    def anti_mirror(self) -> StateSpaceSystem:
+        return mirror(self.anti)
+
+    @cached_property
+    def anti_pass(self) -> _HankelPass:
+        return _hankel_pass(self.anti_mirror)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The poles of both parts, read from their Schur forms."""
+        return np.concatenate([linalg._block_eigenvalues(self.stable.A),
+                               linalg._block_eigenvalues(self.anti.A)])
+
+    @property
+    def upper_bound(self) -> float:
+        """``||D|| + 2 sum sigma(stable part) + 2 sum sigma(mirrored
+        antistable part)``, each sum with its rounding margin: a proven
+        upper bound on the peak gain over the imaginary axis (the
+        Hankel-sum bound, Glover 1984)."""
+        return (_feedthrough_gain(self.stable.D) + self.stable_pass.upper_bound
+                + self.anti_pass.upper_bound)
+
+    @property
+    def anti_negligible(self) -> bool:
+        """The antistable part's Hankel bound is negligible against both
+        the stable part's scale and the rounding floor of the two passes
+        (the situation created by exactly cancelling unstable modes in a
+        difference of systems)."""
+        stable_hp, anti_hp = self.stable_pass, self.anti_pass
+        stable_scale = stable_hp.bound + _feedthrough_gain(self.stable.D)
+        floor = max(stable_hp.floor, anti_hp.floor)
+        return anti_hp.bound <= max(1e-6 * stable_scale, floor)
+
+    @property
+    def unstable_count(self) -> int:
+        """The order of :meth:`cancelled_anti`: the number of unstable
+        poles."""
+        return _order_above(self.anti_pass, self.anti_pass.floor)
+
+    def cancelled_anti(self) -> StateSpaceSystem:
+        """The antistable part without the directions whose mirrored Hankel
+        values are at or below its rounding floor (exactly cancelling
+        copies in a difference of systems)."""
+        if not self.anti.n:
+            return self.anti
+        hp = self.anti_pass
+        return mirror(_truncate_part_by_tol(self.anti_mirror, hp, hp.floor))
+
+
 def hankel_norm_bound(s: StateSpaceSystem) -> float:
     """Proven upper bound on the peak gain of ``s`` over the imaginary axis.
 
@@ -297,32 +384,23 @@ def hankel_norm_bound(s: StateSpaceSystem) -> float:
     raises :class:`AxisPoleError` or :class:`SeparationError` when the
     poles do not separate.
     """
-    split = split_stable_unstable(s)
-    return (_feedthrough_gain(s.D) + _hankel_pass(split.stable_part).upper_bound
-            + _hankel_pass(mirror(split.unstable_part)).upper_bound)
+    return _Split.of(s).upper_bound
 
 
 def drop_negligible_antistable(s: StateSpaceSystem):
     """Stable realization of ``s`` when its antistable part is rounding noise.
 
-    Splits the system; if the antistable part's Hankel bound is negligible
-    against both the stable part's scale and the realization's rounding
-    floor (the situation created by exactly cancelling unstable modes in a
-    difference of systems), returns the stable part together with an upper
-    bound on the peak gain of the dropped part, so ``||stable part|| <=
-    ||s|| + dropped`` on the axis.  Returns ``None`` when the antistable
-    content is genuine.
+    Splits the system; if the antistable part is negligible
+    (:attr:`_Split.anti_negligible`), returns the stable part together
+    with an upper bound on the peak gain of the dropped part, so
+    ``||stable part|| <= ||s|| + dropped`` on the axis.  Returns ``None``
+    when the antistable content is genuine.
     """
-    split = split_stable_unstable(s)
-    anti = split.unstable_part
-    if anti.n == 0:
-        return split.stable_part, 0.0
-    stable_hp = _hankel_pass(split.stable_part)
-    anti_hp = _hankel_pass(mirror(anti))
-    stable_scale = stable_hp.bound + _feedthrough_gain(s.D)
-    floor = max(stable_hp.floor, anti_hp.floor)
-    if anti_hp.bound <= max(1e-6 * stable_scale, floor):
-        return split.stable_part, anti_hp.upper_bound
+    split = _Split.of(s)
+    if split.anti.n == 0:
+        return split.stable, 0.0
+    if split.anti_negligible:
+        return split.stable, split.anti_pass.upper_bound
     return None
 
 
@@ -331,19 +409,13 @@ def split_cancelled_unstable(
 ) -> tuple[StateSpaceSystem, StateSpaceSystem]:
     """``(stable_part, antistable_part)`` of ``s``, the antistable part
     without the directions whose mirrored Hankel values are at or below
-    its rounding floor (exactly cancelling copies in a difference of
-    systems).  Its order and eigenvalues are the unstable-pole count and
-    the unstable poles of ``s``: the package's one rule for them.  Raises
-    :class:`AxisPoleError` or :class:`SeparationError` when the poles do
-    not split.
+    its rounding floor (:meth:`_Split.cancelled_anti`).  Its order and
+    eigenvalues are the unstable-pole count and the unstable poles of
+    ``s``: the package's one rule for them.  Raises :class:`AxisPoleError`
+    or :class:`SeparationError` when the poles do not split.
     """
-    split = split_stable_unstable(s)
-    anti = split.unstable_part
-    if anti.n:
-        anti_m = mirror(anti)
-        anti_hp = _hankel_pass(anti_m)
-        anti = mirror(_truncate_part_by_tol(anti_m, anti_hp, anti_hp.floor))
-    return split.stable_part, anti
+    split = _Split.of(s)
+    return split.stable, split.cancelled_anti()
 
 
 def minimal_realization(s: StateSpaceSystem) -> StateSpaceSystem:
@@ -356,17 +428,14 @@ def minimal_realization(s: StateSpaceSystem) -> StateSpaceSystem:
     """
     if s.n == 0:
         return s
-    split = split_stable_unstable(s)
-    stable, anti = split.stable_part, split.unstable_part
-    anti_m = mirror(anti)
-    stable_hp = _hankel_pass(stable)
-    anti_hp = _hankel_pass(anti_m)
+    split = _Split.of(s)
+    stable_hp, anti_hp = split.stable_pass, split.anti_pass
 
     top = max(np.max(stable_hp.sigma, initial=0.0), np.max(anti_hp.sigma, initial=0.0))
     noise_floor = max(stable_hp.floor, anti_hp.floor)
     cut = max(MINREAL_TOL * top, noise_floor)
-    stable_red = _truncate_part_by_tol(stable, stable_hp, cut)
-    anti_red = mirror(_truncate_part_by_tol(anti_m, anti_hp, cut))
+    stable_red = _truncate_part_by_tol(split.stable, stable_hp, cut)
+    anti_red = mirror(_truncate_part_by_tol(split.anti_mirror, anti_hp, cut))
     result = add(stable_red, anti_red)
     # Self-check: a difference of nearly identical systems can leave only
     # noise-dominated directions, in which case the projection is garbage.

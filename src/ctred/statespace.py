@@ -206,17 +206,18 @@ def closed_loop_matrix(g: StateSpaceSystem, k: StateSpaceSystem) -> np.ndarray:
     return np.block([[g.A, g.B @ k.C], [k.B @ g.C, k.A]])
 
 
-def _loop_stability(acl: np.ndarray) -> tuple[bool, float]:
-    """``(stable, spectral_abscissa)`` of a closed-loop state matrix: the
-    internal-stability test of :func:`is_internally_stable` and of
-    :func:`_stabilizing_four_block`, by :func:`~ctred.linalg.is_stable`'s
+def _loop_stability(acl: np.ndarray) -> tuple[bool, float, np.ndarray]:
+    """``(stable, spectral_abscissa, spectrum)`` of a closed-loop state
+    matrix: the internal-stability test of :func:`is_internally_stable` and
+    of :func:`_stabilizing_four_block`, by :func:`~ctred.linalg.is_stable`'s
     rule."""
-    return linalg._stability(acl)
+    ev = linalg.eigenvalues(acl)
+    return (*linalg._stability(acl, ev), ev)
 
 
 def is_internally_stable(g: StateSpaceSystem, k: StateSpaceSystem):
     """Internal stability of the loop; returns ``(stable, spectral_abscissa)``."""
-    return _loop_stability(closed_loop_matrix(g, k))
+    return _loop_stability(closed_loop_matrix(g, k))[:2]
 
 
 @dataclass(frozen=True)
@@ -293,17 +294,18 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     return FourBlockMap(StateSpaceSystem(a, b, c, d), p=p, m=m)
 
 
-def _stabilizing_four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
-    """``four_block(g, k)``; raises :class:`NotStabilizingError` unless ``k``
-    internally stabilizes ``g``."""
+def _stabilizing_four_block(g: StateSpaceSystem,
+                            k: StateSpaceSystem) -> tuple[FourBlockMap, np.ndarray]:
+    """``four_block(g, k)`` and the spectrum of its state matrix; raises
+    :class:`NotStabilizingError` unless ``k`` internally stabilizes ``g``."""
     fb = four_block(g, k)
-    stable, alpha = _loop_stability(fb.system.A)
+    stable, alpha, ev = _loop_stability(fb.system.A)
     if not stable:
         raise NotStabilizingError(
             f"controller does not internally stabilize the plant "
             f"(closed-loop abscissa {alpha:.3e})"
         )
-    return fb
+    return fb, ev
 
 
 def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):
@@ -312,7 +314,7 @@ def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):
     Both live on the shared closed-loop state; ``Y`` carries an identity
     feedthrough, ``X`` none.  Requires an internally stabilizing loop.
     """
-    fb = _stabilizing_four_block(g, k)
+    fb, _ = _stabilizing_four_block(g, k)
     return fb.y, fb.x
 
 

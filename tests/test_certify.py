@@ -654,6 +654,35 @@ def test_nearly_cancelling_request_skips_the_grid_fallback(monkeypatch):
     assert calls == {"_refined_grid_peak": 1}  # the skipped search
 
 
+def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
+    # the counts, the Hankel bound of delta and thm1's stable products all
+    # read one split of K and one of K_r: nothing of the order of delta
+    # (n_K + n_Kr) or more is split or reduced to Schur form
+    g, k, k_r = next((g, k, k_r) for g, k, k_r in criterion_07_triples(40)
+                     if split_stable_unstable(k).unstable_part.n)
+    expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
+                for check in (check_lemma3, check_thm1)]
+    splits, schur_orders = [], []
+    split, schur = split_stable_unstable, linalg.sla.schur
+
+    def counted_split(s):
+        splits.append(s)
+        return split(s)
+
+    def counted_schur(a, *args, **kwargs):
+        schur_orders.append(np.shape(a)[0])
+        return schur(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "ctred"
+                and getattr(module, "split_stable_unstable", None) is split):
+            monkeypatch.setattr(module, "split_stable_unstable", counted_split)
+    monkeypatch.setattr(linalg.sla, "schur", counted_schur)
+    assert [check(g, k, k_r).to_dict() for check in (check_lemma3, check_thm1)] == expected
+    assert len(splits) == 2 and splits[0] is k and splits[1] is k_r
+    assert max(schur_orders, default=0) < k.n + k_r.n
+
+
 def _norm_or_inf(product, norm):
     """``norm(product)``, or ``inf`` where it is undefined."""
     try:
@@ -704,13 +733,13 @@ def test_loop_peak_gain_is_shared_by_bound_and_small_gain_certificates(
     g, k = _fresh(balmod[0]), _fresh(balmod[1])
     k_r = balanced_truncate_unstable(k, 2).reduced
     args = []
-    original = certify.hinf_norm
+    original = norms._peak_gain
 
-    def recorded(s):
+    def recorded(s, ev):
         args.append(s)
-        return original(s)
+        return original(s, ev)
 
-    monkeypatch.setattr(certify, "hinf_norm", recorded)
+    monkeypatch.setattr(norms, "_peak_gain", recorded)
     check_thm2_bound(g, k, k_r)
     check_lemma3(g, k, k_r)
     x = four_block(g, k).x

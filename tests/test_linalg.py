@@ -9,14 +9,17 @@ import scipy.linalg as sla
 from ctred import linalg, norms
 from ctred.benchmarks import bench_balanced_vs_modal_pair
 from ctred.decompose import _membership, modal_form
+from ctred.gen import generate_instance
 from ctred.statespace import make_system
 from ctred.errors import (
     ConvergenceError,
+    CtredError,
     DimensionError,
     NoStabilizingSolutionError,
     ReorderingError,
     SeparationError,
     StabilityError,
+    SynthesisError,
 )
 
 
@@ -195,6 +198,30 @@ def test_care_no_stabilizing_solution():
     b = np.zeros((2, 1))
     with pytest.raises(NoStabilizingSolutionError):
         linalg.solve_care(a, b, np.zeros((2, 2)), np.eye(1))
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+def test_care_refuses_a_stable_subspace_that_is_not_a_graph(monkeypatch):
+    # on these draws one Hamiltonian's stable subspace has a numerically
+    # singular first block (reciprocal condition number near 1e-17): the
+    # refusal says so, before a solve that would warn and return noise
+    refusals = []
+    care = linalg.solve_care
+
+    def recorded(*args):
+        try:
+            return care(*args)
+        except CtredError as exc:
+            refusals.append(exc)
+            raise
+
+    monkeypatch.setattr(linalg, "solve_care", recorded)
+    for seed in (1, 2, 11, 13):
+        with pytest.raises(SynthesisError):
+            generate_instance(6, 5, seed)
+    graphs = [exc for exc in refusals if str(exc) == "stable subspace is not a graph"]
+    assert len(graphs) == 4
+    assert all(type(exc) is NoStabilizingSolutionError for exc in graphs)
 
 
 def _counting(monkeypatch, module, name):
