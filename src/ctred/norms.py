@@ -1,28 +1,38 @@
 """System norms: H2, H-infinity, and their L2/L-infinity extensions.
 
 The peak gain is computed by the level-set iteration of Boyd-Balakrishnan
-and Bruinsma-Steinbuch.  At a level ``gamma`` the imaginary-axis
-eigenvalues of the associated Hamiltonian are exactly the frequencies
-where a singular value of the transfer function equals ``gamma``; there
-are none iff ``gamma`` exceeds the peak.  Each step evaluates the largest
-singular value at the midpoints between those frequencies and lifts the
-level to the best value found, which converges quadratically.  The axis
-test only needs the state matrix to be free of imaginary-axis
+(1990).  At a level ``gamma`` the imaginary-axis eigenvalues of the
+associated Hamiltonian are exactly the frequencies where a singular value
+of the transfer function equals ``gamma``.  Rounding can push such a
+crossing off the axis, so every eigenvalue within ``HAM_CANDIDATE
+||H||_inf`` of the axis counts as a candidate, and the largest singular value is
+evaluated at the midpoints between candidates: the level is lifted to the
+best gain found, or, when no midpoint rises above it, becomes the upper
+bound.  The lower bound is therefore always a gain the kernel evaluated,
+and the result lies within ``HINF_REL`` of it.  The iteration converges
+quadratically.  It starts, as in Bruinsma-Steinbuch (1990), from the gain
+at zero frequency, at the pole frequencies ``|lambda|`` and ``|Im
+lambda|`` and at the points of a 201-point log grid around the pole
+scales (:func:`_initial_grid`) on either side of each pole frequency.
+The axis test only needs the state matrix to be free of imaginary-axis
 eigenvalues, so the same machinery serves both the H-infinity norm
 (stable systems) and the L-infinity norm (unstable systems without axis
 poles).
 
 A realization that reaches a tiny gain by cancelling order-one terms
 (coupling ``||B|| ||C||`` above 1e7 times the grid estimate) is beyond the
-Hamiltonian test's double precision.  Its peak is found by a bracketed
-local search instead: the estimate grid plus the pole frequencies, as in
-Bruinsma-Steinbuch, seed up to five brackets that shrink 8x per round
-around their best 33-point sample.  Every frequency sweep is evaluated in
-batches through :func:`~ctred.statespace.frequency_response` (one stacked
-solve for the sweeps of systems up to order 18); the largest singular
-value of a response with one row or one column is its 2-norm, so only
-true MIMO responses need an SVD.  Each level of the iteration costs one
-solve with ``R = gamma^2 I - D^T D`` and one Hamiltonian eigen-solve.
+Hamiltonian test's double precision.  The grid points of the start bound
+the grid estimate from below; only when they cannot rule such a coupling
+out is the whole grid evaluated, and the coupling test is decided on it.
+A realization that fails it is searched by a bracketed local search
+instead: the estimate grid plus the pole frequencies seed up to five
+brackets that shrink 8x per round around their best 33-point sample.
+Every frequency sweep is evaluated in batches through
+:func:`~ctred.statespace.frequency_response` (one stacked solve for the
+sweeps of systems up to order 18); the largest singular value of a
+response with one row or one column is its 2-norm, so only true MIMO
+responses need an SVD.  Each level of the iteration costs one solve with
+``R = gamma^2 I - D^T D`` and one Hamiltonian eigen-solve.
 
 The H2 norm reads one controllability Gramian; blocks of a system that
 share its input columns and differ in their output rows share it too,
@@ -38,7 +48,7 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import AxisPoleError, ConvergenceError, StabilityError, UnsupportedError
 from .statespace import StateSpaceSystem, frequency_response
-from .tolerances import HAM_AXIS, HINF_MAX_ITER, HINF_REL
+from .tolerances import HAM_CANDIDATE, HINF_MAX_ITER, HINF_REL
 
 
 def _h2_norms(s: StateSpaceSystem,
@@ -111,6 +121,21 @@ def _initial_grid(s: StateSpaceSystem, ev: np.ndarray, points: int = 200) -> np.
     return np.concatenate([[0.0], grid])
 
 
+def _start_frequencies(ws: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start of a peak-gain search, after Bruinsma-Steinbuch.
+
+    Returns the points of the estimate grid ``ws`` that the search reads
+    (zero and the neighbours on either side of each pole frequency) and
+    the pole frequencies ``|lambda|`` and ``|Im lambda|`` of the spectrum
+    ``ev`` that are not grid points.
+    """
+    poles = np.concatenate([np.abs(ev), np.abs(ev.imag)])
+    poles = poles[poles > 0]
+    right = np.searchsorted(ws, poles)
+    near = np.unique(np.clip(np.concatenate([[0], right - 1, right]), 0, ws.size - 1))
+    return ws[near], np.setdiff1d(poles, ws)
+
+
 def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
                        ev: np.ndarray) -> float:
     """Bracketed local search for the peak gain, seeded by the pole frequencies.
@@ -151,11 +176,18 @@ def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
 
 
 def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
-    """Axis crossings of the level-set Hamiltonian for level ``gamma``.
+    """Candidate axis crossings of the level-set Hamiltonian for level ``gamma``.
 
-    Returns the sorted non-negative frequencies of its imaginary-axis
-    eigenvalues; ``gamma`` is an upper bound on the peak gain iff the
-    array is empty.  Uses the diagonally-balanced similarity of the
+    Returns the sorted non-negative frequencies ``|Im mu|`` of its
+    eigenvalues ``mu`` with ``|Re mu| <= HAM_CANDIDATE ||H||_inf``.  The
+    true crossings (the frequencies where a singular value equals
+    ``gamma``) are among them even when rounding pushes them off the axis,
+    and so are eigenvalues merely near it.  The candidates therefore decide
+    nothing alone: ``gamma`` is an upper bound on the peak gain iff no
+    midpoint between consecutive candidates (or zero) has a gain above
+    ``gamma``, which the caller evaluates.  A level at or below the
+    feedthrough gain reports a crossing at infinite frequency, where no
+    midpoint lies.  Uses the diagonally-balanced similarity of the
     Hamiltonian (off-diagonal blocks scaled by gamma and 1/gamma) so the
     axis test stays well conditioned for small peak gains.  The name is the
     probe through which ``bench/layers.py`` counts Hamiltonian eigen-solves.
@@ -180,7 +212,7 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
     ham[n:, :n] = -(c.T @ (np.eye(s.p) + d @ rinv_dt) @ c) / gamma
     ham[n:, n:] = -acl.T
     ev = np.linalg.eigvals(ham)
-    axis_tol = HAM_AXIS * max(np.linalg.norm(ham, np.inf), 1e-300)
+    axis_tol = HAM_CANDIDATE * max(np.linalg.norm(ham, np.inf), 1e-300)
     return np.sort(np.abs(ev[np.abs(ev.real) <= axis_tol].imag))
 
 
@@ -191,32 +223,39 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
     if s.n == 0 or not np.any(s.B) or not np.any(s.C):
         return d_gain
     ws = _initial_grid(s, ev)
-    gains = _sigma_max(s, ws)
+    near, poles = _start_frequencies(ws, ev)
+    gains = _sigma_max(s, np.concatenate([near, poles]))
     estimate = max(float(gains.max()), d_gain)
-    if estimate <= 1e-300:
-        return 0.0
     # realizations that reach a tiny gain by cancelling order-one terms
-    # are beyond the Hamiltonian test's double-precision reach; sweep instead
+    # are beyond the Hamiltonian test's double-precision reach; sweep
+    # instead.  The grid points of the start bound the grid estimate from
+    # below, so the whole grid is evaluated only when they cannot rule the
+    # sweep out, and the sweep is decided on the whole grid.
     beta = float(np.linalg.norm(s.B))
     xi = float(np.linalg.norm(s.C))
     coupling = beta * xi
-    if coupling > 1e7 * estimate:
-        return _refined_grid_peak(s, ws, gains, ev)
+    if coupling > 1e7 * max(float(gains[:near.size].max()), d_gain):
+        grid_gains = _sigma_max(s, ws)
+        grid_estimate = max(float(grid_gains.max()), d_gain)
+        if grid_estimate > 1e-300 and coupling > 1e7 * grid_estimate:
+            return _refined_grid_peak(s, ws, grid_gains, ev)
+        estimate = max(estimate, grid_estimate)
+    if estimate <= 1e-300:
+        return 0.0
     # normalize the gain to order one, splitting the scaling between B and
     # C so the Hamiltonian blocks stay balanced in magnitude
     target = np.sqrt(coupling / estimate)
     sn = StateSpaceSystem(
         s.A, s.B * (target / beta), s.C * (target / xi), s.D / estimate
     )
-    # lb is attained (or certified by axis crossings), ub certified by
-    # their absence.  A level-set step probes just above lb; when the
-    # midpoint gains do not rise past the probed level, the next probe
-    # bisects towards ub, or doubles its height above lb while no ub is
-    # known.
+    # lb is the best gain evaluated, ub a level whose candidate midpoints
+    # all evaluated at or below it.  lb starts at the estimate, at least
+    # ||D||, so no level reaches the feedthrough gain.  A level-set step
+    # probes just above lb; when no midpoint rises past the probed level,
+    # that level becomes ub and the next probe bisects towards it.
     lb, ub = 1.0, np.inf
     level = (1.0 + 2.0 * HINF_REL) * lb
     for _ in range(HINF_MAX_ITER):
-        height = level - lb
         crossings = _gamma_is_upper_bound(sn, level)
         stepped = False
         if crossings.size:
@@ -224,17 +263,14 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
             mids = np.concatenate([[0.0], 0.5 * (crossings[:-1] + crossings[1:])])
             gain = float(_sigma_max(sn, mids).max())
             stepped = gain > level
-            lb = max(gain, level)
-        else:
-            ub = level
-        if ub <= (1.0 + 2.0 * HINF_REL) * lb:
-            return estimate * 0.5 * (lb + ub)
+            lb = max(lb, gain)
         if stepped:
             level = (1.0 + 2.0 * HINF_REL) * lb
-        elif np.isinf(ub):
-            level = lb + 2.0 * height
-        else:
-            level = 0.5 * (lb + ub)
+            continue
+        ub = level
+        if ub <= (1.0 + 2.0 * HINF_REL) * lb:
+            return estimate * 0.5 * (lb + ub)
+        level = 0.5 * (lb + ub)
     raise ConvergenceError("level-set iteration for the peak gain did not converge")
 
 

@@ -520,6 +520,23 @@ def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
     assert calls == {"_peak_gain": 1}
 
 
+def test_siso_products_share_one_peak_gain_search(monkeypatch):
+    # in a SISO loop X*delta and delta*X are one transfer function: with a
+    # stable controller and a detuning the bound does not decide, lemma3
+    # and thm1 search ||X||_inf and one product, whose gain stands for both
+    g, k = generate_instance(4, 0, 0)
+    k_r = add(k, make_system([[-2.0]], [[100.0]], [[100.0]]))
+    calls = {}
+    _count_calls(monkeypatch, norms, "_peak_gain", calls)
+    lemma3, thm1 = check_lemma3(g, k, k_r), check_thm1(g, k, k_r)
+    assert calls == {"_peak_gain": 2}
+    assert set(lemma3.kinds.values()) == set(thm1.kinds.values()) == {"computed"}
+    gain = lemma3.quantities["x_delta_linf"]
+    assert gain > 1.0
+    assert lemma3.quantities["delta_x_linf"] == gain
+    assert thm1.quantities["x_delta_hinf"] == thm1.quantities["delta_x_hinf"] == gain
+
+
 @pytest.mark.parametrize("thm2_first", [True, False], ids=["thm2_cor1", "cor1_thm2"])
 def test_thm2_and_cor1_share_one_error_analysis(balmod, monkeypatch, thm2_first):
     # thm2 and cor1 on the same (G, K, K_r) objects measure delta = K_r - K

@@ -286,12 +286,10 @@ def test_modal_form_matches_the_sequential_reference(rng):
         assert [b.order for b in got.blocks] == [b.order for b in ref.blocks]
         for bg, br in zip(got.blocks, ref.blocks):
             assert abs(bg.eigenvalue - br.eigenvalue) <= 1e-9
-            # first-order blocks: closed form against the level-set search.
-            # Order-2 blocks run hinf_norm in both, on realizations that
-            # differ in the last bits; hinf_norm can land up to 1.6e-9 low
-            # of the peak (CHANGES.md), so they get the looser tolerance.
-            tol = 2e-10 if bg.order == 1 else 1e-8
-            assert abs(bg.importance - br.importance) <= tol * br.importance
+            # first-order blocks: closed form against the level-set search;
+            # order-2 blocks run hinf_norm in both, on realizations that
+            # differ in the last bits
+            assert abs(bg.importance - br.importance) <= 2e-10 * br.importance
         r_got = frequency_response(got.rebuild(), ws)
         r_ref = frequency_response(ref.rebuild(), ws)
         rel = np.abs(r_got - r_ref).max() / np.abs(r_ref).max()
