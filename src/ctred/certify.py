@@ -290,12 +290,16 @@ class _ErrorAnalysis:
         """``delta*X``."""
         return series(self.delta, self.fb.x)
 
-    def products(self, x_delta, delta_x) -> dict:
-        """A condition's entries for ``X*delta`` and ``delta*X`` (their forms,
-        or forms with what they dropped), by product name.  In a SISO loop
-        the two products are one transfer function: ``x_delta`` stands for
-        both, so one peak-gain search serves the pair."""
-        return {"x_delta": x_delta, "delta_x": x_delta if self.g.is_siso else delta_x}
+    def products(self, d: StateSpaceSystem) -> dict:
+        """``X*d`` and ``d*X`` by product name (``"x_delta"``, ``"delta_x"``);
+        the products of ``delta`` itself are the held ones.  In a SISO loop
+        the two are one transfer function: ``X*d`` stands for both, so one
+        peak-gain search serves the pair."""
+        raw = d is self.delta
+        x_d = self.x_delta if raw else series(self.fb.x, d)
+        if self.g.is_siso:
+            return {"x_delta": x_d, "delta_x": x_d}
+        return {"x_delta": x_d, "delta_x": self.delta_x if raw else series(d, self.fb.x)}
 
     def peak_gain(self, form: StateSpaceSystem) -> float:
         """``linf_norm(form)``, computed once per form object (the raw
@@ -479,7 +483,7 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
 
     bound = _small_gain_bound(loop, err.delta_bound)
     gains, kinds = {}, _computed("x_delta_linf", "delta_x_linf")
-    for product, form in err.products(err.x_delta, err.delta_x).items():
+    for product, form in err.products(err.delta).items():
         name = f"{product}_linf"
         try:
             if bound < 1.0:
@@ -521,20 +525,16 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     notes: list[str] = []
     quantities: dict = {}
 
-    d, x = err.delta_stable, loop.fb.x
+    d = err.delta_stable
     if d is None:
         dy_form, _ = _stable_form(series(err.delta, loop.fb.y), notes, "delta*Y")
         dy_stable = dy_form is not None
-        forms = {product: _stable_form(getattr(err, product), notes, label)
-                 for product, label in (("x_delta", "X*delta"), ("delta_x", "delta*X"))}
-        if all(form is not None for form, _ in forms.values()):
-            forms = err.products(forms["x_delta"], forms["delta_x"])
+        forms = {product: _stable_form(form, notes, label) for (product, form), label
+                 in zip(err.products(err.delta).items(), ("X*delta", "delta*X"))}
     else:
         dy_stable = True
         dropped = _small_gain_bound(loop, err.parts.anti_pass.upper_bound)
-        raw = d is err.delta
-        forms = {product: (form, dropped) for product, form in err.products(
-            err.x_delta if raw else series(x, d), err.delta_x if raw else series(d, x)).items()}
+        forms = {product: (form, dropped) for product, form in err.products(d).items()}
     bound = _small_gain_bound(loop, err.delta_bound)
     kinds = _computed("x_delta_hinf", "delta_x_hinf")
     for product, (form, dropped) in forms.items():

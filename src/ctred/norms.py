@@ -253,7 +253,7 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
     # ||D||, so no level reaches the feedthrough gain.  A level-set step
     # probes just above lb; when no midpoint rises past the probed level,
     # that level becomes ub and the next probe bisects towards it.
-    lb, ub = 1.0, np.inf
+    lb = 1.0
     level = (1.0 + 2.0 * HINF_REL) * lb
     for _ in range(HINF_MAX_ITER):
         crossings = _gamma_is_upper_bound(sn, level)
