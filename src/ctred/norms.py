@@ -126,14 +126,17 @@ def _start_frequencies(ws: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.n
 
     Returns the points of the estimate grid ``ws`` that the search reads
     (zero and the neighbours on either side of each pole frequency) and
-    the pole frequencies ``|lambda|`` and ``|Im lambda|`` of the spectrum
-    ``ev`` that are not grid points.
+    the distinct pole frequencies ``|lambda|`` and ``|Im lambda|`` of the
+    spectrum ``ev``.
     """
     poles = np.concatenate([np.abs(ev), np.abs(ev.imag)])
-    poles = poles[poles > 0]
-    right = np.searchsorted(ws, poles)
-    near = np.unique(np.clip(np.concatenate([[0], right - 1, right]), 0, ws.size - 1))
-    return ws[near], np.setdiff1d(poles, ws)
+    poles = np.unique(poles[poles > 0])
+    right = np.searchsorted(ws, poles)  # at least 1: ws[0] is 0
+    near = np.zeros(ws.size, dtype=bool)
+    near[0] = True
+    near[right - 1] = True
+    near[np.minimum(right, ws.size - 1)] = True
+    return ws[near], poles
 
 
 def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
