@@ -210,11 +210,10 @@ def test_hinf_starts_at_the_pole_frequencies(rng, monkeypatch):
     systems += [add(_resonance(1.0, w0, zeta), _resonance(0.5, 3.0 * w0, zeta))
                 for w0 in (0.37, 3.1, 47.0) for zeta in (0.3, 1e-2, 1e-4)]
     for s in systems:
-        n = s.n
         sizes.clear()
         val = hinf_norm(s)
-        assert sizes and max(sizes) <= 1 + 6 * n, (n, sizes)
-        assert abs(val - grid_peak(s)) <= 1e-8 * val, (n, s)
+        assert sizes and max(sizes) <= 1 + 6 * s.n, (s, sizes)
+        assert abs(val - grid_peak(s)) <= 1e-8 * val, s
 
 
 def test_hinf_unstable_guidance():
