@@ -10,9 +10,11 @@ Every Gramian is factored in one place, the Hankel pass
 (:func:`_hankel_pass`: both Gramians from one real Schur form of the
 state matrix, eigen square roots and one SVD).  The parts the
 stable/antistable split leaves are already in Schur form, so their
-Gramians take only triangular solves.  The balancing transform, the
-Hankel-sum bounds and the rounding floor below which Hankel values are
-noise all read that pass.
+Gramians take only triangular solves.  The square-root transform
+(:func:`_balanced`), the Hankel-sum bounds and the rounding floor below
+which Hankel values are noise all read that pass.  Truncation needs only
+the values it keeps, so a non-minimal realization reduces to the balanced
+truncation of its minimal part; only :func:`balance` refuses one.
 
 A split with the passes of its two parts (:class:`_Split`) is the one
 home of three rules on them: the Hankel-sum bound on the peak gain, when
@@ -74,95 +76,85 @@ class TruncationResult:
 
 
 def balance(s: StateSpaceSystem) -> BalancedRealization:
-    """Balanced realization of a stable minimal system.
+    """Balanced realization of a stable minimal system (:func:`_balanced`).
 
     Both Gramians of the returned realization equal ``diag(sigma)`` with
-    the Hankel singular values in descending order.  The transform is the
-    square-root one built from the Hankel pass (:func:`_hankel_pass`):
-    with ``Zo^T Zc = U diag(sigma) V^T``, ``T = sigma^{-1/2} U^T Zo^T`` and
-    ``T^{-1} = Zc V sigma^{-1/2}`` (Laub, Heath, Paige & Ward 1987), so the
-    Hankel values come from one SVD and never from their squares.
+    the Hankel singular values in descending order.  A Gramian below full
+    numerical rank, or a smallest value below ``HSV_MINIMAL`` of the
+    largest, refuses the input as not minimal.
     """
     if s.n == 0:
         raise InfeasibleOrderError("cannot balance an order-0 system")
-    if not linalg.is_stable(s.A):
-        raise StabilityError("balanced realization requires a stable system")
-    minimal = check_minimal(s)
-    if not minimal:
-        raise MinimalityError(
-            f"system is not minimal (controllability rank {minimal.controllability_rank}, "
-            f"observability rank {minimal.observability_rank}, order {s.n})"
-        )
     hp = _hankel_pass(s)
     sigma = hp.sigma
-    if sigma.size < s.n:
+    if sigma.size < s.n or sigma[-1] < HSV_MINIMAL * sigma[0]:
         raise MinimalityError(
-            f"a Gramian of the order-{s.n} system has numerical rank {sigma.size}"
+            f"the order-{s.n} system is not minimal: its Gramians give {sigma.size} "
+            f"Hankel singular values, or the smallest is below {HSV_MINIMAL:.0e} of the largest"
         )
-    if sigma[-1] < HSV_MINIMAL * sigma[0]:
-        raise MinimalityError(
-            f"smallest Hankel singular value {sigma[-1]:.2e} is below "
-            f"{HSV_MINIMAL:.0e} of the largest; realization not minimal enough"
-        )
-    scale = 1.0 / np.sqrt(sigma)
+    return _balanced(s, hp)
+
+
+def _balanced(s: StateSpaceSystem, hp: _HankelPass) -> BalancedRealization:
+    """``s`` in the square-root coordinates of its Hankel pass ``hp``: with
+    ``Zo^T Zc = U diag(sigma) V^T``, ``T = sigma^{-1/2} U^T Zo^T`` and its
+    right inverse ``T^{-1} = Zc V sigma^{-1/2}`` (Laub, Heath, Paige & Ward
+    1987).  No value below ``HSV_MINIMAL`` of the largest is ever kept, so
+    its row and column are scaled at that level, where they stay finite."""
+    scale = 1.0 / np.sqrt(np.maximum(hp.sigma, HSV_MINIMAL * hp.sigma[0]))
     t = scale[:, None] * (hp.u.T @ hp.zo.T)
     tinv = (hp.zc @ hp.vt.T) * scale
     balanced = StateSpaceSystem(t @ s.A @ tinv, t @ s.B, s.C @ tinv, s.D)
-    sigma.flags.writeable = False
-    return BalancedRealization(balanced, sigma, t)
+    hp.sigma.flags.writeable = False
+    return BalancedRealization(balanced, hp.sigma, t)
 
 
 def balanced_truncate(s: StateSpaceSystem, r: int) -> TruncationResult:
-    """Keep the ``r`` most Hankel-important states of a stable minimal system."""
-    bal = balance(s)
-    n = s.n
-    if not 1 <= r < n:
-        raise InfeasibleOrderError(f"target order must satisfy 1 <= r < {n}, got {r}")
-    sigma = bal.hankel_singular_values
+    """Keep the ``r`` most Hankel-important states of a stable system: the
+    leading ``r`` rows and columns of :func:`_balanced`, for a non-minimal
+    realization the balanced truncation of its minimal part (Tombs and
+    Postlethwaite 1987); the tail is :meth:`_HankelPass.values` ``[r:]``.
+    Refuses only a kept ``sigma_r`` at or below the pass's floor or below
+    ``HSV_MINIMAL`` of the largest, a tie (``HSV_TIE``) at the cut, and an
+    unstable result."""
+    hp = _hankel_pass(s)
+    if not 1 <= r < s.n:
+        raise InfeasibleOrderError(f"target order must satisfy 1 <= r < {s.n}, got {r}")
+    sigma = hp.values(s.n)
+    if not sigma[r - 1] > max(hp.floor, HSV_MINIMAL * sigma[0]):
+        raise MinimalityError(
+            f"an order-{r} truncation keeps a Hankel singular value at the rounding "
+            f"floor {hp.floor:.2e} or below {HSV_MINIMAL:.0e} of the largest"
+        )
     if sigma[r - 1] - sigma[r] < HSV_TIE * sigma[0]:
         raise PartitionTieError(
             f"Hankel singular values {sigma[r-1]:.6e} and {sigma[r]:.6e} tie at the "
             "requested split; choose a different order"
         )
-    sb = bal.system
+    sb = _balanced(s, hp).system
     reduced = StateSpaceSystem(sb.A[:r, :r], sb.B[:r, :], sb.C[:, :r], sb.D)
     if not linalg.is_stable(reduced.A):
         raise StabilityError("truncated system lost stability; split is ill-conditioned")
-    return TruncationResult(reduced, "balanced", tuple(float(v) for v in sigma[r:]))
+    return TruncationResult(reduced, "balanced", sigma[r:])
 
 
 def balanced_truncate_unstable(k: StateSpaceSystem, r: int) -> TruncationResult:
     """Balanced truncation of the stable part of a (possibly unstable) controller.
 
     The antistable part is preserved exactly; only the stable part is
-    truncated, so the error system is stable.
+    truncated (:func:`balanced_truncate`), so the error system is stable.
+    Removing the whole stable part reads only its Hankel values and
+    refuses nothing.
     """
-    minimal = check_minimal(k)
-    if not minimal:
-        raise MinimalityError("controller realization must be minimal")
-    split = split_stable_unstable(k)
-    n1 = split.stable_part.n
-    n2 = split.unstable_part.n
-    if n1 < 1:
-        raise InfeasibleOrderError("controller has no stable part to truncate")
-    if r < n2:
-        raise InfeasibleOrderError(
-            f"target order {r} cannot preserve the antistable part of order {n2}"
-        )
-    if r >= k.n:
-        raise InfeasibleOrderError(f"target order must be below {k.n}, got {r}")
-    nr = r - n2
-    stable = split.stable_part
-    if nr == 0:
-        # the stable part is removed entirely
-        bal = balance(stable)
-        reduced = split.unstable_part
-        tail = tuple(float(v) for v in bal.hankel_singular_values)
-    else:
-        inner = balanced_truncate(stable, nr)
-        reduced = add(inner.reduced, split.unstable_part)
-        tail = inner.truncated_tail
-    return TruncationResult(reduced, "balanced", tail)
+    split = _Split.of(k)
+    n1, n2 = split.stable.n, split.anti.n
+    if not n2 <= r < k.n:  # also when there is no stable part (n1 = 0)
+        raise InfeasibleOrderError(f"target order must keep the order-{n2} antistable "
+                                   f"part and reduce: {n2} <= r < {k.n}, got {r}")
+    if r == n2:
+        return TruncationResult(split.anti, "balanced", split.stable_pass.values(n1))
+    inner = balanced_truncate(split.stable, r - n2)
+    return TruncationResult(add(inner.reduced, split.anti), "balanced", inner.truncated_tail)
 
 
 def _minimal_modal_form(k: StateSpaceSystem) -> ModalDecomposition:
@@ -249,6 +241,11 @@ class _HankelPass(NamedTuple):
         """
         states = 0 if self.zc is None else self.zc.shape[0]
         return self.bound + states * self.floor
+
+    def values(self, n: int) -> tuple[float, ...]:
+        """``sigma``, then the floor for each state beyond the Gramians'
+        rank: one value per state, so a truncation's tail counts them all."""
+        return tuple(map(float, self.sigma)) + (float(self.floor),) * (n - self.sigma.size)
 
 
 def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:

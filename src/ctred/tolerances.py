@@ -20,7 +20,7 @@ CARE_RESID = 1e-8
 SEP_REL = 1e-6
 
 # Hankel singular value thresholds (relative to the largest value).
-HSV_MINIMAL = 1e-10   # below this, balance() refuses: not minimal
+HSV_MINIMAL = 1e-10   # balance() refuses a value below it, truncation keeps none
 HSV_TIE = 1e-9        # minimum gap between sigma_r and sigma_{r+1}
 MINREAL_TOL = 1e-9    # states below this are discarded by minimal_realization
 

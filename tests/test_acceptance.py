@@ -51,6 +51,7 @@ from ctred.polezero import partial_fractions, residue_factorization, \
     small_block_cancellation_probe
 from ctred.rational import RationalTransferFunction
 from ctred.reduce import (
+    _hankel_pass,
     balance,
     balanced_truncate,
     balanced_truncate_unstable,
@@ -159,7 +160,7 @@ def test_criterion_04_balanced_error_bound_batch():
             res = balanced_truncate(s, r)
         except (MinimalityError, PartitionTieError):
             continue
-        bal_top = balance(s).hankel_singular_values[0]
+        bal_top = _hankel_pass(s).sigma[0]
         err = hinf_norm(add(res.reduced, negate(s)))
         bound = 2.0 * sum(res.truncated_tail)
         if err > bound + 1e-9 * bal_top:

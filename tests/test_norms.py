@@ -15,7 +15,7 @@ from ctred.errors import (
 )
 from ctred.gen import random_stable_minimal, synthesize_stabilizing_plant
 from ctred.norms import _initial_grid, h2_norm, hinf_norm, l2_norm, linf_norm
-from ctred.reduce import balanced_truncate, balanced_truncate_unstable
+from ctred.reduce import balance, balanced_truncate, balanced_truncate_unstable
 from ctred.statespace import (
     StateSpaceSystem,
     add,
@@ -471,8 +471,10 @@ def fallback_calls():
                 break
             n = int(rng.integers(4, 9))
             s = random_stable_minimal(rng, n)
+            r = int(rng.integers(1, n))
             try:
-                reduced = balanced_truncate(s, int(rng.integers(1, n))).reduced
+                balance(s)  # minimal balanced realizations only
+                reduced = balanced_truncate(s, r).reduced
             except (MinimalityError, PartitionTieError):
                 continue
             hinf_norm(add(reduced, negate(s)))

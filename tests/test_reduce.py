@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -27,6 +29,7 @@ from ctred.reduce import (
     split_cancelled_unstable,
 )
 from ctred.statespace import add, make_system, mirror, negate, series
+from ctred.tolerances import HSV_MINIMAL
 
 
 def balanced_fixture(sigmas, b=None):
@@ -386,3 +389,92 @@ def test_split_born_hankel_pass_makes_no_eigen_solve(rng, monkeypatch):
             wo = sla.solve_continuous_lyapunov(part.A.T, -part.C.T @ part.C)
             ref = np.sqrt(np.sort(np.linalg.eigvals(wc @ wo).real)[::-1])
             np.testing.assert_allclose(hp.sigma, ref[:hp.sigma.size], rtol=1e-8)
+
+
+def _planted_duplicate_mode():
+    # the second copy of the pole -2 is uncontrollable: a non-minimal
+    # order-3 realization of a minimal order-2 transfer function
+    return make_system(np.diag([-1.0, -2.0, -2.0]), [[1.0], [1.0], [0.0]],
+                       [[1.0, 1.0, 1.0]])
+
+
+def test_balanced_truncate_of_a_planted_uncontrollable_mode():
+    s = _planted_duplicate_mode()
+    floor = _hankel_pass(s).floor
+    # order 2 keeps the whole minimal part: the error is rounding
+    assert hinf_norm(add(balanced_truncate(s, 2).reduced, negate(s))) <= 1e-14
+    res = balanced_truncate(s, 1)
+    err = hinf_norm(add(res.reduced, negate(s)))
+    assert err <= 2.0 * sum(res.truncated_tail) + s.n * floor
+
+
+def test_rank_deficient_gramian_records_missing_states_at_the_floor(rng):
+    s = _planted_duplicate_mode()
+    hp = _hankel_pass(s)
+    assert hp.sigma.size == 2 and hp.floor > 0.0
+    for r in (1, 2):
+        tail = balanced_truncate(s, r).truncated_tail
+        assert len(tail) == s.n - r
+        assert tail[-1] == hp.floor
+        assert tuple(tail[:-1]) == tuple(hp.sigma[r:])
+    # the missing state's floor covers the rounding-level error of order 2
+    res = balanced_truncate(s, 2)
+    assert hinf_norm(add(res.reduced, negate(s))) <= 2.0 * sum(res.truncated_tail)
+    # removing the whole stable part records one value per stable state
+    k = add(s, random_antistable(rng, 1))
+    tail = balanced_truncate_unstable(k, 1).truncated_tail
+    assert len(tail) == 3 and tail[-1] > 0.0
+
+
+def test_balanced_truncate_discards_an_exactly_zero_hankel_value():
+    # the only observable directions are states 2 and 3, the controllable
+    # ones 1 and 2: the pass has the values 0.25 and exactly 0, and the
+    # discarded zero must not reach the transform as a division by zero
+    s = make_system(np.diag([-1.0, -2.0, -3.0]), [[1.0], [1.0], [0.0]],
+                    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    hp = _hankel_pass(s)
+    assert hp.sigma[1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = balanced_truncate(s, 1)
+    assert res.truncated_tail == (0.0, hp.floor)
+    assert transfer_close(res.reduced, s, 1e-12)
+
+
+def test_balanced_truncate_refuses_a_kept_value_below_hsv_minimal():
+    sigma = np.array([1.0, 1e-11, 1e-13])
+    s = balanced_fixture(sigma, b=np.sqrt(sigma) * np.array([1.0, 2.0, 3.0]))
+    hp = _hankel_pass(s)
+    # sigma_2 lies above the rounding floor but below HSV_MINIMAL sigma_1
+    assert hp.floor < hp.sigma[1] < HSV_MINIMAL * hp.sigma[0]
+    with pytest.raises(MinimalityError):
+        balanced_truncate(s, 2)
+    # sigma_n / sigma_1 = 1e-13, yet order 1 keeps a value clear of the floor
+    res = balanced_truncate(s, 1)
+    assert res.truncated_tail[0] == pytest.approx(sigma[1], rel=1e-6)
+    err = hinf_norm(add(res.reduced, negate(s)))
+    assert err <= 2.0 * sum(res.truncated_tail) + s.n * hp.floor
+
+
+def test_balanced_truncation_makes_no_balance_and_no_krylov_test(monkeypatch, rng):
+    import ast
+    import inspect
+
+    from ctred import reduce
+
+    calls = []
+    for name in ("balance", "check_minimal"):
+        original = getattr(reduce, name)
+        monkeypatch.setattr(reduce, name, lambda *a, f=original, name=name:
+                            calls.append(name) or f(*a))
+    _, k = bench_balanced_vs_modal_pair()
+    for r in (1, 2):
+        balanced_truncate_unstable(k, r)
+    balanced_truncate_unstable(add(random_stable_minimal(rng, 4), random_antistable(rng, 1)), 3)
+    assert calls == []
+    # outside modal truncation, reduce.py names check_minimal nowhere
+    naming = {fn.name for fn in ast.walk(ast.parse(inspect.getsource(reduce)))
+              if isinstance(fn, ast.FunctionDef)
+              and any(isinstance(node, ast.Name) and node.id == "check_minimal"
+                      for node in ast.walk(fn))}
+    assert naming == {"_minimal_modal_form"}
