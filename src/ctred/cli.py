@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, certify, errors, norms, reduce as reduction, sysfile
+from .decompose import modal_form
 from .gen import generate_instance
 from .statespace import _check_loop_dims, _stabilizing_four_block, frequency_response
 
@@ -100,7 +101,7 @@ def _cmd_reduce(args) -> int:
     else:
         if args.blocks is None and args.order is None:
             raise errors.InfeasibleOrderError("modal reduction needs --blocks or --order")
-        md = reduction._minimal_modal_form(k)
+        md = modal_form(k)
         r_red = args.blocks
         if r_red is None:
             r_red = _modal_blocks_for_order(md, args.order)

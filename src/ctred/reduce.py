@@ -3,8 +3,10 @@
 Three reductions are provided: balanced truncation of stable systems,
 balanced truncation of the stable part of an unstable controller (the
 antistable part is carried through untouched), and modal truncation
-ranked by per-mode importance.  A Gramian-based minimal realization also
-lives here.
+ranked by per-mode importance.  Modal truncation takes any realization:
+a mode the input cannot reach or the output cannot see has importance 0
+and is removed first.  A Gramian-based minimal realization also lives
+here.
 
 Every Gramian is factored in one place, the Hankel pass
 (:func:`_hankel_pass`: both Gramians from one real Schur form of the
@@ -45,13 +47,7 @@ from .errors import (
     ZeroModeError,
 )
 from .norms import _feedthrough_gain
-from .statespace import (
-    StateSpaceSystem,
-    add,
-    check_minimal,
-    frequency_response,
-    mirror,
-)
+from .statespace import StateSpaceSystem, add, frequency_response, mirror
 from .tolerances import HSV_MINIMAL, HSV_TIE, MINREAL_TOL
 
 
@@ -157,17 +153,12 @@ def balanced_truncate_unstable(k: StateSpaceSystem, r: int) -> TruncationResult:
     return TruncationResult(add(inner.reduced, split.anti), "balanced", inner.truncated_tail)
 
 
-def _minimal_modal_form(k: StateSpaceSystem) -> ModalDecomposition:
-    """Modal form of a realization that modal truncation accepts: a minimal one."""
-    if not check_minimal(k):
-        raise MinimalityError("controller realization must be minimal")
-    return modal_form(k)
-
-
 def modal_truncate(k: StateSpaceSystem, r_red: int) -> TruncationResult:
     """Remove the ``r_red`` least important modal blocks (:func:`mode_ranking`)
-    of a minimal system."""
-    return modal_truncate_decomposition(_minimal_modal_form(k), r_red)
+    of any realization.  A mode the input cannot reach or the output cannot
+    see has importance 0, so it is ranked first and removing it leaves the
+    transfer function unchanged."""
+    return modal_truncate_decomposition(modal_form(k), r_red)
 
 
 def mode_ranking(md: ModalDecomposition) -> list[int]:

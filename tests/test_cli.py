@@ -5,7 +5,7 @@ import pytest
 
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.cli import main
-from ctred.statespace import make_system
+from ctred.statespace import add, make_system
 from ctred.sysfile import load_system, save_system
 
 
@@ -169,6 +169,21 @@ def test_reduce_modal_certify_attaches_cor2(files, capsys):
     assert cert["theorem"] == "cor2"
     assert cert["condition_satisfied"] is True
     assert cert["cost_bound"] == pytest.approx(17.4773, rel=1e-5)
+
+
+def test_reduce_modal_non_minimal_controller(files, capsys):
+    tmp, p = files
+    k, _ = load_system(p["k1"])
+    # a stable mode at -3 that the input cannot reach
+    hidden = tmp / "hidden.json"
+    save_system(hidden, add(k, make_system([[-3.0]], [[0.0]], [[1.0]])))
+    out = tmp / "kh.json"
+    rc = run(["--quiet", "reduce", p["g1"], hidden, "--method", "modal",
+              "--blocks", "1", "--out", out])
+    assert rc == 0
+    report = json.loads((tmp / "kh.report.json").read_text())
+    assert report["reduced_order"] == k.n
+    assert report["truncated_tail"][0] == 0.0
 
 
 @pytest.mark.parametrize("theorem", ["lemma3", "thm1", "thm2", "cor1", "cor2", "thm3"])

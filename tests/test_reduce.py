@@ -28,7 +28,7 @@ from ctred.reduce import (
     mode_ranking,
     split_cancelled_unstable,
 )
-from ctred.statespace import add, make_system, mirror, negate, series
+from ctred.statespace import add, check_minimal, make_system, mirror, negate, series
 from ctred.tolerances import HSV_MINIMAL
 
 
@@ -226,18 +226,44 @@ def test_balanced_truncate_unstable_infeasible_order():
 
 
 def test_modal_truncate_zero_residue_block():
-    # an exactly zero output row makes the realization non-minimal, so the
-    # decomposition-level entry point is used; removing the silent block
-    # leaves the transfer function untouched
-    from ctred.decompose import modal_form
+    # an exactly zero output column silences the mode at -2; removing the
+    # silent block leaves the transfer function untouched
     from ctred.reduce import modal_truncate_decomposition
 
     s = make_system(np.diag([-1.0, -2.0, -3.0]),
                     [[1.0], [1.0], [1.0]], [[1.0, 0.0, 2.0]])
-    res = modal_truncate_decomposition(modal_form(s), 1)
+    for res in (modal_truncate_decomposition(modal_form(s), 1), modal_truncate(s, 1)):
+        assert res.reduced.n == 2
+        assert transfer_close(res.reduced, s, 1e-9)
+        assert res.truncated_tail == (0.0,)
+
+
+def test_modal_truncate_removes_planted_hidden_modes_first():
+    # -3 is uncontrollable (zero input row), +2 unobservable (zero output column)
+    k = make_system(np.diag([-1.0, -3.0, 2.0, -5.0]),
+                    [[1.0], [0.0], [1.0], [0.5]], [[1.0, 1.0, 0.0, 2.0]])
+    res = modal_truncate(k, 2)
     assert res.reduced.n == 2
-    assert transfer_close(res.reduced, s, 1e-9)
-    assert res.truncated_tail == (0.0,)
+    assert res.truncated_tail == (0.0, 0.0)
+    assert transfer_close(res.reduced, k)
+
+
+def test_modal_truncate_pbh_minimal_system_the_krylov_test_rejects(rng):
+    # distinct poles and modal coefficients of at least 0.3 make every mode
+    # controllable and observable (PBH); a rotated basis hides that from
+    # the rank of the Krylov matrix at order 10
+    n = 10
+    lam = -np.sort(rng.uniform(0.2, 5.0, n))
+    assert np.min(np.diff(-lam)) > 0.0
+    mb = rng.choice([-1.0, 1.0], (n, 1)) * rng.uniform(0.3, 1.0, (n, 1))
+    mc = rng.choice([-1.0, 1.0], (1, n)) * rng.uniform(0.3, 1.0, (1, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = make_system(q @ np.diag(lam) @ q.T, q @ mb, mc @ q.T)
+    assert not check_minimal(s)
+    res = modal_truncate(s, 1)
+    assert res.reduced.n == n - 1
+    err = hinf_norm(add(res.reduced, negate(s)))
+    assert err == pytest.approx(res.truncated_tail[0], rel=1e-9)
 
 
 def test_modal_truncate_benchmark_stable_part():
@@ -463,18 +489,15 @@ def test_balanced_truncation_makes_no_balance_and_no_krylov_test(monkeypatch, rn
     from ctred import reduce
 
     calls = []
-    for name in ("balance", "check_minimal"):
-        original = getattr(reduce, name)
-        monkeypatch.setattr(reduce, name, lambda *a, f=original, name=name:
-                            calls.append(name) or f(*a))
+    original = reduce.balance
+    monkeypatch.setattr(reduce, "balance", lambda *a: calls.append("balance") or original(*a))
     _, k = bench_balanced_vs_modal_pair()
     for r in (1, 2):
         balanced_truncate_unstable(k, r)
     balanced_truncate_unstable(add(random_stable_minimal(rng, 4), random_antistable(rng, 1)), 3)
     assert calls == []
-    # outside modal truncation, reduce.py names check_minimal nowhere
-    naming = {fn.name for fn in ast.walk(ast.parse(inspect.getsource(reduce)))
-              if isinstance(fn, ast.FunctionDef)
-              and any(isinstance(node, ast.Name) and node.id == "check_minimal"
-                      for node in ast.walk(fn))}
-    assert naming == {"_minimal_modal_form"}
+    # reduce.py names check_minimal nowhere
+    tree = ast.parse(inspect.getsource(reduce))
+    assert not any(isinstance(node, ast.Name) and node.id == "check_minimal"
+                   or isinstance(node, ast.alias) and node.name == "check_minimal"
+                   for node in ast.walk(tree))
