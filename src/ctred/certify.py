@@ -410,16 +410,13 @@ def _small_gain_bound(loop: _LoopAnalysis, d: float) -> float:
 def _stable_form(s: StateSpaceSystem, notes: list, label: str):
     """Stability of a transfer function with a usable realization.
 
-    A raw-stable realization is used as is; otherwise the unstable part is
-    inspected: when its transfer contribution sits at the rounding floor
-    (exactly cancelling modes in a difference of systems) the stable part
-    stands in, so hidden cancellations never fail the test spuriously.
-    Returns ``(realization, dropped)``, with ``realization`` ``None`` when
-    ``s`` is not stable and ``dropped`` an upper bound on the peak gain
-    of what was dropped (0 for a raw-stable ``s``).
+    The unstable part is inspected: when its transfer contribution sits at
+    the rounding floor (exactly cancelling modes in a difference of
+    systems) the stable part stands in, so hidden cancellations never fail
+    the test spuriously.  Returns ``(realization, dropped)``, with
+    ``realization`` ``None`` when ``s`` is not stable and ``dropped`` an
+    upper bound on the peak gain of what was dropped.
     """
-    if linalg.is_stable(s.A):
-        return s, 0.0
     try:
         cleaned = drop_negligible_antistable(s)
     except (AxisPoleError, SeparationError) as exc:

@@ -12,11 +12,10 @@ Every matrix equation is solved after Bartels and Stewart (1972): one real
 Schur form per operand (``_real_schur``: a matrix in real Schur canonical
 form is its own, any other takes one unsorted Hessenberg-QR sweep), then
 one checked triangular step, ``_trsyl`` (LAPACK ``trsyl``, its info and
-scale), and one acceptance rule, ``_check_residual`` (``||R|| <= tol *
-max(1, ||rhs||)``, with the tolerance of each equation).  Every Lyapunov
-solve is ``_gramians``: all Gramians of one state matrix from one Schur
-form, the matrix itself or its negated transpose when the stable/antistable
-split left it in that form.  ``_solve_sylvester`` serves
+scale), and one acceptance rule, ``_check_residual`` (below).  Every
+Lyapunov solve is ``_gramians``: all Gramians of one state matrix from one
+Schur form, the matrix itself or its negated transpose when the
+stable/antistable split left it in that form.  ``_solve_sylvester`` serves
 :func:`solve_sylvester` and :mod:`ctred.decompose`, which hands it the
 Schur blocks it carries.  No scipy Lyapunov or Sylvester solver runs.
 
@@ -24,10 +23,20 @@ Reordering is one LAPACK ``trsen`` call, checked in ``_reorder_schur``
 (its info, the reconstruction residual and the partition of the reordered
 spectrum); :func:`solve_care` reorders the one Schur form of its
 Hamiltonian, whose spectrum its axis test reads.
+
+Every computed solution, of a Lyapunov, Sylvester or Riccati equation or
+of a Schur reconstruction, is judged by one rule, ``_check_residual``: the
+terms of its equation should sum to zero, and the solve is refused when
+``||sum of terms|| > RESID_REL * sum of ||term||`` (Frobenius norms), a
+normwise backward error (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 16).  The scale includes ``||A|| ||X||``, so an
+accurate solve of an ill-conditioned equation is accepted however large
+its solution, and a solution that misses its equation is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +45,7 @@ import scipy.linalg as sla
 
 from .errors import (
     ConvergenceError,
+    CtredError,
     DimensionError,
     NoStabilizingSolutionError,
     NonFiniteError,
@@ -43,15 +53,7 @@ from .errors import (
     SeparationError,
     StabilityError,
 )
-from .tolerances import (
-    CARE_RESID,
-    LYAP_RESID,
-    SCHUR_RESID,
-    SEP_REL,
-    SYLV_RESID,
-    inf_norm,
-    stab_tol,
-)
+from .tolerances import RESID_REL, SEP_REL, inf_norm, stab_tol
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -185,11 +187,12 @@ def _reorder_schur(m: np.ndarray, t: np.ndarray, z: np.ndarray, ev: np.ndarray,
     ``z`` is ``None`` when ``m`` is its own Schur form ``t``, ``ev`` is the
     diagonal spectrum of ``t``, and ``rule`` maps an array of
     eigenvalues to a boolean mask.  Raises :class:`ReorderingError` when
-    ``trsen`` fails, when ``Z T Z^T`` misses ``m`` by more than
-    ``SCHUR_RESID``, or when the reordered spectrum does not split cleanly
-    under ``rule`` (selected eigenvalues first, the others after).  A rule
-    that selects all eigenvalues or none moves nothing (``trsen`` would
-    return ``t`` and ``z`` as they are), so the form is returned unchanged.
+    ``trsen`` fails, when ``_check_residual`` refuses the reconstruction
+    terms ``Z T Z^T`` and ``-m``, or when the reordered spectrum does not
+    split cleanly under ``rule`` (selected eigenvalues first, the others
+    after).  A rule that selects all eigenvalues or none moves nothing
+    (``trsen`` would return ``t`` and ``z`` as they are), so the form is
+    returned unchanged.
     """
     if m.shape[0] == 0:
         return SchurForm(m.copy(), np.eye(0), ev, 0)
@@ -200,12 +203,7 @@ def _reorder_schur(m: np.ndarray, t: np.ndarray, z: np.ndarray, ev: np.ndarray,
     t, z, _, _, sdim, _, _, info = sla.lapack.dtrsen(chosen, t, z, job="N")
     if info != 0:
         raise ReorderingError(f"Schur reordering failed (trsen info {info})")
-
-    resid = np.linalg.norm(z @ t @ z.T - m)
-    if resid > SCHUR_RESID * max(1.0, np.linalg.norm(m)):
-        raise ReorderingError(
-            f"Schur reconstruction residual {resid:.2e} exceeds tolerance"
-        )
+    _check_residual((z @ t @ z.T, -m), "Schur reconstruction", ReorderingError)
     ev = _block_eigenvalues(t)
     flags = rule(ev)
     if flags.sum() != sdim or not flags[:sdim].all() or flags[sdim:].any():
@@ -246,12 +244,17 @@ def _trsyl(a: np.ndarray, b: np.ndarray, f: np.ndarray, equation: str,
     return y
 
 
-def _check_residual(r: np.ndarray, rhs: np.ndarray, tol: float, equation: str) -> None:
-    """Raise :class:`ConvergenceError` when the residual ``r`` of an equation
-    with right-hand side ``rhs`` exceeds ``tol * max(1, ||rhs||)``."""
-    resid = np.linalg.norm(r)
-    if resid > tol * max(1.0, np.linalg.norm(rhs)):
-        raise ConvergenceError(f"{equation} residual {resid:.2e} exceeds tolerance")
+def _check_residual(terms: Sequence[np.ndarray], equation: str,
+                    error: type[CtredError] = ConvergenceError) -> None:
+    """Raise ``error`` unless the ``terms`` of an equation, which should sum
+    to zero, leave a residual of at most ``RESID_REL`` times the sum of
+    their norms (the normwise backward error of the computed solution);
+    a non-finite residual is refused too.  Frobenius norms, from ``vdot``:
+    ``np.linalg.norm``'s dispatch would cost more than the products."""
+    total = sum(terms[1:], terms[0])
+    resid = math.sqrt(np.vdot(total, total))
+    if not resid <= RESID_REL * sum(math.sqrt(np.vdot(t, t)) for t in terms):
+        raise error(f"{equation} residual {resid:.2e} exceeds tolerance")
 
 
 def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
@@ -269,8 +272,10 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     otherwise.  The diagonal of ``T`` holds the real parts of the
     eigenvalues.  Raises :class:`StabilityError` unless they all lie more
     than :func:`half_plane_tol` of ``A`` left of the imaginary axis, and
-    :class:`ConvergenceError` from ``_trsyl`` or ``_check_residual``
-    (``LYAP_RESID``).
+    :class:`ConvergenceError` from ``_trsyl`` or from ``_check_residual``
+    on the terms ``op X``, ``X op^T`` and ``Q`` (``op`` is ``A`` or
+    ``A^T``; ``X`` is symmetric, so ``X op^T = (op X)^T`` costs no second
+    product).
     """
     if not a.shape[0]:
         return [np.zeros((0, 0)) for _ in (*controllability, *observability)]
@@ -295,8 +300,8 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
         y = _trsyl(t, t, f, "Lyapunov", trana, tranb)
         x = y if z is None else z @ y @ z.T
         x = 0.5 * (x + x.T)
-        op = a.T if adjoint else a
-        _check_residual(op @ x + x @ op.T + q, q, LYAP_RESID, "Lyapunov")
+        ax = (a.T if adjoint else a) @ x
+        _check_residual((ax, ax.T, q), "Lyapunov")
         solutions.append(x)
     return solutions
 
@@ -322,7 +327,8 @@ def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     Raises :class:`SeparationError` when an eigenvalue of ``A`` lies within
     ``SEP_REL`` (relative) of one of ``-B``, and :class:`ConvergenceError`
-    from ``_trsyl`` or ``_check_residual`` (``SYLV_RESID``).
+    from ``_trsyl`` or from ``_check_residual`` on the terms ``A X``,
+    ``X B`` and ``C``.
     """
     (ta, za, ea), (tb, zb, eb) = schur_a, schur_b
     gap = np.abs(ea[:, None] + eb[None, :]).min()
@@ -336,7 +342,7 @@ def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     x = _trsyl(ta, tb, f if zb is None else f @ zb, "Sylvester")
     x = x if za is None else za @ x
     x = x if zb is None else x @ zb.T
-    _check_residual(a @ x + x @ b + c, c, SYLV_RESID, "Sylvester")
+    _check_residual((a @ x, x @ b, c), "Sylvester")
     return x
 
 
@@ -364,8 +370,11 @@ def solve_care(a, b, q, r) -> np.ndarray:
     """Stabilizing solution of ``A^T P + P A - P B R^{-1} B^T P + Q = 0``.
 
     Computed from one real Schur form of the 2n x 2n Hamiltonian, reordered
-    to lead with its stable invariant subspace.  The closed loop
-    ``A - B R^{-1} B^T P`` is verified stable before returning.
+    to lead with its stable invariant subspace.  The solution is refused
+    (:class:`ConvergenceError`) when ``_check_residual`` refuses the terms
+    ``A^T P``, ``P A``, ``-P B R^{-1} B^T P`` and ``Q`` (``P`` is symmetric,
+    so ``A^T P = (P A)^T``), and the closed loop ``A - B R^{-1} B^T P`` is
+    verified stable before returning.
     """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
@@ -406,7 +415,8 @@ def solve_care(a, b, q, r) -> np.ndarray:
         raise NoStabilizingSolutionError("stable subspace is not a graph")
     p = sla.solve(u1.T, u2.T).T
     p = 0.5 * (p + p.T)
-    _check_residual(am.T @ p + p @ am - p @ bm @ rinv_bt @ p + qm, qm, CARE_RESID, "Riccati")
+    pa = p @ am
+    _check_residual((pa.T, pa, -(p @ bm @ rinv_bt @ p), qm), "Riccati")
     if not is_stable(am - bm @ rinv_bt @ p):
         raise NoStabilizingSolutionError("computed solution is not stabilizing")
     return p

@@ -10,11 +10,21 @@ import os
 
 import numpy as np
 
-# Residual acceptance thresholds (relative).
-SCHUR_RESID = 1e-10
-LYAP_RESID = 1e-9
-SYLV_RESID = 1e-9
-CARE_RESID = 1e-8
+# Residual acceptance of every computed solution (ctred.linalg._check_residual):
+# the terms of its equation should sum to zero, and the solve is refused when
+# ||sum of terms|| > RESID_REL * sum of ||term|| (Frobenius norms), a normwise
+# backward error that scales with ||A|| ||X||, not with the right-hand side
+# alone.  Measured over a Tier-1 run and the three benchmark pools at seeds
+# 11 and 401 (tens of thousands of solves): accurate solves stay at or below
+# 1.9e-12 for Lyapunov (||X|| up to 8e10), 1.1e-12 for Riccati, 1.7e-15 for
+# Sylvester and 2.5e-15 for the Schur reconstruction.  At seeds 12-16 and
+# 21-25 a few Gramians of reduce_sweep's LQG costs reach 4.1e-11, and their
+# costs agree with an independent solve.  The planted faults of the test
+# suite (a 1e-6 error in a triangular solve or a Schur factor) sit at 2.3e-6
+# (Lyapunov), 1.4e-7 (Sylvester) and 7.6e-8 (Schur).  Riccati solves of the
+# random generator's draws with antistable modes spread continuously from
+# 1e-13 to 3e-3, so this tolerance splits them where it falls.
+RESID_REL = 1e-10
 
 # Relative spectral-separation floor for Sylvester decoupling.
 SEP_REL = 1e-6

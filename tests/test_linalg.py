@@ -129,6 +129,23 @@ def test_lyapunov_requires_stability():
         linalg.solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("c", [1e5, 3e5, 1e6])
+def test_lyapunov_accepts_an_accurate_ill_conditioned_solve(c):
+    # ||X|| reaches 8.3e10 while the backward error stays at rounding
+    # level; a residual scaled by ||Q|| alone would refuse c = 1e5 and 1e6
+    # and accept 3e5, a verdict that flips under rounding
+    a = np.array([[-1.0, c], [0.0, -2.0]])
+    x = linalg.solve_lyapunov(a, np.eye(2))
+    ref = sla.solve_continuous_lyapunov(a, -np.eye(2))
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the same solution off by 1e-6 of its norm misses its equation
+    e = np.array([[0.6, 0.3], [0.3, -0.8]])
+    wrong = x + 1e-6 * np.linalg.norm(x) * e
+    ax = a @ wrong
+    with pytest.raises(ConvergenceError, match="Lyapunov residual"):
+        linalg._check_residual((ax, ax.T, np.eye(2)), "Lyapunov")
+
+
 def test_sylvester_scalar():
     x = linalg.solve_sylvester([[1.0]], [[1.0]], [[-2.0]])
     assert np.allclose(x, [[1.0]])

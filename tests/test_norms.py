@@ -34,7 +34,7 @@ def lag(pole, gain=1.0):
     return make_system([[pole]], [[1.0]], [[gain]])
 
 
-from conftest import criterion_07_triples, grid_peak_oracle as grid_peak
+from conftest import grid_peak_oracle as grid_peak
 
 
 def test_h2_first_order():
@@ -177,9 +177,46 @@ def test_hinf_within_tolerance_of_a_two_state_peak():
 
 
 def test_linf_of_a_nineteen_state_product_within_tolerance_of_its_peak():
-    # X*delta of a criterion-07 triple; a 40-digit mpmath golden-section
-    # maximisation puts its peak gain at 0.025082780890 (w = 0.2216)
-    g, k, k_r = list(criterion_07_triples(40))[28]
+    # X*delta of a criterion-07 triple (plant, controller with one
+    # antistable mode, modal truncation of its stable part); a 40-digit
+    # mpmath golden-section maximisation puts its peak gain at
+    # 0.025082780890 (w = 0.2216)
+    g = make_system(
+        [[-3.36553413751557, -1.251100644914847, 0.4745105007021372,
+          -0.4276768101664607, -1.304982749313335],
+         [-1.2611872055847142, -2.859571023844326, -1.090985820515136,
+          -0.6799556311822609, 0.026038076777636383],
+         [0.4574699116500673, -1.0533004906226067, -2.593119303450277,
+          -0.13081405904853247, -0.9993931706169286],
+         [-0.4442963310964172, -0.6474419196256074, -0.15191057799339644,
+          -3.7095315497470702, -1.130114354832972],
+         [2.926717625915135, -1.3457174589592604, -0.7978415697946697,
+          -0.885342057161258, -2.107858130677716]],
+        [[0.12108749866848273], [-0.07628138643223603], [2.294352937758987e-05],
+         [-0.02619428838590951], [-3.3395631428335353]],
+        [[-0.08588042555735542, 0.03745588984893736, -0.07520467503942749,
+          -0.059766775464014474, -1.6039048795303632]])
+    k = make_system(
+        [[-3.184707828577752, -1.3324774525540286, 0.5110030299462236,
+          -0.40778644925285157, 0.0],
+         [-1.3324774525540288, -2.826896504173643, -1.0766489013116238,
+          -0.6628220997446618, 0.0],
+         [0.5110030299462238, -1.076648901311624, -2.5462639479470908,
+          -0.09357882492771842, 0.0],
+         [-0.4077864492528515, -0.6628220997446614, -0.09357882492771843,
+          -3.6612031008804644, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 0.3816268822896546]],
+        [[0.835636102086359], [-0.030098276639535904], [0.6231041950258602],
+         [0.6998410587740724], [0.9451763400202584]],
+        [[0.9006836054822127, -0.4135630382682436, -0.21762124541590588,
+          -0.2481917183844915, -0.2915088074562435]])
+    k_r = make_system(
+        np.diag([-4.899149624551743, -3.275087889495606, -0.8532903639494465,
+                 0.3816268822896546]),
+        [[0.9263950147429524], [0.07160458791101479], [0.8273177729309424],
+         [0.9451763400202584]],
+        [[0.0697998578711426, -0.8582856561953066, 0.575374406753383,
+          -0.2915088074562435]])
     product = series(four_block(g, k).x, add(k_r, negate(k)))
     assert product.n == 19
     assert linf_norm(product) == pytest.approx(0.025082780890, rel=HINF_REL)
