@@ -1,25 +1,21 @@
 """Additive decompositions of a state-space system.
 
 Stable/antistable splitting and modal (per-eigenvalue-block) decomposition
-are both computed with an orthogonal Schur reduction followed by a
-Sylvester decoupling of the off-diagonal coupling block; only similarity
-transforms touch the realization, so the transfer function is preserved
-exactly.  A modal decomposition reduces the state matrix to Schur form
-once: each cluster is peeled off by reordering the remaining Schur block
-and a triangular Sylvester solve (Bavely and Stewart's block
-diagonalization), so only the first step runs a Hessenberg-QR sweep.
+are one block diagonalization (Bavely and Stewart 1979; Golub and Van
+Loan, *Matrix Computations*, 4th ed., section 7.6.3), ``_block_diagonalize``:
+one real Schur form of the state matrix with the blocks contiguous along
+its diagonal, then one checked triangular Sylvester solve per block column
+against the leading triangle (:mod:`ctred.linalg`'s ``_solve_sylvester``,
+on the spectra the Schur form already knows).  Only similarity transforms
+touch the realization, so the parts sum to the original transfer function.
 
-Each step starts from a Schur form whose diagonal spectrum it already
-knows: the first from the one reduction, every later one from the
-trailing block and eigenvalues the step before left.  A step selects with
-a vectorised rule over that spectrum (the nearest-cluster rule, or the open
-left half-plane for the stable/antistable split) and runs the checked
-reordering and Sylvester steps of :mod:`ctred.linalg`, the same ones behind
-:func:`~ctred.linalg.ordered_real_schur` and
-:func:`~ctred.linalg.solve_sylvester`, without detecting the Schur form or
-recomputing a spectrum again.  The clustering of :func:`modal_form` and
-the axis check of :func:`split_stable_unstable` read the spectrum of that
-one reduction too, so neither runs a separate eigen-solve.
+The split makes one checked ``trsen`` reordering that moves the open left
+half-plane to the front and cuts once.  The modal decomposition groups the
+Schur diagonal's spectrum into clusters, reorders only a cluster that is
+not contiguous in the Schur order, and cuts wherever the nearest cluster
+(``_labels``) changes.  The clustering of :func:`modal_form` and the axis
+check of :func:`split_stable_unstable` read the spectrum of that one Schur
+form, so neither runs a separate eigen-solve.
 """
 
 from __future__ import annotations
@@ -34,37 +30,33 @@ from .statespace import StateSpaceSystem, zero_system
 from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm
 
 
-def _decouple_leading(sys_abc, schur, rule):
-    """Split (A,B,C) into the invariant part that ``rule`` selects and the rest.
+def _block_diagonalize(sys_abc, t, z, ev, cuts):
+    """Decouple ``(A, B, C)`` into one part per diagonal block of a real
+    Schur form ``A = Z T Z^T`` (Bavely and Stewart 1979).
 
-    ``schur`` is a real Schur form ``(T, Z, ev)`` of ``A`` with the spectrum
-    ``ev`` of its diagonal blocks (``linalg._real_schur``); ``rule`` maps an
-    eigenvalue array to a mask.  Returns ``((A1,B1,C1,ev1), (A2,B2,C2,ev2))``
-    where the first part carries the selected eigenvalues ``ev1``; an empty
-    part is ``None``.  Both state matrices are in real Schur form, so the
-    second part with ``(A2, None, ev2)`` is the Schur form of the next step.
-    Off-diagonal coupling is removed by a triangular Sylvester solve on the
-    known spectra, so the two parts sum to the original transfer function.
+    ``z`` is ``None`` when ``A`` is its own Schur form ``t``, ``ev`` is the
+    diagonal spectrum of ``t``, and ``cuts`` are the indices where each
+    block after the first starts (a cut at 0 or ``n`` leaves an empty
+    block).  Taken last to first, each block column ``[s:e]`` is decoupled
+    from the leading triangle by one checked triangular Sylvester solve
+    ``T[:s,:s] X - X T[s:e,s:e] + T[:s,s:e] = 0``; the similarity
+    ``[[I, X], [0, I]]`` zeroes that coupling and transforms ``B`` and ``C``
+    along, so the parts sum to the original transfer function.  Returns
+    ``(A_j, B_j, C_j, ev_j)`` per block, each ``A_j`` in real Schur form.
     """
-    a, b, c = sys_abc
-    form = linalg._reorder_schur(a, *schur, rule)
-    k = form.n_selected
-    n = a.shape[0]
-    t = form.T
-    bt = form.Z.T @ b
-    ct = c @ form.Z
-    ev = form.eigenvalues
-    if k == 0 or k == n:
-        parts = ((t, bt, ct, ev), None) if k == n else (None, (t, bt, ct, ev))
-        return parts
-    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    x = linalg._solve_sylvester(t11, -t22, t12, (t11, None, ev[:k]), (-t22, None, -ev[k:]))
-    # similarity [[I, X],[0, I]] zeroes the coupling; transform B and C along
-    b1 = bt[:k] - x @ bt[k:]
-    b2 = bt[k:]
-    c1 = ct[:, :k]
-    c2 = ct[:, k:] + c1 @ x
-    return (t11, b1, c1, ev[:k]), (t22, b2, c2, ev[k:])
+    _, b, c = sys_abc
+    bt = b.copy() if z is None else z.T @ b
+    ct = c.copy() if z is None else c @ z
+    bounds = [0, *cuts, t.shape[0]]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    for s, e in reversed(spans):
+        if 0 < s < e:
+            t11, t22 = t[:s, :s], t[s:e, s:e]
+            x = linalg._solve_sylvester(t11, -t22, t[:s, s:e],
+                                        (t11, None, ev[:s]), (-t22, None, -ev[s:e]))
+            bt[:s] -= x @ bt[s:e]
+            ct[:, s:e] += ct[:, :s] @ x
+    return [(t[s:e, s:e], bt[s:e], ct[:, s:e], ev[s:e]) for s, e in spans]
 
 
 @dataclass(frozen=True)
@@ -91,15 +83,15 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
             "stable/antistable split is ill-posed: eigenvalue within "
             f"{tol:.1e} of the imaginary axis"
         )
+    form = linalg._reorder_schur(k.A, *schur, lambda ev: ev.real < 0.0)
     try:
-        part1, part2 = _decouple_leading(
-            (k.A, k.B, k.C), schur, lambda ev: ev.real < 0.0
+        stable, unstable = _block_diagonalize(
+            (k.A, k.B, k.C), form.T, form.Z, form.eigenvalues, [form.n_selected]
         )
     except SeparationError as exc:
         raise SeparationError(f"ill-conditioned stable/antistable split: {exc}") from exc
-    a1, b1, c1 = (empty.A, empty.B, empty.C) if part1 is None else part1[:3]
-    stable = StateSpaceSystem(a1, b1, c1, k.D)
-    unstable = empty if part2 is None else StateSpaceSystem(*part2[:3], empty.D)
+    stable = StateSpaceSystem(*stable[:3], k.D)
+    unstable = StateSpaceSystem(*unstable[:3], empty.D)
     return StableUnstableSplit(stable, unstable)
 
 
@@ -216,8 +208,8 @@ def modal_form(k: StateSpaceSystem) -> ModalDecomposition:
     block; distinct clusters must be separated well enough for the
     Sylvester decoupling.  Blocks are sorted by ascending real part.
     """
-    schur = linalg._real_schur(k.A)
-    clusters = _cluster_eigenvalues(schur[2], CLUSTER_TOL)
+    t, z, ev = linalg._real_schur(k.A)
+    clusters = _cluster_eigenvalues(ev, CLUSTER_TOL)
     if not clusters:
         return ModalDecomposition((), m=k.m, p=k.p)
     # pairwise separation between clusters, over conjugate-closed value sets
@@ -235,21 +227,20 @@ def modal_form(k: StateSpaceSystem) -> ModalDecomposition:
             f"{clusters[j][0]:.6g} are inseparable (gap {gap:.2e})"
         )
 
-    blocks: list[ModalBlock] = []
-    remaining = (k.A, k.B, k.C, schur[2])
-    for idx in range(len(clusters) - 1):
-        if idx:  # every step after the one reduction peels the trailing Schur block
-            schur = (remaining[0], None, remaining[3])
-        part, remaining = _decouple_leading(
-            remaining[:3], schur, _membership(labels == idx, values)
-        )
-        if part is None or remaining is None:
-            raise SeparationError(
-                "modal decoupling selected an empty or full block; "
-                "cluster membership is ambiguous"
+    # make every cluster contiguous in the Schur order: moving one to the
+    # front keeps the others' order, so only a scattered cluster is moved
+    own = _labels(ev, values, labels)
+    for c in range(len(clusters)):
+        at = np.flatnonzero(own == c)
+        if at[-1] - at[0] >= at.size:
+            form = linalg._reorder_schur(
+                k.A, t, z, ev, lambda lam, c=c: _labels(lam, values, labels) == c
             )
-        blocks.append(_modal_block(*part))
-    blocks.append(_modal_block(*remaining))
+            t, z, ev = form.T, form.Z, form.eigenvalues
+            own = _labels(ev, values, labels)
+    cuts = np.flatnonzero(own[1:] != own[:-1]) + 1
+    blocks = [_modal_block(*part)
+              for part in _block_diagonalize((k.A, k.B, k.C), t, z, ev, cuts)]
     blocks.sort(key=lambda b: (b.eigenvalue.real, abs(b.eigenvalue.imag)))
     return ModalDecomposition(tuple(blocks), m=k.m, p=k.p)
 
@@ -264,15 +255,10 @@ def _modal_block(a, b, c, ev) -> ModalBlock:
     return ModalBlock(a, b, c, blk.eigenvalue, imp)
 
 
-def _membership(own: np.ndarray, values: np.ndarray):
-    """Rule selecting the eigenvalues nearest to the cluster values
-    ``values[own]`` (a tie selects).  It takes one eigenvalue or an array
-    of them and returns one flag per eigenvalue."""
-
-    def select(lam):
-        d = np.abs(np.subtract.outer(lam, values))
-        return d[..., own].min(axis=-1) <= d.min(axis=-1)
-    return select
+def _labels(ev, values: np.ndarray, labels: np.ndarray):
+    """Label of the cluster value nearest to each eigenvalue in ``ev`` (one
+    eigenvalue or an array of them); ``labels`` holds one per value."""
+    return labels[np.abs(np.subtract.outer(ev, values)).argmin(axis=-1)]
 
 
 def _representative(ev: np.ndarray) -> complex:

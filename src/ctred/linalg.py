@@ -17,7 +17,7 @@ Lyapunov solve is ``_gramians``: all Gramians of one state matrix from one
 Schur form, the matrix itself or its negated transpose when the
 stable/antistable split left it in that form.  ``_solve_sylvester`` serves
 :func:`solve_sylvester` and :mod:`ctred.decompose`, which hands it the
-Schur blocks it carries.  No scipy Lyapunov or Sylvester solver runs.
+blocks of one Schur form.  No scipy Lyapunov or Sylvester solver runs.
 
 Reordering is one LAPACK ``trsen`` call, checked in ``_reorder_schur``
 (its info, the reconstruction residual and the partition of the reordered

@@ -21,9 +21,9 @@ truncation of its minimal part; only :func:`balance` refuses one.
 A split with the passes of its two parts (:class:`_Split`) is the one
 home of three rules on them: the Hankel-sum bound on the peak gain, when
 an antistable part is rounding noise, and which unstable poles are
-genuine.  :func:`hankel_norm_bound`, :func:`drop_negligible_antistable`
-and :func:`split_cancelled_unstable` apply them to one system; the
-certificates apply them to the splits they hold.
+genuine.  :func:`drop_negligible_antistable` and
+:func:`split_cancelled_unstable` apply the last two to one system; the
+certificates apply all three to the splits they hold.
 """
 
 from __future__ import annotations
@@ -361,18 +361,6 @@ class _Split:
             return self.anti
         hp = self.anti_pass
         return mirror(_truncate_part_by_tol(self.anti_mirror, hp, hp.floor))
-
-
-def hankel_norm_bound(s: StateSpaceSystem) -> float:
-    """Proven upper bound on the peak gain of ``s`` over the imaginary axis.
-
-    ``||s||_inf <= ||D|| + 2 sum sigma(stable part) + 2 sum sigma(mirrored
-    antistable part)`` (the Hankel-sum bound, Glover 1984), each sum with
-    its rounding margin (:attr:`_HankelPass.upper_bound`).  The split
-    raises :class:`AxisPoleError` or :class:`SeparationError` when the
-    poles do not separate.
-    """
-    return _Split.of(s).upper_bound
 
 
 def drop_negligible_antistable(s: StateSpaceSystem):

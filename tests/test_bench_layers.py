@@ -55,8 +55,8 @@ def test_bench_tracer_probes_present_and_restored():
 
 
 def test_bench_tracer_charges_the_modal_peel_to_modal_form():
-    # modal_form peels with linalg's checked steps on the Schur blocks it
-    # carries, not through the public kernels, so the tracer charges that
+    # modal_form decouples with linalg's checked steps on its one Schur
+    # form, not through the public kernels, so the tracer charges that
     # time to decompose.modal_form itself; direct kernel calls stay visible
     layers = _load_layers()
     _, k = bench_unstable_pair()

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from ctred import linalg, norms
 from ctred.benchmarks import bench_balanced_vs_modal_pair
-from ctred.decompose import _membership, modal_form
+from ctred.decompose import _labels, modal_form
 from ctred.gen import generate_instance
 from ctred.statespace import make_system
 from ctred.errors import (
@@ -335,16 +335,20 @@ def test_sylvester_schur_pair_separation_error():
 
 
 def test_modal_form_makes_one_schur_reduction(monkeypatch, rng):
-    # eight real stable poles: seven clusters to peel, eight first-order blocks
+    # eight distinct real poles: eight first-order blocks from one Schur
+    # form, contiguous as they come, so no reordering and one triangular
+    # Sylvester solve per block column after the first
     k = _eight_real_poles(rng)
     gees = _counting(monkeypatch, sla, "schur")
     sylvester = _counting(monkeypatch, sla, "solve_sylvester")
     peak = _counting(monkeypatch, norms, "_peak_gain")
     detect = _counting(monkeypatch, linalg, "_is_real_schur")
+    trsen = _counting(monkeypatch, sla.lapack, "dtrsen")
+    trsyl = _counting(monkeypatch, sla.lapack, "dtrsyl")
     md = modal_form(k)
     assert [b.order for b in md.blocks] == [1] * 8
     assert (len(gees), len(sylvester), len(peak)) == (1, 0, 0)
-    # later steps peel the trailing block they already know is in Schur form
+    assert (len(trsen), len(trsyl)) == (0, 7)
     assert len(detect) <= 1
 
 
@@ -372,7 +376,10 @@ def test_ordered_schur_matches_sorted_gees_bit_for_bit(monkeypatch, rng):
                 return lam.real < shift
         else:
             v = values[int(rng.integers(n))]
-            select = _membership((values == v) | (values == np.conj(v)), values)
+            own = (values == v) | (values == np.conj(v))
+
+            def select(lam, own=own, values=values):
+                return _labels(lam, values, own)
         form = linalg.ordered_real_schur(a, select)
         t, z, sdim = gees(a, output="real",
                           sort=lambda re, im: bool(select(complex(re, im))))
@@ -495,15 +502,23 @@ def test_is_stable_reads_the_override(monkeypatch):
 
 
 def _eight_real_poles(rng):
-    """Eight real stable poles behind a random similarity: seven peel steps."""
+    """Eight real stable poles behind a random similarity: seven Sylvester
+    solves and no reordering."""
     t = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
     a = t @ np.diag(-np.arange(1.0, 9.0)) @ np.linalg.inv(t)
     return make_system(a, rng.standard_normal((8, 1)), rng.standard_normal((1, 8)))
 
 
+def _interleaved_clusters(rng):
+    """Upper triangular, so its own Schur form, with three repeated-pole
+    clusters interleaved along the diagonal: two reorderings."""
+    a = np.triu(0.3 * rng.standard_normal((6, 6)), 1)
+    a += np.diag([-1.0, -2.0, -3.0, -1.0 - 1e-9, -2.0 - 1e-9, -3.0 - 1e-9])
+    return make_system(a, rng.standard_normal((6, 1)), rng.standard_normal((1, 6)))
+
+
 def _corrupt_second_call(monkeypatch, name, corrupt):
-    """Let LAPACK ``name`` run, but pass its second result through ``corrupt``:
-    the first call is modal_form's first step, the second a later peel step."""
+    """Let LAPACK ``name`` run, but pass its second result through ``corrupt``."""
     real = getattr(sla.lapack, name)
     calls = []
 
@@ -533,9 +548,10 @@ def _set(index, change):
     ("dtrsyl", _set(0, lambda x: x + 1e-6), ConvergenceError, "Sylvester residual"),
 ])
 def test_every_peel_step_is_checked(monkeypatch, rng, name, corrupt, error, message):
-    # modal_form peels with the checks of ordered_real_schur and
-    # solve_sylvester: a bad LAPACK result at a later step still raises
-    k = _eight_real_poles(rng)
+    # modal_form reorders and decouples with the checks of
+    # ordered_real_schur and solve_sylvester: a bad LAPACK result at a
+    # later reordering or Sylvester solve still raises
+    k = (_interleaved_clusters if name == "dtrsen" else _eight_real_poles)(rng)
     calls = _corrupt_second_call(monkeypatch, name, corrupt)
     with pytest.raises(error, match=message):
         modal_form(k)
@@ -544,7 +560,7 @@ def test_every_peel_step_is_checked(monkeypatch, rng, name, corrupt, error, mess
 
 def test_peel_step_checks_the_spectral_gap(monkeypatch, rng):
     # modal_form's own cluster gap passes; the Sylvester step's gap, read
-    # from the spectra the peel carries, refuses
+    # from the spectra of the one Schur form, refuses
     monkeypatch.setattr(linalg, "SEP_REL", 1.0)
     with pytest.raises(SeparationError, match="spectral gap"):
         modal_form(_eight_real_poles(rng))

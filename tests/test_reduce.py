@@ -17,12 +17,12 @@ from ctred.errors import (
 from ctred.gen import random_antistable, random_stable_minimal
 from ctred.norms import hinf_norm, linf_norm
 from ctred.reduce import (
+    _Split,
     _hankel_pass,
     balance,
     balanced_truncate,
     balanced_truncate_unstable,
     drop_negligible_antistable,
-    hankel_norm_bound,
     minimal_realization,
     modal_truncate,
     mode_ranking,
@@ -306,11 +306,11 @@ def test_hankel_norm_bound_bounds_the_peak_gain(rng):
     # 2 sum sigma is tight for one state; antistable parts count through
     # their mirror image and a feedthrough through its gain
     lag = make_system([[-2.0]], [[1.0]], [[3.0]])  # peak gain 1.5 at w = 0
-    assert 1.5 <= hankel_norm_bound(lag) <= 1.5 * (1 + 1e-11)
+    assert 1.5 <= _Split.of(lag).upper_bound <= 1.5 * (1 + 1e-11)
     for _ in range(20):
         s = add(random_stable_minimal(rng, 3), random_antistable(rng, 2))
         s = make_system(s.A, s.B, s.C, [[float(rng.uniform(-1.0, 1.0))]])
-        assert hankel_norm_bound(s) >= linf_norm(s) * (1 - 1e-9)
+        assert _Split.of(s).upper_bound >= linf_norm(s) * (1 - 1e-9)
 
 
 def test_drop_negligible_antistable_bounds_what_it_drops():
