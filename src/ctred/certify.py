@@ -111,11 +111,10 @@ from .statespace import (
     _stabilizing_four_block,
     add,
     is_internally_stable,
-    mirror,
     negate,
     series,
 )
-from .tolerances import stab_override
+from .tolerances import CLUSTER_TOL, stab_override
 
 THEOREMS = ("lemma3", "thm1", "thm2", "cor1", "cor2", "thm3")
 
@@ -661,10 +660,12 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     ``1 - X*delta`` has no right-half-plane zeros beyond the structural
     ones pinned at the unstable poles of the error system (those always
     cancel inside the closed-loop expressions, never in the scalar
-    function itself).  The cost bound multiplies the printed penalty
-    terms by the squared peak gain of ``(1 - X*delta)^{-1}`` over the
-    imaginary axis, which is finite although that inverse keeps the
-    structural unstable poles.
+    function itself; each pole is paired with the nearest zero that
+    coincides with it within ``CLUSTER_TOL``,
+    :func:`~ctred.linalg._match_roots`).  The cost bound multiplies the
+    printed penalty terms by the squared peak gain of ``(1 - X*delta)^{-1}``
+    over the imaginary axis, which is finite although that inverse keeps
+    the structural unstable poles.
     """
     if not (g.is_siso and k.is_siso and k_r.is_siso):
         raise UnsupportedError("this certificate is defined for SISO systems only")
@@ -696,7 +697,7 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
                                                     _check_no_axis_poles(delta_min, ev))
     except AxisPoleError as exc:
         raise AxisPoleError(f"error system norms undefined: {exc}") from exc
-    quantities["delta_l2"] = math.hypot(h2_norm(stable), h2_norm(mirror(anti)))
+    quantities["delta_l2"] = norms._split_l2(stable, anti)
 
     # 1 - X*delta; unstable modes of the product must cancel through the
     # structural zeros of X, leaving only rounding-level content (hidden
@@ -709,22 +710,12 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     if condition:
         a_inv = prod_min.A + prod_min.B @ prod_min.C
         inverse = StateSpaceSystem(a_inv, prod_min.B, prod_min.C, np.eye(1))
-        inv_poles = list(linalg.eigenvalues(a_inv))
-        tol = linalg.half_plane_tol(a_inv)
-        for p in unstable_delta_poles:
-            match = min(
-                range(len(inv_poles)),
-                key=lambda i: abs(inv_poles[i] - p),
-                default=None,
-            )
-            if match is None or abs(inv_poles[match] - p) > 1e-6 * (1.0 + abs(p)):
-                condition = False
-                notes.append(
-                    f"no structural zero found at the unstable error pole {p:.6g}"
-                )
-                break
-            inv_poles.pop(match)
-        if condition and any(z.real >= -tol for z in inv_poles):
+        inv_poles = linalg.eigenvalues(a_inv)
+        missing, rest = linalg._match_roots(unstable_delta_poles, inv_poles, CLUSTER_TOL)
+        notes += [f"no structural zero found at the unstable error pole {p:.6g}"
+                  for p in unstable_delta_poles[missing]]
+        condition = not missing.size
+        if condition and np.any(inv_poles[rest].real >= -linalg.half_plane_tol(a_inv)):
             condition = False
             notes.append("1 - X*delta has right-half-plane zeros beyond the structural set")
         if condition:

@@ -164,31 +164,15 @@ def mode_importance(block: ModalBlock) -> float:
 
 
 def _cluster_eigenvalues(ev: np.ndarray, cluster_tol: float):
-    """Group eigenvalues (conjugate pairs canonicalized) by relative closeness."""
+    """Group eigenvalues (conjugate pairs canonicalized) joined by chains of
+    coinciding values (:func:`~ctred.linalg._root_groups`)."""
     canon = np.unique(np.round(ev.real, 14) + 1j * np.round(np.abs(ev.imag), 14))
-    k = canon.size
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = abs(canon[i] - canon[j])
-            if d <= cluster_tol * (1.0 + abs(canon[i])) or d <= cluster_tol * (
-                1.0 + abs(canon[j])
-            ):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+    labels = linalg._root_groups(canon, cluster_tol)
+    size = np.bincount(labels)
+    mean_re = np.bincount(labels, canon.real) / size
+    mean_im = np.bincount(labels, np.abs(canon.imag)) / size
     # canon is sorted by (real, imag) parts, so each group is too
-    members = [canon[g] for g in groups.values()]
-    members.sort(key=lambda g: (g.real.sum() / g.size, np.abs(g.imag).sum() / g.size))
-    return [tuple(g) for g in members]
+    return [tuple(canon[labels == g]) for g in np.lexsort((mean_im, mean_re))]
 
 
 def _full_cluster_values(cluster) -> np.ndarray:

@@ -32,6 +32,12 @@ normwise backward error (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., ch. 16).  The scale includes ``||A|| ||X||``, so an
 accurate solve of an ill-conditioned equation is accepted however large
 its solution, and a solution that misses its equation is refused.
+
+Whether two roots or eigenvalues are one value is decided by one rule,
+``_coincide``: ``|a - b| <= tol (1 + max(|a|, |b|))``.  ``_root_groups``
+groups values joined by chains of coinciding pairs (modal clusters,
+repeated polynomial roots), and ``_match_roots`` pairs two sets nearest
+first (pole/zero cancellation, structural zeros).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ConvergenceError,
@@ -422,26 +429,10 @@ def solve_care(a, b, q, r) -> np.ndarray:
     return p
 
 
-def companion_matrix(coeffs: Sequence[float]) -> np.ndarray:
-    """Companion matrix of a polynomial given by ascending coefficients.
-
-    The leading (highest-degree) coefficient must be nonzero.
-    """
-    c = np.asarray(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float)
-    if c.ndim != 1 or c.size < 2:
-        raise DimensionError("need a polynomial of degree >= 1")
-    if c[-1] == 0:
-        raise DimensionError("leading coefficient must be nonzero")
-    monic = c / c[-1]
-    n = c.size - 1
-    m = np.zeros((n, n), dtype=monic.dtype)
-    m[1:, :-1] = np.eye(n - 1)
-    m[:, -1] = -monic[:-1]
-    return m
-
-
 def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
-    """Roots of a polynomial (ascending coefficients) via its companion matrix."""
+    """Roots of a polynomial (ascending coefficients), sorted by (real, imag)
+    parts: the eigenvalues of its companion matrix
+    (``numpy.polynomial.polynomial.polyroots``)."""
     c = np.asarray(coeffs, dtype=complex)
     # strip trailing (highest-degree) zeros
     nz = np.nonzero(np.abs(c) > 0)[0]
@@ -452,7 +443,41 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
         return np.array([], dtype=complex)
     # imaginary parts at rounding level relative to the coefficients are dropped
     real = np.max(np.abs(c.imag)) <= 1e-8 * np.max(np.abs(c))
-    comp = companion_matrix(c.real if real else c)
-    ev = np.linalg.eigvals(comp)
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
+    return npoly.polyroots(c.real if real else c)
+
+
+def _coincide(a, b, tol: float):
+    """Whether roots or eigenvalues ``a`` and ``b`` are one value within the
+    relative tolerance ``tol``: ``|a - b| <= tol (1 + max(|a|, |b|))``.
+    Broadcasts over arrays.  The package's one rule for coinciding values."""
+    return np.abs(a - b) <= tol * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+
+
+def _root_groups(values: np.ndarray, tol: float) -> np.ndarray:
+    """One label per value (0, 1, ... in order of first appearance); values
+    joined by a chain of coinciding pairs (:func:`_coincide`) share one."""
+    n = values.size
+    near = _coincide(values[:, None], values[None, :], tol)
+    labels = np.arange(n)
+    while True:  # each value takes the least label of the values it coincides with
+        least = np.where(near, labels, n).min(axis=1, initial=n)
+        if (least == labels).all():
+            break
+        labels = least
+    first = labels == np.arange(n)  # the least index of each group
+    return (np.cumsum(first) - 1)[labels]
+
+
+def _match_roots(targets: np.ndarray, pool: np.ndarray, tol: float):
+    """Pair each target, in turn, with its nearest unpaired ``pool`` value
+    when the two coincide (:func:`_coincide`).  Returns the indices of the
+    unpaired targets and of the unpaired pool values."""
+    free = np.ones(pool.size, dtype=bool)
+    lost = []
+    for i, t in enumerate(targets):
+        j = int(np.where(free, np.abs(pool - t), np.inf).argmin()) if free.any() else None
+        if j is None or not _coincide(t, pool[j], tol):
+            lost.append(i)
+        else:
+            free[j] = False
+    return np.array(lost, dtype=int), np.flatnonzero(free)

@@ -42,12 +42,14 @@ and the Gramians of different input columns share one real Schur form of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
 from .errors import AxisPoleError, ConvergenceError, StabilityError, UnsupportedError
-from .statespace import StateSpaceSystem, frequency_response
+from .statespace import StateSpaceSystem, frequency_response, mirror
 from .tolerances import HAM_CANDIDATE, HINF_MAX_ITER, HINF_REL
 
 
@@ -251,11 +253,11 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
     sn = StateSpaceSystem(
         s.A, s.B * (target / beta), s.C * (target / xi), s.D / estimate
     )
-    # lb is the best gain evaluated, ub a level whose candidate midpoints
-    # all evaluated at or below it.  lb starts at the estimate, at least
-    # ||D||, so no level reaches the feedthrough gain.  A level-set step
-    # probes just above lb; when no midpoint rises past the probed level,
-    # that level becomes ub and the next probe bisects towards it.
+    # lb is the best gain evaluated; it starts at the estimate, at least
+    # ||D||, so no level reaches the feedthrough gain.  Each level-set step
+    # probes (1 + 2 HINF_REL) lb: a midpoint that rises past the level
+    # lifts lb, and a level that no midpoint passes is an upper bound
+    # within (1 + 2 HINF_REL) of lb, so the midpoint of the two is returned.
     lb = 1.0
     level = (1.0 + 2.0 * HINF_REL) * lb
     for _ in range(HINF_MAX_ITER):
@@ -267,13 +269,9 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
             gain = float(_sigma_max(sn, mids).max())
             stepped = gain > level
             lb = max(lb, gain)
-        if stepped:
-            level = (1.0 + 2.0 * HINF_REL) * lb
-            continue
-        ub = level
-        if ub <= (1.0 + 2.0 * HINF_REL) * lb:
-            return estimate * 0.5 * (lb + ub)
-        level = 0.5 * (lb + ub)
+        if not stepped:
+            return estimate * 0.5 * (lb + level)
+        level = (1.0 + 2.0 * HINF_REL) * lb
     raise ConvergenceError("level-set iteration for the peak gain did not converge")
 
 
@@ -303,22 +301,23 @@ def hinf_norm(s: StateSpaceSystem) -> float:
     return _peak_gain(s, ev)
 
 
+def _split_l2(stable: StateSpaceSystem, anti: StateSpaceSystem) -> float:
+    """L2 norm of ``stable + anti``, a stable and an antistable strictly
+    proper part: the H2 norms of ``stable`` and of the stable mirror of
+    ``anti`` (same singular values on the axis) in quadrature."""
+    return math.hypot(h2_norm(stable), h2_norm(mirror(anti)))
+
+
 def l2_norm(s: StateSpaceSystem) -> float:
     """L2 norm of a strictly proper system without imaginary-axis poles.
 
-    The system is split additively into stable and antistable parts; the
-    antistable part is reflected into a stable system with the same
-    singular values on the axis, and the two H2 contributions combine in
-    quadrature.
+    The system is split additively into stable and antistable parts,
+    whose L2 norm is :func:`_split_l2`.
     """
     if np.any(s.D):
         raise UnsupportedError("L2 norm requires a strictly proper system (D = 0)")
     _check_no_axis_poles(s)
     from . import decompose  # local import to avoid a module cycle
-    from .statespace import mirror
 
     split = decompose.split_stable_unstable(s)
-    stable_sq = h2_norm(split.stable_part) ** 2 if split.stable_part.n else 0.0
-    anti = split.unstable_part
-    anti_sq = h2_norm(mirror(anti)) ** 2 if anti.n else 0.0
-    return float(np.sqrt(stable_sq + anti_sq))
+    return _split_l2(split.stable_part, split.unstable_part)

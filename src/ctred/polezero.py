@@ -2,7 +2,8 @@
 the shrinking-coefficient cancellation probe.
 
 All polynomial arithmetic is done on ascending coefficient arrays; roots
-come from the companion-matrix eigenvalue kernel.
+come from :func:`~ctred.linalg.poly_roots`, and whether two roots are one
+root is decided by :mod:`ctred.linalg`'s coincidence rule at ``PZ_CANCEL``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from numpy.polynomial import polynomial as npoly
 from . import linalg
 from .errors import ConvergenceError, DimensionError, RadiusError, UnsupportedError
 from .rational import RationalTransferFunction
-
-_ROOT_TOL = 1e-7  # relative clustering tolerance for repeated roots
+from .tolerances import PZ_CANCEL
 
 
 @dataclass(frozen=True)
@@ -43,27 +43,15 @@ class PartialFraction:
 
 
 def _cluster_roots(roots: np.ndarray):
-    """Group numerically repeated roots; returns [(center, multiplicity)]."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        group = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for r in remaining[:]:
-                center = np.mean(group)
-                if abs(r - center) <= _ROOT_TOL * (1.0 + abs(center)):
-                    group.append(r)
-                    remaining.remove(r)
-                    changed = True
-        center = complex(np.mean(group))
-        if abs(center.imag) <= _ROOT_TOL * (1.0 + abs(center)):
-            center = complex(center.real, 0.0)
-        clusters.append((center, len(group)))
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters
+    """Group numerically repeated roots (:func:`~ctred.linalg._root_groups`);
+    returns ``[(center, multiplicity)]`` sorted by the center's (real, imag)
+    parts, a center within rounding of the real axis taken as real."""
+    labels = linalg._root_groups(roots, PZ_CANCEL)
+    size = np.bincount(labels)
+    center = (np.bincount(labels, roots.real) + 1j * np.bincount(labels, roots.imag)) / size
+    center.imag[linalg._coincide(center, center.real, PZ_CANCEL)] = 0.0
+    return [(complex(center[g]), int(size[g]))
+            for g in np.lexsort((center.imag, center.real))]
 
 
 def _taylor(coeffs, p: complex, order: int) -> np.ndarray:
@@ -178,14 +166,12 @@ def residue_factorization(f: RationalTransferFunction, p: float):
     and the residue is returned with ``r = nan``.
     """
     roots = linalg.poly_roots(f.den)
-    dist = np.abs(roots - p)
-    idx = int(np.argmin(dist))
-    if dist[idx] > _ROOT_TOL * (1.0 + abs(p)):
+    at_p = np.flatnonzero(linalg._coincide(roots, p, PZ_CANCEL))
+    if not at_p.size:
         raise DimensionError(f"{p} is not a pole of the function")
-    others = np.delete(roots, idx)
-    if others.size and np.min(np.abs(others - p)) <= _ROOT_TOL * (1.0 + abs(p)):
+    if at_p.size > 1:
         raise UnsupportedError(f"pole {p} is not simple")
-    pole = complex(roots[idx])
+    pole = complex(roots[at_p[0]])
     d = _deflate(f.den.astype(complex), pole)
     den_at = complex(npoly.polyval(pole, d))
     num_at = complex(npoly.polyval(pole, f.num.astype(complex)))
@@ -223,7 +209,7 @@ def small_block_cancellation_probe(
     distance from ``p`` to every root of the remainder numerator.
     """
     p = complex(p)
-    at_p = [t for t in pf.terms if abs(t[0] - p) <= _ROOT_TOL * (1.0 + abs(p))]
+    at_p = [t for t in pf.terms if linalg._coincide(t[0], p, PZ_CANCEL)]
     if not at_p:
         raise DimensionError(f"{p} is not a pole of the expansion")
     rest = [t for t in pf.terms if t not in at_p]

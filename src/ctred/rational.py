@@ -1,7 +1,8 @@
 """SISO rational transfer functions and conversion from state space.
 
-Coefficient arrays are stored in ascending degree order.  Root finding
-goes through the companion-matrix eigenvalue kernel.
+Coefficient arrays are stored in ascending degree order.  Roots come from
+:func:`~ctred.linalg.poly_roots`, and a pole/zero pair cancels when
+:mod:`ctred.linalg`'s nearest-first pairing matches them at ``PZ_CANCEL``.
 """
 
 from __future__ import annotations
@@ -98,24 +99,6 @@ class RationalTransferFunction:
         return StateSpaceSystem(a, b, c, np.array([[d]]))
 
 
-def _cancel_common_roots(zs: np.ndarray, ps: np.ndarray):
-    """Remove zero/pole pairs that coincide within a relative tolerance."""
-    zs = list(zs)
-    ps = list(ps)
-    kept_z = []
-    for z in zs:
-        hit = None
-        for idx, p in enumerate(ps):
-            if abs(z - p) <= PZ_CANCEL * (1.0 + abs(z)):
-                hit = idx
-                break
-        if hit is None:
-            kept_z.append(z)
-        else:
-            ps.pop(hit)
-    return np.array(kept_z, dtype=complex), np.array(ps, dtype=complex)
-
-
 def _poly_from_roots(roots: np.ndarray) -> np.ndarray:
     """Real monic polynomial (ascending) from a conjugate-closed root multiset."""
     if roots.size == 0:
@@ -128,8 +111,8 @@ def to_rational(s: StateSpaceSystem) -> RationalTransferFunction:
     """Exact SISO transfer function of a state-space realization.
 
     The denominator is the characteristic polynomial of ``A``; a pole/zero
-    pair is cancelled only when the roots agree within a relative
-    tolerance (exact-degree GCD by root matching).
+    pair is cancelled only when the roots coincide within ``PZ_CANCEL``
+    (exact-degree GCD by root matching, :func:`~ctred.linalg._match_roots`).
     """
     if not s.is_siso:
         raise UnsupportedError("to_rational requires a SISO system")
@@ -151,9 +134,8 @@ def to_rational(s: StateSpaceSystem) -> RationalTransferFunction:
         return RationalTransferFunction(np.array([0.0]), np.array([1.0]))
     zs = linalg.poly_roots(num) if num.size > 1 else np.array([], dtype=complex)
     ps = linalg.poly_roots(den)
-    lead = num[-1]
-    zs2, ps2 = _cancel_common_roots(zs, ps)
-    if zs2.size != zs.size:
-        num = lead * _poly_from_roots(zs2)
-        den = _poly_from_roots(ps2)
+    kept_z, kept_p = linalg._match_roots(zs, ps, PZ_CANCEL)
+    if kept_z.size != zs.size:
+        num = num[-1] * _poly_from_roots(zs[kept_z])
+        den = _poly_from_roots(ps[kept_p])
     return RationalTransferFunction(num, den)

@@ -37,10 +37,17 @@ MINREAL_TOL = 1e-9    # states below this are discarded by minimal_realization
 # Numerical-rank threshold for controllability/observability tests.
 RANK_REL = 1e-9
 
-# Relative pole/zero matching tolerance for exact-degree cancellation.
+# Relative tolerances of the one rule for coinciding roots or eigenvalues,
+# ctred.linalg._coincide: |a - b| <= tol (1 + max(|a|, |b|)).
+# PZ_CANCEL governs the polynomial roots: the pole/zero pairs to_rational
+# cancels (linalg._match_roots), the repeated roots partial_fractions groups
+# (linalg._root_groups) and whether a point is a pole in
+# residue_factorization and small_block_cancellation_probe.
 PZ_CANCEL = 1e-7
 
-# Default eigenvalue clustering tolerance for modal decomposition.
+# CLUSTER_TOL governs the eigenvalues: the clusters modal_form keeps in one
+# block (linalg._root_groups) and thm3's pairing of the unstable error
+# poles with the structural zeros of 1 - X*delta (linalg._match_roots).
 CLUSTER_TOL = 1e-6
 
 # Peak-gain level-set iteration: termination, iteration cap and the

@@ -122,6 +122,28 @@ def criterion_07_triples(count):
                 yield g, k, k_r
 
 
+def mimo_balanced_triples(count):
+    """Seeded 2x2 (plant, controller, reduced) triples: the controller has
+    0 or 1 antistable modes and is balanced-truncated to order n-1."""
+    rng = np.random.default_rng(70702)
+    made = 0
+    while made < count:
+        order = int(rng.integers(3, 6))
+        n_unstable = int(rng.integers(0, 2))
+        try:
+            stable = random_stable_minimal(rng, order - n_unstable, 2, 2)
+            k = add(stable, random_antistable(rng, n_unstable, 2, 2)) \
+                if n_unstable else stable
+            g = synthesize_stabilizing_plant(k)
+            if not is_internally_stable(g, k)[0]:
+                continue
+            k_r = balanced_truncate_unstable(k, k.n - 1).reduced
+        except (CtredError, np.linalg.LinAlgError):
+            continue
+        made += 1
+        yield g, k, k_r
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import criterion_07_triples, grid_peak_oracle
+from conftest import criterion_07_triples, grid_peak_oracle, mimo_balanced_triples
 from ctred import certify, linalg, norms, statespace
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.certify import (
@@ -284,6 +285,26 @@ def test_thm1_soundness_batch():
                 violations += 1
     assert passes > 10
     assert violations == 0
+
+
+@pytest.mark.parametrize("pole, refusal", [(0.7, " is not stable"),
+                                           (0.0, ": stability undecidable")])
+def test_thm1_fails_on_a_reduced_controller_pole_k_lacks(pole, refusal):
+    # K is stable and K_r adds a mode at ``pole``: delta has no stable
+    # realization, so thm1 tests each whole product and refuses it
+    g, k = generate_instance(4, 0, 0)
+    k_r = add(k, make_system([[pole]], [[0.5]], [[0.5]]))
+    cert = check_thm1(g, k, k_r)
+    assert not cert.condition_satisfied
+    assert cert.quantities["x_delta_hinf"] == cert.quantities["delta_x_hinf"] == math.inf
+    for label in ("delta*Y", "X*delta", "delta*X"):
+        assert any(n.startswith(label + refusal) for n in cert.notes)
+    assert "delta*(I-GK)^{-1} is not stable" in cert.notes
+    q = check_lemma3(g, k, k_r).quantities
+    if pole > 0.0:
+        assert (q["unstable_poles_original"], q["unstable_poles_reduced"]) == (0.0, 1.0)
+    else:
+        assert "unstable_poles_reduced" not in q
 
 
 def test_thm2_zero_delta(balmod):
@@ -711,9 +732,10 @@ def _norm_or_inf(product, norm):
 def test_small_gain_norms_bound_the_products():
     # every lemma3/thm1 product norm, bound or computed, is at least the
     # grid peak of the product it stands for, and each condition is the one
-    # the directly computed norms give
+    # the directly computed norms give; the 2x2 stream tests X*delta and
+    # delta*X as two products
     kinds = set()
-    for g, k, k_r in criterion_07_triples(40):
+    for g, k, k_r in itertools.chain(criterion_07_triples(40), mimo_balanced_triples(12)):
         lemma3, thm1 = check_lemma3(g, k, k_r), check_thm1(g, k, k_r)
         fb = four_block(g, k)
         delta = add(k_r, negate(k))

@@ -429,6 +429,56 @@ def test_poly_roots_keeps_small_complex_coefficients():
     np.testing.assert_allclose(linalg.poly_roots([2.0 + 1e-12j, -3.0, 1.0]), [1.0, 2.0])
 
 
+def test_coincide_is_relative_to_the_larger_value():
+    assert linalg._coincide(1e6, 1e6 + 0.9, 1e-6)
+    assert not linalg._coincide(0.0, 1.5e-6, 1e-6)
+    assert linalg._coincide(2.0, 2.0 + 2.9e-6, 1e-6) == linalg._coincide(2.0 + 2.9e-6, 2.0, 1e-6)
+    np.testing.assert_array_equal(linalg._coincide(np.array([1.0, 1j]), 1j, 1e-6),
+                                  [False, True])
+
+
+def test_root_groups_follow_chains_of_coinciding_values():
+    # a~b and b~c put all three in one group although a and c do not
+    # coincide; labels count up in order of first appearance
+    tol = 1e-6
+    a, b, c = 1.0, 1.0 + 1.5e-6, 1.0 + 3e-6
+    assert linalg._coincide(a, b, tol) and linalg._coincide(b, c, tol)
+    assert not linalg._coincide(a, c, tol)
+    labels = linalg._root_groups(np.array([5.0, c, a, -2.0, b]), tol)
+    np.testing.assert_array_equal(labels, [0, 1, 1, 2, 1])
+    assert linalg._root_groups(np.array([]), tol).size == 0
+
+
+def test_root_groups_match_a_pairwise_merge_reference(rng):
+    # clusters of three values a few tolerances wide, some chained and some
+    # split; the reference merges the groups of every coinciding pair
+    tol = 1e-6
+    for _ in range(50):
+        values = np.repeat(rng.uniform(-3.0, 3.0, 4), 3) + rng.uniform(-4e-6, 4e-6, 12)
+        ref = list(range(values.size))
+        for i in range(values.size):
+            for j in range(values.size):
+                if abs(values[i] - values[j]) <= tol * (1.0 + max(abs(values[i]), abs(values[j]))):
+                    ref = [ref[i] if r == ref[j] else r for r in ref]
+        labels = linalg._root_groups(values, tol)
+        ref = np.array(ref)
+        np.testing.assert_array_equal(labels[:, None] == labels, ref[:, None] == ref)
+
+
+def test_match_roots_pairs_nearest_first_and_one_to_one():
+    tol = 1e-6
+    # the target takes the nearer of two coinciding values
+    lost, free = linalg._match_roots(np.array([2.0]), np.array([2.0 + 5e-7, 2.0 + 1e-7]), tol)
+    assert lost.tolist() == [] and free.tolist() == [0]
+    # each pool value pairs once: the third target at 2 finds no partner
+    # left, and the one at 7 none at all (thm3's missing structural zero)
+    pool = np.array([2.0 + 5e-7, 2.0 + 1e-7, -1.0])
+    lost, free = linalg._match_roots(np.array([2.0, 7.0, 2.0, 2.0]), pool, tol)
+    assert lost.tolist() == [1, 3] and free.tolist() == [2]
+    lost, free = linalg._match_roots(np.array([0.5]), np.array([]), tol)
+    assert lost.tolist() == [0] and free.size == 0
+
+
 def test_gramians_are_factored_in_one_place():
     # the Hankel pass is the one Gramian factorization of reduce.py: no
     # module takes a Cholesky factor, no other reduce.py function solves a
