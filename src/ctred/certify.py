@@ -114,7 +114,7 @@ from .statespace import (
     negate,
     series,
 )
-from .tolerances import CLUSTER_TOL, stab_override
+from .tolerances import CLUSTER_TOL, SMALL_GAIN_MARGIN, stab_override
 
 THEOREMS = ("lemma3", "thm1", "thm2", "cor1", "cor2", "thm3")
 
@@ -403,7 +403,7 @@ def _small_gain_bound(loop: _LoopAnalysis, d: float) -> float:
     practice: a bound within 1e-4 of one falls through to the computed
     norm.
     """
-    return (1.0 + 1e-4) * loop.x_hinf * d
+    return (1.0 + SMALL_GAIN_MARGIN) * loop.x_hinf * d
 
 
 def _stable_form(s: StateSpaceSystem, notes: list, label: str):

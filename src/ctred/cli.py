@@ -19,6 +19,7 @@ from . import benchmarks, certify, errors, norms, reduce as reduction, sysfile
 from .decompose import modal_form
 from .gen import generate_instance
 from .statespace import _check_loop_dims, _stabilizing_four_block, frequency_response
+from .tolerances import COR1_MATCH
 
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
@@ -202,7 +203,7 @@ def _check_cor1(g, k, k_r):
     resp_given = frequency_response(k_r, ws)
     resp_comp = frequency_response(result.reduced, ws)
     scale = max(np.max(np.abs(resp_comp)), 1.0)
-    if np.max(np.abs(resp_given - resp_comp)) > 1e-6 * scale:
+    if np.max(np.abs(resp_given - resp_comp)) > COR1_MATCH * scale:
         raise errors.WrongCertificateError(
             "provided reduced controller does not match the balanced "
             "truncation at its order; cor1 does not apply"

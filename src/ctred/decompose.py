@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .errors import AxisPoleError, SeparationError, ZeroModeError
 from .statespace import StateSpaceSystem, zero_system
-from .tolerances import CLUSTER_TOL, SEP_REL, inf_norm
+from .tolerances import CLUSTER_TOL, SEP_REL, ZERO_MODE, inf_norm
 
 
 def _block_diagonalize(sys_abc, t, z, ev, cuts):
@@ -128,12 +128,7 @@ class ModalDecomposition:
         blocks = [self.blocks[i] for i in idx]
         if not blocks:
             return zero_system(self.p, self.m)
-        n = sum(b.order for b in blocks)
-        a = np.zeros((n, n))
-        i = 0
-        for b in blocks:
-            a[i:i + b.order, i:i + b.order] = b.A
-            i += b.order
+        a = linalg._block_diag([b.A for b in blocks])
         bmat = np.vstack([b.B for b in blocks])
         c = np.hstack([b.C for b in blocks])
         return StateSpaceSystem(a, bmat, c, np.zeros((self.p, self.m)))
@@ -151,7 +146,7 @@ def mode_importance(block: ModalBlock) -> float:
     imaginary axis cannot be ranked.
     """
     lam = block.eigenvalue
-    if abs(lam) <= 1e-8 * max(1.0, abs(lam)):
+    if abs(lam) <= ZERO_MODE * max(1.0, abs(lam)):
         raise ZeroModeError("mode with zero eigenvalue cannot be ranked")
     if abs(lam.real) <= linalg.half_plane_tol(block.A):
         raise AxisPoleError("mode on the imaginary axis cannot be ranked")

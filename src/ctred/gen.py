@@ -18,11 +18,11 @@ from .statespace import StateSpaceSystem, add, check_minimal, is_internally_stab
 
 def random_stable_minimal(
     rng: np.random.Generator, order: int, m: int = 1, p: int = 1,
-    re_range=(-5.0, -0.2),
 ) -> StateSpaceSystem:
-    """Random stable minimal system: orthogonally rotated diagonal dynamics."""
+    """Random stable minimal system: orthogonally rotated diagonal dynamics
+    with eigenvalues uniform on [-5, -0.2]."""
     for _ in range(50):
-        lam = rng.uniform(re_range[0], re_range[1], order)
+        lam = rng.uniform(-5.0, -0.2, order)
         q, _ = np.linalg.qr(rng.standard_normal((order, order)))
         a = q @ np.diag(lam) @ q.T
         b = rng.uniform(-1.0, 1.0, (order, m))
@@ -35,14 +35,14 @@ def random_stable_minimal(
 
 def random_antistable(
     rng: np.random.Generator, order: int, m: int = 1, p: int = 1,
-    re_range=(0.1, 1.5), gain_range=(-1.0, 1.0),
 ) -> StateSpaceSystem:
-    """Random antistable system with eigenvalues in the given real range."""
-    lam = rng.uniform(re_range[0], re_range[1], order)
+    """Random antistable system: eigenvalues uniform on [0.1, 1.5], entries
+    of ``B`` and ``C`` uniform on [-1, 1]."""
+    lam = rng.uniform(0.1, 1.5, order)
     q, _ = np.linalg.qr(rng.standard_normal((order, order)))
     a = q @ np.diag(lam) @ q.T
-    b = rng.uniform(gain_range[0], gain_range[1], (order, m))
-    c = rng.uniform(gain_range[0], gain_range[1], (p, order))
+    b = rng.uniform(-1.0, 1.0, (order, m))
+    c = rng.uniform(-1.0, 1.0, (p, order))
     return StateSpaceSystem(a, b, c, np.zeros((p, m)))
 
 
@@ -62,20 +62,20 @@ def synthesize_stabilizing_plant(k: StateSpaceSystem) -> StateSpaceSystem:
     return StateSpaceSystem(a - b @ f - lgain @ c, lgain, -f, np.zeros((b.shape[1], c.shape[0])))
 
 
-def generate_instance(order: int, n_unstable: int, seed: int,
-                      max_attempts: int = 20):
+def generate_instance(order: int, n_unstable: int, seed: int):
     """Deterministic random plant/controller pair with a stabilizing loop.
 
     The controller is a stable minimal part plus ``n_unstable`` antistable
     modes; the plant is synthesized to close the loop stably.  Returns
-    ``(plant, controller)``.
+    ``(plant, controller)``; raises :class:`SynthesisError` when 20 draws
+    give none.
     """
     if order < 1:
         raise SynthesisError("order must be at least 1")
     if not 0 <= n_unstable < order:
         raise SynthesisError("need 0 <= n_unstable < order")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(20):
         try:
             stable = random_stable_minimal(rng, order - n_unstable)
             if n_unstable:
@@ -93,5 +93,5 @@ def generate_instance(order: int, n_unstable: int, seed: int,
         except sla.LinAlgError:
             continue
     raise SynthesisError(
-        f"no stabilizing instance found in {max_attempts} attempts (seed {seed})"
+        f"no stabilizing instance found in 20 attempts (seed {seed})"
     )

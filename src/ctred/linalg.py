@@ -60,17 +60,36 @@ from .errors import (
     SeparationError,
     StabilityError,
 )
-from .tolerances import RESID_REL, SEP_REL, inf_norm, stab_tol
+from .tolerances import (REAL_COEFF_REL, RESID_REL, SEP_REL, SYMMETRY_REL, inf_norm,
+                         stab_tol)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D float64 array with finite entries."""
-    m = np.atleast_2d(np.asarray(a, dtype=float))
+    """Validate and convert to a 2-D float64 array with finite entries: a
+    fresh C-ordered copy, never ``a`` itself."""
+    m = np.array(a, dtype=float, order="C", ndmin=2)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return m
+
+
+def _block_diag(blocks: Sequence[np.ndarray], couplings: dict | None = None) -> np.ndarray:
+    """The block-diagonal matrix of ``blocks`` (any shapes; each starts
+    below and right of the one before), with ``couplings[i, j]`` in the rows
+    of block ``i`` and the columns of block ``j``, and zero elsewhere.  The
+    package's one block assembly: slice writes into one zero array."""
+    rows, cols = [0], [0]
+    for b in blocks:
+        rows.append(rows[-1] + b.shape[0])
+        cols.append(cols[-1] + b.shape[1])
+    out = np.zeros((rows[-1], cols[-1]))
+    for i, b in enumerate(blocks):
+        out[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = b
+    for (i, j), b in (couplings or {}).items():
+        out[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = b
+    return out
 
 
 def _require_square(a: np.ndarray, name: str) -> None:
@@ -321,7 +340,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
     _require_square(qm, "Q")
     if am.shape != qm.shape:
         raise DimensionError(f"A {am.shape} and Q {qm.shape} must match")
-    if qm.size and np.linalg.norm(qm - qm.T) > 1e-8 * max(1.0, np.linalg.norm(qm)):
+    if qm.size and np.linalg.norm(qm - qm.T) > SYMMETRY_REL * max(1.0, np.linalg.norm(qm)):
         raise DimensionError("Q must be symmetric")
     return _gramians(am, (qm,))[0]
 
@@ -402,7 +421,7 @@ def solve_care(a, b, q, r) -> np.ndarray:
     except sla.LinAlgError as exc:
         raise DimensionError("R must be symmetric positive definite") from exc
 
-    ham = np.block([[am, -bm @ rinv_bt], [-qm, -am.T]])
+    ham = _block_diag([am, -am.T], {(0, 1): -bm @ rinv_bt, (1, 0): -qm})
     t, z, ev = _real_schur(ham)
     if np.any(np.abs(ev.real) <= half_plane_tol(ham)):
         raise NoStabilizingSolutionError("Hamiltonian has eigenvalues on the imaginary axis")
@@ -442,7 +461,7 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
     if c.size == 1:
         return np.array([], dtype=complex)
     # imaginary parts at rounding level relative to the coefficients are dropped
-    real = np.max(np.abs(c.imag)) <= 1e-8 * np.max(np.abs(c))
+    real = np.max(np.abs(c.imag)) <= REAL_COEFF_REL * np.max(np.abs(c))
     return npoly.polyroots(c.real if real else c)
 
 

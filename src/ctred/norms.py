@@ -50,7 +50,14 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import AxisPoleError, ConvergenceError, StabilityError, UnsupportedError
 from .statespace import StateSpaceSystem, frequency_response, mirror
-from .tolerances import HAM_CANDIDATE, HINF_MAX_ITER, HINF_REL
+from .tolerances import (
+    BRACKET_REL,
+    CANCEL_RATIO,
+    GRID_FLOOR,
+    HAM_CANDIDATE,
+    HINF_MAX_ITER,
+    HINF_REL,
+)
 
 
 def _h2_norms(s: StateSpaceSystem,
@@ -117,7 +124,7 @@ def _initial_grid(s: StateSpaceSystem, ev: np.ndarray, points: int = 200) -> np.
     scales = scales[scales > 0]
     lo = 0.01 * scales.min() if scales.size else 1e-2
     hi = 100.0 * scales.max() if scales.size else 1e2
-    lo = max(lo, 1e-8)
+    lo = max(lo, GRID_FLOOR)
     hi = max(hi, 10.0 * lo)
     grid = np.logspace(np.log10(lo), np.log10(hi), points)
     return np.concatenate([[0.0], grid])
@@ -175,7 +182,7 @@ def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
         centre = local[np.arange(local.shape[0]), vals.argmax(axis=1)]
         half = (hi - lo) / 16.0
         lo, hi = np.maximum(centre - half, 0.0), centre + half
-        if np.all(hi - lo <= 1e-13 * np.maximum(centre, floor)):
+        if np.all(hi - lo <= BRACKET_REL * np.maximum(centre, floor)):
             break
     return best
 
@@ -211,11 +218,10 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
         return np.array([np.inf])
     rinv_bt, rinv_dt = rinv_bdt[:, :n], rinv_bdt[:, n:]
     acl = a + b @ rinv_dt @ c
-    ham = np.empty((2 * n, 2 * n))
-    ham[:n, :n] = acl
-    ham[:n, n:] = gamma * (b @ rinv_bt)
-    ham[n:, :n] = -(c.T @ (np.eye(s.p) + d @ rinv_dt) @ c) / gamma
-    ham[n:, n:] = -acl.T
+    ham = linalg._block_diag([acl, -acl.T], {
+        (0, 1): gamma * (b @ rinv_bt),
+        (1, 0): -(c.T @ (np.eye(s.p) + d @ rinv_dt) @ c) / gamma,
+    })
     ev = np.linalg.eigvals(ham)
     axis_tol = HAM_CANDIDATE * max(np.linalg.norm(ham, np.inf), 1e-300)
     return np.sort(np.abs(ev[np.abs(ev.real) <= axis_tol].imag))
@@ -239,10 +245,10 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
     beta = float(np.linalg.norm(s.B))
     xi = float(np.linalg.norm(s.C))
     coupling = beta * xi
-    if coupling > 1e7 * max(float(gains[:near.size].max()), d_gain):
+    if coupling > CANCEL_RATIO * max(float(gains[:near.size].max()), d_gain):
         grid_gains = _sigma_max(s, ws)
         grid_estimate = max(float(grid_gains.max()), d_gain)
-        if grid_estimate > 1e-300 and coupling > 1e7 * grid_estimate:
+        if grid_estimate > 1e-300 and coupling > CANCEL_RATIO * grid_estimate:
             return _refined_grid_peak(s, ws, grid_gains, ev)
         estimate = max(estimate, grid_estimate)
     if estimate <= 1e-300:

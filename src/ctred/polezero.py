@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 from . import linalg
 from .errors import ConvergenceError, DimensionError, RadiusError, UnsupportedError
 from .rational import RationalTransferFunction
-from .tolerances import PZ_CANCEL
+from .tolerances import PZ_CANCEL, REALIFY_REL, RESIDUE_REL
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def residue_factorization(f: RationalTransferFunction, p: float):
     r = complex(npoly.polyval(pole, n_poly)) / den_at
     gap = pole - q
     check = gap * r
-    if abs(check - residue) > 1e-8 * max(abs(residue), 1e-300):
+    if abs(check - residue) > RESIDUE_REL * max(abs(residue), 1e-300):
         raise ConvergenceError(
             f"residue factorization inconsistent: {check:.3e} vs {residue:.3e}"
         )
@@ -192,7 +192,7 @@ def residue_factorization(f: RationalTransferFunction, p: float):
 
 
 def _realify(z: complex):
-    if isinstance(z, complex) and abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)):
+    if isinstance(z, complex) and abs(z.imag) <= REALIFY_REL * max(1.0, abs(z.real)):
         return float(z.real)
     return z
 

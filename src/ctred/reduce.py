@@ -48,7 +48,15 @@ from .errors import (
 )
 from .norms import _feedthrough_gain
 from .statespace import StateSpaceSystem, add, frequency_response, mirror
-from .tolerances import HSV_MINIMAL, HSV_TIE, MINREAL_TOL
+from .tolerances import (
+    ANTI_NEGLIGIBLE,
+    GRAMIAN_CUT,
+    GRAMIAN_FLOOR,
+    HSV_MINIMAL,
+    HSV_TIE,
+    MINREAL_CHECK,
+    MINREAL_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -201,7 +209,7 @@ def _gramian_factor(w: np.ndarray) -> tuple[np.ndarray, float]:
     w = 0.5 * (w + w.T)
     evals, vecs = np.linalg.eigh(w)
     top = max(evals.max(initial=0.0), 0.0)
-    keep = evals > max(top, 1e-300) * 1e-14
+    keep = evals > max(top, 1e-300) * GRAMIAN_CUT
     return vecs[:, keep] * np.sqrt(evals[keep]), math.sqrt(top)
 
 
@@ -254,9 +262,7 @@ def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
         zo, zo_norm = _gramian_factor(wo)
         if zc.shape[1] and zo.shape[1]:
             u, sv, vt = np.linalg.svd(zo.T @ zc, full_matrices=False)
-            # Gramian rounding noise was observed up to ~1e3 eps times the
-            # factor scales
-            floor = 1e4 * np.finfo(float).eps * zc_norm * zo_norm
+            floor = GRAMIAN_FLOOR * np.finfo(float).eps * zc_norm * zo_norm
             return _HankelPass(sv, floor, zc, zo, u, vt)
     return _HankelPass(np.zeros(0), 0.0, None, None, None, None)
 
@@ -345,7 +351,7 @@ class _Split:
         stable_hp, anti_hp = self.stable_pass, self.anti_pass
         stable_scale = stable_hp.bound + _feedthrough_gain(self.stable.D)
         floor = max(stable_hp.floor, anti_hp.floor)
-        return anti_hp.bound <= max(1e-6 * stable_scale, floor)
+        return anti_hp.bound <= max(ANTI_NEGLIGIBLE * stable_scale, floor)
 
     @property
     def unstable_count(self) -> int:
@@ -420,7 +426,7 @@ def minimal_realization(s: StateSpaceSystem) -> StateSpaceSystem:
     r_out = frequency_response(result, probes)
     diff = float(np.max(np.abs(r_in - r_out)))
     scale = float(np.max(np.abs(r_in)))
-    if diff > max(1e-6 * scale, 10.0 * noise_floor):
+    if diff > max(MINREAL_CHECK * scale, 10.0 * noise_floor):
         raise ConvergenceError(
             "minimal realization is numerically unreliable for this system "
             "(state directions below the Gramian rounding floor)"

@@ -9,6 +9,7 @@ two-output closed-loop map, the sensitivity pair and minimality tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,18 +18,17 @@ from .errors import DimensionError, NotStabilizingError, UnsupportedError
 from .tolerances import RANK_REL
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only copy: a system never shares its arrays with the caller, so
-    nothing outside it can change it (certificates key their shared loop
-    analysis on system identity)."""
-    a = np.array(a, dtype=float, order="C")
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class StateSpaceSystem:
-    """State-space realization ``y = C x + D u``, ``x' = A x + B u``."""
+    """State-space realization ``y = C x + D u``, ``x' = A x + B u``.
+
+    Construction converts each matrix once, by :func:`~ctred.linalg.as_matrix`
+    (a fresh C-ordered float64 copy with finite entries), checks the shapes
+    against each other and stores that copy read-only.  A system therefore
+    never shares its arrays with the caller, so nothing outside it can
+    change it (certificates key their shared loop analysis on system
+    identity).  Raises :class:`DimensionError` or :class:`NonFiniteError`.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -51,10 +51,9 @@ class StateSpaceSystem:
             raise DimensionError(
                 f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}"
             )
-        object.__setattr__(self, "A", _frozen(a))
-        object.__setattr__(self, "B", _frozen(b))
-        object.__setattr__(self, "C", _frozen(c))
-        object.__setattr__(self, "D", _frozen(d))
+        for name, m in zip("ABCD", (a, b, c, d)):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     @property
     def n(self) -> int:
@@ -101,10 +100,8 @@ class StateSpaceSystem:
 
 def make_system(a, b, c, d=None) -> StateSpaceSystem:
     """Validated system construction; ``d`` defaults to the zero matrix."""
-    a = linalg.as_matrix(a, "A")
-    b = linalg.as_matrix(b, "B")
-    c = linalg.as_matrix(c, "C")
     if d is None:
+        b, c = linalg.as_matrix(b, "B"), linalg.as_matrix(c, "C")
         d = np.zeros((c.shape[0], b.shape[1]))
     return StateSpaceSystem(a, b, c, d)
 
@@ -123,10 +120,7 @@ def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
             f"parallel sum needs matching dimensions, got "
             f"{s1.p}x{s1.m} and {s2.p}x{s2.m}"
         )
-    n1, n2 = s1.n, s2.n
-    a = np.block(
-        [[s1.A, np.zeros((n1, n2))], [np.zeros((n2, n1)), s2.A]]
-    ) if n1 + n2 else np.zeros((0, 0))
+    a = linalg._block_diag([s1.A, s2.A])
     b = np.vstack([s1.B, s2.B])
     c = np.hstack([s1.C, s2.C])
     return StateSpaceSystem(a, b, c, s1.D + s2.D)
@@ -142,10 +136,7 @@ def series(s2: StateSpaceSystem, s1: StateSpaceSystem) -> StateSpaceSystem:
         raise DimensionError(
             f"series needs s2 inputs ({s2.m}) == s1 outputs ({s1.p})"
         )
-    n1, n2 = s1.n, s2.n
-    a = np.block(
-        [[s1.A, np.zeros((n1, n2))], [s2.B @ s1.C, s2.A]]
-    ) if n1 + n2 else np.zeros((0, 0))
+    a = linalg._block_diag([s1.A, s2.A], {(1, 0): s2.B @ s1.C})
     b = np.vstack([s1.B, s2.B @ s1.D])
     c = np.hstack([s2.D @ s1.C, s2.C])
     return StateSpaceSystem(a, b, c, s2.D @ s1.D)
@@ -203,7 +194,7 @@ def _check_loop_dims(g: StateSpaceSystem, k: StateSpaceSystem) -> None:
 def closed_loop_matrix(g: StateSpaceSystem, k: StateSpaceSystem) -> np.ndarray:
     """Closed-loop state matrix ``[[A, B C_K], [B_K C, A_K]]``."""
     _check_loop_dims(g, k)
-    return np.block([[g.A, g.B @ k.C], [k.B @ g.C, k.A]])
+    return linalg._block_diag([g.A, k.A], {(0, 1): g.B @ k.C, (1, 0): k.B @ g.C})
 
 
 def _loop_stability(acl: np.ndarray) -> tuple[bool, float, np.ndarray]:
@@ -226,7 +217,8 @@ class FourBlockMap:
 
     Realized once on the shared closed-loop state of dimension
     ``n_G + n_K``.  Row block sizes are ``(p, m)`` and column block sizes
-    ``(m, p)`` where the plant is p x m.
+    ``(m, p)`` where the plant is p x m.  Each block is built on first
+    access and kept.
     """
 
     system: StateSpaceSystem
@@ -251,27 +243,27 @@ class FourBlockMap:
         s = self.system
         return StateSpaceSystem(s.A, s.B[:, cols], s.C[rows, :], s.D[rows, cols])
 
-    @property
+    @cached_property
     def x(self) -> StateSpaceSystem:
         """Block (1,1): ``(I - G K)^{-1} G``."""
         return self.block(0, 0)
 
-    @property
+    @cached_property
     def xk(self) -> StateSpaceSystem:
         """Block (1,2): ``(I - G K)^{-1} G K``."""
         return self.block(0, 1)
 
-    @property
+    @cached_property
     def kx(self) -> StateSpaceSystem:
         """Block (2,1): ``K (I - G K)^{-1} G``."""
         return self.block(1, 0)
 
-    @property
+    @cached_property
     def ky(self) -> StateSpaceSystem:
         """Block (2,2): ``K (I - G K)^{-1}``."""
         return self.block(1, 1)
 
-    @property
+    @cached_property
     def y(self) -> StateSpaceSystem:
         """Output sensitivity ``Y = (I - G K)^{-1} = I + X K``."""
         xk = self.xk
@@ -280,18 +272,11 @@ class FourBlockMap:
 
 def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     """Shared-state realization of the two-by-two closed-loop transfer matrix."""
-    _check_loop_dims(g, k)
-    n, q = g.n, k.n
-    p, m = g.p, g.m
     a = closed_loop_matrix(g, k)
-    b = np.block(
-        [[g.B, np.zeros((n, p))], [np.zeros((q, m)), k.B]]
-    )
-    c = np.block(
-        [[g.C, np.zeros((p, q))], [np.zeros((m, n)), k.C]]
-    )
-    d = np.zeros((p + m, m + p))
-    return FourBlockMap(StateSpaceSystem(a, b, c, d), p=p, m=m)
+    b = linalg._block_diag([g.B, k.B])
+    c = linalg._block_diag([g.C, k.C])
+    d = np.zeros((g.p + g.m, g.m + g.p))
+    return FourBlockMap(StateSpaceSystem(a, b, c, d), p=g.p, m=g.m)
 
 
 def _stabilizing_four_block(g: StateSpaceSystem,

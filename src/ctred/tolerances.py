@@ -29,10 +29,42 @@ RESID_REL = 1e-10
 # Relative spectral-separation floor for Sylvester decoupling.
 SEP_REL = 1e-6
 
+# Relative asymmetry ||Q - Q^T|| / max(1, ||Q||) above which solve_lyapunov
+# refuses its right-hand side as not symmetric.
+SYMMETRY_REL = 1e-8
+
+# Relative size of the imaginary parts of polynomial coefficients below
+# which poly_roots treats the polynomial as real.
+REAL_COEFF_REL = 1e-8
+
 # Hankel singular value thresholds (relative to the largest value).
 HSV_MINIMAL = 1e-10   # balance() refuses a value below it, truncation keeps none
 HSV_TIE = 1e-9        # minimum gap between sigma_r and sigma_{r+1}
 MINREAL_TOL = 1e-9    # states below this are discarded by minimal_realization
+
+# Gramian factors (ctred.reduce._gramian_factor) drop the eigen-directions of
+# a Gramian at or below GRAMIAN_CUT of its largest eigenvalue.
+GRAMIAN_CUT = 1e-14
+
+# The rounding floor of the Hankel values of one part is GRAMIAN_FLOOR eps
+# times the norms of its two Gramian factors; Gramian rounding noise was
+# observed up to ~1e3 eps times those scales.
+GRAMIAN_FLOOR = 1e4
+
+# An antistable part is rounding noise (reduce._Split.anti_negligible) when
+# its Hankel bound is at most ANTI_NEGLIGIBLE times the stable part's gain
+# scale, or at most the rounding floor.
+ANTI_NEGLIGIBLE = 1e-6
+
+# minimal_realization refuses its result when its frequency response at
+# three probe frequencies moves by more than MINREAL_CHECK of the input's
+# largest response entry (and more than ten rounding floors).
+MINREAL_CHECK = 1e-6
+
+# The command line's cor1 accepts a given reduced controller only when its
+# frequency response stays within COR1_MATCH max(1, largest entry) of that
+# of the balanced truncation it recomputes at that order.
+COR1_MATCH = 1e-6
 
 # Numerical-rank threshold for controllability/observability tests.
 RANK_REL = 1e-9
@@ -44,6 +76,18 @@ RANK_REL = 1e-9
 # (linalg._root_groups) and whether a point is a pole in
 # residue_factorization and small_block_cancellation_probe.
 PZ_CANCEL = 1e-7
+
+# mode_importance refuses to rank a block whose eigenvalue lies within
+# ZERO_MODE max(1, |lambda|) of the origin.
+ZERO_MODE = 1e-8
+
+# residue_factorization refuses a factorization ``gap * r`` that misses the
+# residue by more than RESIDUE_REL of its size.
+RESIDUE_REL = 1e-8
+
+# polezero reports a complex value z as real when
+# |Im z| <= REALIFY_REL max(1, |Re z|).
+REALIFY_REL = 1e-12
 
 # CLUSTER_TOL governs the eigenvalues: the clusters modal_form keeps in one
 # block (linalg._root_groups) and thm3's pairing of the unstable error
@@ -70,6 +114,26 @@ CLUSTER_TOL = 1e-6
 HINF_REL = 1e-10
 HINF_MAX_ITER = 200
 HAM_CANDIDATE = 1e-6
+
+# A realization whose coupling ||B|| ||C|| exceeds CANCEL_RATIO times its
+# largest sampled gain cancels order-one terms beyond the Hamiltonian test's
+# double-precision reach, and its peak gain comes from the grid fallback
+# (ctred.norms._refined_grid_peak); the same test decides first whether the
+# whole grid is evaluated.
+CANCEL_RATIO = 1e7
+
+# The grid fallback refines each bracket until it is narrower than
+# BRACKET_REL of its centre frequency.
+BRACKET_REL = 1e-13
+
+# Lowest frequency of the initial peak-gain grid (rad/s).
+GRID_FLOOR = 1e-8
+
+# Relative margin on the computed ||X||_inf in the small-gain bound
+# (1 + SMALL_GAIN_MARGIN) ||X||_inf d of the certificates
+# (ctred.certify._small_gain_bound); measured peak gains once lay up to
+# 1.7e-5 low, and the margin covered that five times over.
+SMALL_GAIN_MARGIN = 1e-4
 
 
 def stab_override() -> str | None:

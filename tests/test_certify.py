@@ -240,6 +240,20 @@ def test_lemma3_refuses_counts_for_a_pole_at_the_origin(unstable_pair):
                for n in cert.notes)
 
 
+def test_lemma3_refuses_counts_for_an_integrating_controller():
+    # K = -1/s stabilizes 1/(s+1) but does not split; K_r = -1/(s+0.01)
+    # does, and the error analysis stops at K's refusal
+    g = make_system([[-1.0]], [[1.0]], [[1.0]])
+    k = make_system([[0.0]], [[1.0]], [[-1.0]])
+    k_r = make_system([[-0.01]], [[1.0]], [[-1.0]])
+    cert = check_lemma3(g, k, k_r)
+    assert not cert.condition_satisfied
+    assert "unstable_poles_original" not in cert.quantities
+    assert any(n.startswith("unstable pole count of the original controller undefined")
+               for n in cert.notes)
+    assert math.isinf(cert.quantities["x_delta_linf"])
+
+
 def test_thm1_trivial_identity(balmod):
     g, k = balmod
     cert = check_thm1(g, k, k)
@@ -379,6 +393,20 @@ def test_cor1_huge_tail_fails():
     assert cert.quantities["sigma_tail_sum"] > 1.0 / (2 * cert.quantities["x_hinf"])
 
 
+def test_cor1_tail_condition_fails_on_an_unstable_error():
+    # a hand-built "balanced" result whose tail is tiny while K_r adds a
+    # genuine antistable mode 0.5/(s-1) to K
+    g = make_system([[-1.0]], [[1.0]], [[1.0]])
+    k = make_system([[-2.0]], [[1.0]], [[-1.0]])
+    k_r = make_system(np.diag([-2.0, 1.0]), [[1.0], [1.0]], [[-1.0, 0.5]])
+    cert = check_cor1(g, k, TruncationResult(k_r, "balanced", (1e-6,)))
+    q = cert.quantities
+    assert q["sigma_tail_sum"] < 1.0 / (2.0 * q["x_hinf"])
+    assert math.isinf(q["delta_hinf"])
+    assert not cert.condition_satisfied and cert.cost_bound is None
+    assert "tail condition held but the error system is not stable" in cert.notes
+
+
 def test_cor2_zero_delta(balmod):
     g, k = balmod
     cert = check_cor2(g, k, k)
@@ -463,6 +491,14 @@ def test_thm3_rejects_origin_pole(unstable_pair):
         check_thm3(g, k, k_r)
 
 
+def test_thm3_rejects_imaginary_axis_poles_away_from_the_origin():
+    # K has poles at +-j; the plant is synthesized to be stabilized by it
+    k = make_system([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+    g = synthesize_stabilizing_plant(k)
+    with pytest.raises(AxisPoleError, match="imaginary-axis poles"):
+        check_thm3(g, k, make_system([[-1.0]], [[1.0]], [[1.0]]))
+
+
 def test_certificate_invariants():
     with pytest.raises(ValueError):
         ReductionCertificate("thm1", {}, True, 1.0, True)  # thm1 carries no bound
@@ -523,6 +559,24 @@ def test_bound_certificates_share_one_loop_analysis(balmod, monkeypatch):
     for check, arg in checks:
         check(_fresh(g0), _fresh(k0), arg)
     assert calls == {"_loop_quantities": 4, "four_block": 4}
+
+
+def test_loop_analysis_builds_each_four_block_once(balmod, monkeypatch):
+    # the loop quantities and lemma3 read X, KX and Y (hence XK) of one
+    # held map: each block is realized once
+    g, k = _fresh(balmod[0]), _fresh(balmod[1])
+    calls = {}
+    block = statespace.FourBlockMap.block
+
+    def counted(self, i, j):
+        calls[i, j] = calls.get((i, j), 0) + 1
+        return block(self, i, j)
+
+    monkeypatch.setattr(statespace.FourBlockMap, "block", counted)
+    k_r = balanced_truncate_unstable(k, 2).reduced
+    certify._loop(g, k, k_r).quantities()
+    check_lemma3(g, k, k_r)
+    assert calls == {(0, 0): 1, (0, 1): 1, (1, 0): 1}
 
 
 @pytest.mark.parametrize("first, second", [(check_lemma3, check_thm1),

@@ -1,6 +1,7 @@
 """Every numerical tolerance of the package lives in ``ctred/tolerances.py``:
-no other module binds a module-level float, and each constant there is
-read by some other module (an unread tolerance governs nothing)."""
+no other module binds a module-level float or writes a threshold-sized
+float literal, and each constant there is read by some other module (an
+unread tolerance governs nothing)."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,21 @@ def test_every_tolerance_is_read_by_another_module():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert constants and sorted(constants - read) == []
+
+
+def _threshold_like(value: float) -> bool:
+    """A float literal small or large enough to be a numerical threshold;
+    ``1e-300``, the guard against dividing by an underflowed zero, is not."""
+    x = abs(value)
+    return x != 1e-300 and (0.0 < x <= 1e-4 or x >= 1e4)
+
+
+def test_no_threshold_literal_outside_the_tolerances_module():
+    # benchmarks.py holds the bundled reference data of the benchmark instances
+    found = {name: [f"{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and type(node.value) is float
+                    and _threshold_like(node.value)]
+             for name, tree in _trees()}
+    assert len(found.pop("tolerances.py")) >= 2  # the test sees the thresholds
+    found.pop("benchmarks.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
