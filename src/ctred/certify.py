@@ -46,7 +46,7 @@ their peak-gain searches are skipped.  ``lemma3`` still refuses a product
 with a pole on the axis, read from the spectra of the loop and of the two
 splits.  ``thm1`` measures the stable realization of ``delta`` times
 ``X`` (stable because both factors are) and first adds the proven bound
-on the product it dropped, ``(1 + 1e-4) ||X||_inf 2 sum
+on the product it dropped, ``(1 + SMALL_GAIN_MARGIN) ||X||_inf 2 sum
 sigma(mirror(delta_u))`` with the margin of :func:`_small_gain_bound`
 (0 when ``delta_u`` has order 0); only a genuine ``delta_u``, or a
 controller that does not split, sends ``thm1`` to the stability test of
@@ -392,16 +392,16 @@ def _small_gain_bound(loop: _LoopAnalysis, d: float) -> float:
     """Upper bound on ``||X*e||`` and ``||e*X||`` over the axis for an
     ``e`` with ``||e|| <= d``.
 
-    Submultiplicativity gives ``(1 + 1e-4) ||X||_inf d``.  ``d`` is proven;
-    the computed ``||X||_inf`` is not: it is within ``HINF_REL`` of a gain
-    the kernel evaluated, which lies at or below the peak.  Over the 1984
-    peak gains of the stability_batch and bound_batch pools at seeds 11 and
-    401 the worst lay 8.5e-11 below a dense direct-LU reference; before the
-    search trusted only evaluated gains, ``hinf_norm`` was measured low by
-    up to 1.4e-5 on closed-loop blocks and 1.7e-5 on error products.  The
-    factor 1e-4 covered those with a 5x margin and costs nothing in
-    practice: a bound within 1e-4 of one falls through to the computed
-    norm.
+    Submultiplicativity gives ``(1 + SMALL_GAIN_MARGIN) ||X||_inf d``.
+    ``d`` is proven; the computed ``||X||_inf`` is not: it is within
+    ``HINF_REL`` of a gain the kernel evaluated, which lies at or below the
+    peak.  Over the 1984 peak gains of the stability_batch and bound_batch
+    pools at seeds 11 and 401 the worst lay 8.5e-11 below a dense direct-LU
+    reference; before the search trusted only evaluated gains,
+    ``hinf_norm`` was measured low by up to 1.4e-5 on closed-loop blocks and
+    1.7e-5 on error products.  ``SMALL_GAIN_MARGIN`` covers those five
+    times over and costs nothing in practice: a bound within that margin of
+    one falls through to the computed norm.
     """
     return (1.0 + SMALL_GAIN_MARGIN) * loop.x_hinf * d
 

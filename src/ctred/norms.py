@@ -20,7 +20,7 @@ eigenvalues, so the same machinery serves both the H-infinity norm
 poles).
 
 A realization that reaches a tiny gain by cancelling order-one terms
-(coupling ``||B|| ||C||`` above 1e7 times the grid estimate) is beyond the
+(coupling ``||B|| ||C||`` above ``CANCEL_RATIO`` times the grid estimate) is beyond the
 Hamiltonian test's double precision.  The grid points of the start bound
 the grid estimate from below; only when they cannot rule such a coupling
 out is the whole grid evaluated, and the coupling test is decided on it.
@@ -159,7 +159,7 @@ def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
     and ``|lambda|`` of the poles ``ev`` join it, as in Bruinsma-Steinbuch.  Each of
     the largest local maxima of the merged sweep is bracketed by its
     neighbours, and every bracket shrinks 8x per round around the best of
-    its 33-point sweep until it is below ``1e-13`` relative frequency.
+    its 33-point sweep until it is below ``BRACKET_REL`` relative frequency.
     Returns the best gain seen, at least ``||D||``.
     """
     extra = np.setdiff1d(np.concatenate([np.abs(ev.imag), np.abs(ev)]), ws)

@@ -3,7 +3,6 @@
 Usage, from any directory:
 
     python3 tools/pool_digest.py --seed 11
-    python3 tools/pool_digest.py --seed 401 --workload reduce_sweep
 
 Builds each workload's request pool exactly as ``bench/run.py`` does for
 the seed, serves every request once with the ``ctred`` of this checkout's
@@ -44,8 +43,6 @@ def _update(h, value) -> None:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--workload", action="append",
-                    help="one workload (repeatable); all of them by default")
     args = ap.parse_args(argv)
 
     os.chdir(ROOT)  # bench/run.py imports ctred from ./src
@@ -53,7 +50,7 @@ def main(argv=None) -> None:
     import run  # pins the BLAS threads before numpy is imported
     import workloads
 
-    for name in args.workload or list(workloads.WORKLOADS):
+    for name in workloads.WORKLOADS:
         wl, rounds = run.setup(name, args.seed)
         h, count = hashlib.sha256(), 0
         for req in (r for rnd in rounds for r in rnd):
