@@ -209,9 +209,9 @@ def run_unstable_truncation() -> dict:
     }
 
 
-def run_scaling_sweep(n_points: int = 30, eps_min: float = 0.0001,
-                      eps_max: float = 0.05):
-    """Cost-gap ratio versus perturbation peak gain, with a linear fit.
+def run_scaling_sweep():
+    """Cost-gap ratio versus perturbation peak gain, with a linear fit, over
+    30 perturbation sizes evenly spaced from 1e-4 to 0.05.
 
     The accompanying plant is synthesized from the largest augmented
     system, so the fitted slope depends on this synthesis choice; the
@@ -220,7 +220,7 @@ def run_scaling_sweep(n_points: int = 30, eps_min: float = 0.0001,
     ``(eps, delta_hinf, cost_gap_ratio)``.
     """
     core = bench_scaling_core()
-    eps_values = np.linspace(eps_min, eps_max, n_points)
+    eps_values = np.linspace(0.0001, 0.05, 30)
     k_big = add(core, scaling_perturbation(float(eps_values[-1])))
     plant = synthesize_stabilizing_plant(k_big)
     j_core = lqg_cost(plant, core)
@@ -239,7 +239,7 @@ def run_scaling_sweep(n_points: int = 30, eps_min: float = 0.0001,
     r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     report = {
         "experiment": "scaling",
-        "n_points": n_points,
+        "n_points": eps_values.size,
         "fit": {"slope": float(coef[0]), "intercept": float(coef[1]),
                 "r_squared": r_squared},
         "note": (

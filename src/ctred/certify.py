@@ -720,7 +720,8 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
             notes.append("1 - X*delta has right-half-plane zeros beyond the structural set")
         if condition:
             try:
-                prefactor = linf_norm(inverse)
+                prefactor = norms._peak_gain(inverse,
+                                             _check_no_axis_poles(inverse, inv_poles))
             except AxisPoleError as exc:
                 condition = False
                 notes.append(f"inverse peak gain undefined: {exc}")

@@ -10,12 +10,13 @@ on the spectra the Schur form already knows).  Only similarity transforms
 touch the realization, so the parts sum to the original transfer function.
 
 The split makes one checked ``trsen`` reordering that moves the open left
-half-plane to the front and cuts once.  The modal decomposition groups the
-Schur diagonal's spectrum into clusters, reorders only a cluster that is
-not contiguous in the Schur order, and cuts wherever the nearest cluster
-(``_labels``) changes.  The clustering of :func:`modal_form` and the axis
-check of :func:`split_stable_unstable` read the spectrum of that one Schur
-form, so neither runs a separate eigen-solve.
+half-plane to the front and cuts once.  The modal decomposition labels
+each eigenvalue of the Schur diagonal with its cluster
+(:func:`~ctred.linalg._root_groups`, conjugate pairs sharing one label),
+reorders only a cluster that is not contiguous in the Schur order, and
+cuts wherever the label changes.  The clustering of :func:`modal_form` and
+the axis check of :func:`split_stable_unstable` read the spectrum of that
+one Schur form, so neither runs a separate eigen-solve.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ import numpy as np
 
 from . import linalg
 from .errors import AxisPoleError, SeparationError, ZeroModeError
+from .norms import _largest_singular_values, hinf_norm
 from .statespace import StateSpaceSystem, zero_system
 from .tolerances import CLUSTER_TOL, SEP_REL, ZERO_MODE, inf_norm
 
 
-def _block_diagonalize(sys_abc, t, z, ev, cuts):
+def _block_diagonalize(b, c, t, z, ev, cuts):
     """Decouple ``(A, B, C)`` into one part per diagonal block of a real
-    Schur form ``A = Z T Z^T`` (Bavely and Stewart 1979).
+    Schur form ``A = Z T Z^T`` (Bavely and Stewart 1979); ``A`` enters only
+    through ``T`` and ``Z``.
 
     ``z`` is ``None`` when ``A`` is its own Schur form ``t``, ``ev`` is the
     diagonal spectrum of ``t``, and ``cuts`` are the indices where each
@@ -44,7 +47,6 @@ def _block_diagonalize(sys_abc, t, z, ev, cuts):
     along, so the parts sum to the original transfer function.  Returns
     ``(A_j, B_j, C_j, ev_j)`` per block, each ``A_j`` in real Schur form.
     """
-    _, b, c = sys_abc
     bt = b.copy() if z is None else z.T @ b
     ct = c.copy() if z is None else c @ z
     bounds = [0, *cuts, t.shape[0]]
@@ -86,12 +88,12 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
     form = linalg._reorder_schur(k.A, *schur, lambda ev: ev.real < 0.0)
     try:
         stable, unstable = _block_diagonalize(
-            (k.A, k.B, k.C), form.T, form.Z, form.eigenvalues, [form.n_selected]
+            k.B, k.C, form.T, form.Z, form.eigenvalues, [form.n_selected]
         )
     except SeparationError as exc:
         raise SeparationError(f"ill-conditioned stable/antistable split: {exc}") from exc
     stable = StateSpaceSystem(*stable[:3], k.D)
-    unstable = StateSpaceSystem(*unstable[:3], empty.D)
+    unstable = StateSpaceSystem(*unstable[:3])
     return StableUnstableSplit(stable, unstable)
 
 
@@ -110,8 +112,7 @@ class ModalBlock:
         return self.A.shape[0]
 
     def system(self) -> StateSpaceSystem:
-        d = np.zeros((self.C.shape[0], self.B.shape[1]))
-        return StateSpaceSystem(self.A, self.B, self.C, d)
+        return StateSpaceSystem(self.A, self.B, self.C)
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class ModalDecomposition:
         a = linalg._block_diag([b.A for b in blocks])
         bmat = np.vstack([b.B for b in blocks])
         c = np.hstack([b.C for b in blocks])
-        return StateSpaceSystem(a, bmat, c, np.zeros((self.p, self.m)))
+        return StateSpaceSystem(a, bmat, c)
 
 
 def mode_importance(block: ModalBlock) -> float:
@@ -151,33 +152,9 @@ def mode_importance(block: ModalBlock) -> float:
     if abs(lam.real) <= linalg.half_plane_tol(block.A):
         raise AxisPoleError("mode on the imaginary axis cannot be ranked")
     if lam.real < 0.0 and block.order > 1:
-        from .norms import hinf_norm  # local import to avoid a module cycle
-
         return hinf_norm(block.system())
     coupling = block.C @ np.linalg.solve(block.A, block.B)
-    return float(np.linalg.svd(coupling, compute_uv=False)[0])
-
-
-def _cluster_eigenvalues(ev: np.ndarray, cluster_tol: float):
-    """Group eigenvalues (conjugate pairs canonicalized) joined by chains of
-    coinciding values (:func:`~ctred.linalg._root_groups`)."""
-    canon = np.unique(np.round(ev.real, 14) + 1j * np.round(np.abs(ev.imag), 14))
-    labels = linalg._root_groups(canon, cluster_tol)
-    size = np.bincount(labels)
-    mean_re = np.bincount(labels, canon.real) / size
-    mean_im = np.bincount(labels, np.abs(canon.imag)) / size
-    # canon is sorted by (real, imag) parts, so each group is too
-    return [tuple(canon[labels == g]) for g in np.lexsort((mean_im, mean_re))]
-
-
-def _full_cluster_values(cluster) -> np.ndarray:
-    """Cluster members together with their conjugates."""
-    vals = []
-    for z in cluster:
-        vals.append(z)
-        if z.imag != 0:
-            vals.append(z.conjugate())
-    return np.array(vals)
+    return float(_largest_singular_values(coupling[None])[0])
 
 
 def modal_form(k: StateSpaceSystem) -> ModalDecomposition:
@@ -188,38 +165,36 @@ def modal_form(k: StateSpaceSystem) -> ModalDecomposition:
     Sylvester decoupling.  Blocks are sorted by ascending real part.
     """
     t, z, ev = linalg._real_schur(k.A)
-    clusters = _cluster_eigenvalues(ev, CLUSTER_TOL)
-    if not clusters:
+    if not ev.size:
         return ModalDecomposition((), m=k.m, p=k.p)
-    # pairwise separation between clusters, over conjugate-closed value sets
-    values = [_full_cluster_values(c) for c in clusters]
-    labels = np.repeat(np.arange(len(values)), [v.size for v in values])
-    values = np.concatenate(values)
-    dist = np.abs(values[:, None] - values[None, :])
+    # one label per eigenvalue of the Schur diagonal; a conjugate pair
+    # shares one, so a label names a conjugate-closed cluster
+    labels = linalg._root_groups(ev.real + 1j * np.abs(ev.imag), CLUSTER_TOL)
+    dist = np.abs(ev[:, None] - ev[None, :])
     dist[labels[:, None] == labels[None, :]] = np.inf
     gap = dist.min()
     if gap <= SEP_REL * inf_norm(k.A):
         u, v = np.unravel_index(dist.argmin(), dist.shape)
-        i, j = sorted((labels[u], labels[v]))
         raise SeparationError(
-            f"eigenvalue clusters around {clusters[i][0]:.6g} and "
-            f"{clusters[j][0]:.6g} are inseparable (gap {gap:.2e})"
+            f"eigenvalue clusters around {ev[u]:.6g} and {ev[v]:.6g} "
+            f"are inseparable (gap {gap:.2e})"
         )
 
     # make every cluster contiguous in the Schur order: moving one to the
-    # front keeps the others' order, so only a scattered cluster is moved
-    own = _labels(ev, values, labels)
-    for c in range(len(clusters)):
+    # front keeps the others' order, so only a scattered cluster is moved;
+    # a reordered eigenvalue takes the label of the nearest original one
+    own, diagonal = labels, ev
+    for c in range(labels.max() + 1):
         at = np.flatnonzero(own == c)
         if at[-1] - at[0] >= at.size:
             form = linalg._reorder_schur(
-                k.A, t, z, ev, lambda lam, c=c: _labels(lam, values, labels) == c
+                k.A, t, z, ev, lambda lam, c=c: _labels(lam, diagonal, labels) == c
             )
             t, z, ev = form.T, form.Z, form.eigenvalues
-            own = _labels(ev, values, labels)
+            own = _labels(ev, diagonal, labels)
     cuts = np.flatnonzero(own[1:] != own[:-1]) + 1
     blocks = [_modal_block(*part)
-              for part in _block_diagonalize((k.A, k.B, k.C), t, z, ev, cuts)]
+              for part in _block_diagonalize(k.B, k.C, t, z, ev, cuts)]
     blocks.sort(key=lambda b: (b.eigenvalue.real, abs(b.eigenvalue.imag)))
     return ModalDecomposition(tuple(blocks), m=k.m, p=k.p)
 
@@ -235,7 +210,7 @@ def _modal_block(a, b, c, ev) -> ModalBlock:
 
 
 def _labels(ev, values: np.ndarray, labels: np.ndarray):
-    """Label of the cluster value nearest to each eigenvalue in ``ev`` (one
+    """Label of the labelled value nearest to each eigenvalue in ``ev`` (one
     eigenvalue or an array of them); ``labels`` holds one per value."""
     return labels[np.abs(np.subtract.outer(ev, values)).argmin(axis=-1)]
 

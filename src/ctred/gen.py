@@ -27,7 +27,7 @@ def random_stable_minimal(
         a = q @ np.diag(lam) @ q.T
         b = rng.uniform(-1.0, 1.0, (order, m))
         c = rng.uniform(-1.0, 1.0, (p, order))
-        s = StateSpaceSystem(a, b, c, np.zeros((p, m)))
+        s = StateSpaceSystem(a, b, c)
         if check_minimal(s):
             return s
     raise SynthesisError("failed to draw a minimal stable system")
@@ -43,7 +43,7 @@ def random_antistable(
     a = q @ np.diag(lam) @ q.T
     b = rng.uniform(-1.0, 1.0, (order, m))
     c = rng.uniform(-1.0, 1.0, (p, order))
-    return StateSpaceSystem(a, b, c, np.zeros((p, m)))
+    return StateSpaceSystem(a, b, c)
 
 
 def synthesize_stabilizing_plant(k: StateSpaceSystem) -> StateSpaceSystem:
@@ -59,7 +59,7 @@ def synthesize_stabilizing_plant(k: StateSpaceSystem) -> StateSpaceSystem:
     f = b.T @ p_ctrl
     p_obs = linalg.solve_care(a.T, c.T, np.eye(n), np.eye(c.shape[0]))
     lgain = p_obs @ c.T
-    return StateSpaceSystem(a - b @ f - lgain @ c, lgain, -f, np.zeros((b.shape[1], c.shape[0])))
+    return StateSpaceSystem(a - b @ f - lgain @ c, lgain, -f)
 
 
 def generate_instance(order: int, n_unstable: int, seed: int):

@@ -453,11 +453,9 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
     parts: the eigenvalues of its companion matrix
     (``numpy.polynomial.polynomial.polyroots``)."""
     c = np.asarray(coeffs, dtype=complex)
-    # strip trailing (highest-degree) zeros
-    nz = np.nonzero(np.abs(c) > 0)[0]
-    if nz.size == 0:
+    if not np.any(c):
         raise DimensionError("zero polynomial has no defined roots")
-    c = c[: nz[-1] + 1]
+    c = npoly.polytrim(c)  # strip trailing (highest-degree) zeros
     if c.size == 1:
         return np.array([], dtype=complex)
     # imaginary parts at rounding level relative to the coefficients are dropped

@@ -318,11 +318,11 @@ def l2_norm(s: StateSpaceSystem) -> float:
     """L2 norm of a strictly proper system without imaginary-axis poles.
 
     The system is split additively into stable and antistable parts,
-    whose L2 norm is :func:`_split_l2`.
+    whose L2 norm is :func:`_split_l2`; the split refuses an
+    imaginary-axis pole (:class:`AxisPoleError`).
     """
     if np.any(s.D):
         raise UnsupportedError("L2 norm requires a strictly proper system (D = 0)")
-    _check_no_axis_poles(s)
     from . import decompose  # local import to avoid a module cycle
 
     split = decompose.split_stable_unstable(s)

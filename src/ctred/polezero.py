@@ -144,18 +144,6 @@ def nearest_zero_gap(f: RationalTransferFunction, p: complex) -> float:
     return float(np.min(np.abs(zs - p)))
 
 
-def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
-    """Synthetic division by ``(s - root)`` (remainder discarded)."""
-    c = np.asarray(coeffs, dtype=complex)
-    n = c.size - 1
-    out = np.zeros(n, dtype=complex)
-    acc = c[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = c[i] + acc * root
-    return out
-
-
 def residue_factorization(f: RationalTransferFunction, p: float):
     """Factor the residue at a simple real pole into gap times remainder.
 
@@ -172,7 +160,7 @@ def residue_factorization(f: RationalTransferFunction, p: float):
     if at_p.size > 1:
         raise UnsupportedError(f"pole {p} is not simple")
     pole = complex(roots[at_p[0]])
-    d = _deflate(f.den.astype(complex), pole)
+    d = npoly.polydiv(f.den, [-pole, 1.0])[0]
     den_at = complex(npoly.polyval(pole, d))
     num_at = complex(npoly.polyval(pole, f.num.astype(complex)))
     residue = num_at / den_at
@@ -180,7 +168,7 @@ def residue_factorization(f: RationalTransferFunction, p: float):
     if zs.size == 0:
         return _realify(residue), math.inf, math.nan
     q = complex(zs[int(np.argmin(np.abs(zs - pole)))])
-    n_poly = _deflate(f.num.astype(complex), q)
+    n_poly = npoly.polydiv(f.num, [-q, 1.0])[0]
     r = complex(npoly.polyval(pole, n_poly)) / den_at
     gap = pole - q
     check = gap * r

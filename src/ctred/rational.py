@@ -18,14 +18,6 @@ from .statespace import StateSpaceSystem
 from .tolerances import PZ_CANCEL
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    """Drop trailing (highest-degree) coefficients that are exactly zero."""
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
-        return coeffs[:1]
-    return coeffs[: nz[-1] + 1]
-
-
 @dataclass(frozen=True)
 class RationalTransferFunction:
     """Proper SISO rational function ``num(s) / den(s)``.
@@ -43,10 +35,13 @@ class RationalTransferFunction:
             raise DimensionError("coefficient arrays must be 1-D")
         if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
             raise NonFiniteError("coefficients must be finite")
-        den = _trim(den)
-        num = _trim(num)
-        if den.size == 1 and den[0] == 0.0:
+        if num.size == 0:
+            raise DimensionError("numerator must have at least one coefficient")
+        if not np.any(den):
             raise DimensionError("denominator must be nonzero")
+        # drop trailing (highest-degree) coefficients that are exactly zero
+        den = npoly.polytrim(den)
+        num = npoly.polytrim(num)
         if num.size > den.size:
             raise DimensionError("transfer function must be proper")
         lead = den[-1]
@@ -99,14 +94,6 @@ class RationalTransferFunction:
         return StateSpaceSystem(a, b, c, np.array([[d]]))
 
 
-def _poly_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Real monic polynomial (ascending) from a conjugate-closed root multiset."""
-    if roots.size == 0:
-        return np.array([1.0])
-    c = npoly.polyfromroots(roots)
-    return np.real(c)
-
-
 def to_rational(s: StateSpaceSystem) -> RationalTransferFunction:
     """Exact SISO transfer function of a state-space realization.
 
@@ -129,13 +116,14 @@ def to_rational(s: StateSpaceSystem) -> RationalTransferFunction:
     den = den_desc[::-1].copy()
     num = np.concatenate([num, np.zeros(den.size - num.size)])
     num = num + d * den
-    num = _trim(num)
+    num = npoly.polytrim(num)
     if num.size == 1 and num[0] == 0.0:
         return RationalTransferFunction(np.array([0.0]), np.array([1.0]))
     zs = linalg.poly_roots(num) if num.size > 1 else np.array([], dtype=complex)
     ps = linalg.poly_roots(den)
     kept_z, kept_p = linalg._match_roots(zs, ps, PZ_CANCEL)
     if kept_z.size != zs.size:
-        num = num[-1] * _poly_from_roots(zs[kept_z])
-        den = _poly_from_roots(ps[kept_p])
+        # real monic polynomials of the kept, conjugate-closed roots
+        num = num[-1] * np.real(npoly.polyfromroots(zs[kept_z]))
+        den = np.real(npoly.polyfromroots(ps[kept_p]))
     return RationalTransferFunction(num, den)

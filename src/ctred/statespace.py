@@ -24,22 +24,26 @@ class StateSpaceSystem:
 
     Construction converts each matrix once, by :func:`~ctred.linalg.as_matrix`
     (a fresh C-ordered float64 copy with finite entries), checks the shapes
-    against each other and stores that copy read-only.  A system therefore
-    never shares its arrays with the caller, so nothing outside it can
-    change it (certificates key their shared loop analysis on system
-    identity).  Raises :class:`DimensionError` or :class:`NonFiniteError`.
+    against each other and stores that copy read-only; an omitted ``D`` is
+    the zero matrix.  A system therefore never shares its arrays with the
+    caller, so nothing outside it can change it (certificates key their
+    shared loop analysis on system identity).  Raises
+    :class:`DimensionError` or :class:`NonFiniteError`.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray
+    D: np.ndarray | None = None
 
     def __post_init__(self):
         a = linalg.as_matrix(self.A, "A")
         b = linalg.as_matrix(self.B, "B")
         c = linalg.as_matrix(self.C, "C")
-        d = linalg.as_matrix(self.D, "D")
+        if self.D is None:
+            d = np.zeros((c.shape[0], b.shape[1]))
+        else:
+            d = linalg.as_matrix(self.D, "D")
         n = a.shape[0]
         if a.shape[1] != n:
             raise DimensionError(f"A must be square, got {a.shape}")
@@ -100,17 +104,12 @@ class StateSpaceSystem:
 
 def make_system(a, b, c, d=None) -> StateSpaceSystem:
     """Validated system construction; ``d`` defaults to the zero matrix."""
-    if d is None:
-        b, c = linalg.as_matrix(b, "B"), linalg.as_matrix(c, "C")
-        d = np.zeros((c.shape[0], b.shape[1]))
     return StateSpaceSystem(a, b, c, d)
 
 
 def zero_system(p: int, m: int) -> StateSpaceSystem:
     """The identically-zero p x m system of order 0."""
-    return StateSpaceSystem(
-        np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), np.zeros((p, m))
-    )
+    return StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))
 
 
 def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
@@ -275,8 +274,7 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     a = closed_loop_matrix(g, k)
     b = linalg._block_diag([g.B, k.B])
     c = linalg._block_diag([g.C, k.C])
-    d = np.zeros((g.p + g.m, g.m + g.p))
-    return FourBlockMap(StateSpaceSystem(a, b, c, d), p=g.p, m=g.m)
+    return FourBlockMap(StateSpaceSystem(a, b, c), p=g.p, m=g.m)
 
 
 def _stabilizing_four_block(g: StateSpaceSystem,
@@ -314,12 +312,8 @@ class MinimalityResult:
 
 
 def _numeric_rank(m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_REL * sv[0]))
+    """Number of singular values above ``RANK_REL`` times the largest."""
+    return int(np.linalg.matrix_rank(m, rtol=RANK_REL)) if m.size else 0
 
 
 def check_minimal(s: StateSpaceSystem) -> MinimalityResult:

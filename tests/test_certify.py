@@ -407,6 +407,16 @@ def test_cor1_tail_condition_fails_on_an_unstable_error():
     assert "tail condition held but the error system is not stable" in cert.notes
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda k: check_cor1(k[0], k[1], TruncationResult(k[1], "modal", ())),
+     WrongCertificateError),
+    (lambda k: ReductionCertificate("thm9", {}, False, None, True), ValueError),
+], ids=["cor1 on a modal truncation", "unknown theorem"])
+def test_certificates_refuse_the_wrong_kind(balmod, make, error):
+    with pytest.raises(error):
+        make(balmod)
+
+
 def test_cor2_zero_delta(balmod):
     g, k = balmod
     cert = check_cor2(g, k, k)

@@ -7,8 +7,6 @@ from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.decompose import (
     ModalBlock,
     ModalDecomposition,
-    _cluster_eigenvalues,
-    _full_cluster_values,
     _labels,
     _modal_block,
     _representative,
@@ -230,6 +228,15 @@ def test_modal_form_ranks_by_the_stability_override(monkeypatch):
     assert importance[2] > 0.0
 
 
+def _cluster_values(ev, cluster_tol=CLUSTER_TOL):
+    """Conjugate-closed eigenvalue sets of the clusters of ``ev``
+    (:func:`~ctred.linalg._root_groups`, a conjugate pair sharing one
+    label), ordered by their mean (real, |imag|) parts."""
+    labels = linalg._root_groups(ev.real + 1j * np.abs(ev.imag), cluster_tol)
+    clusters = [ev[labels == g] for g in np.unique(labels)]
+    return sorted(clusters, key=lambda v: (v.real.mean(), np.abs(v.imag).mean()))
+
+
 def _reference_modal_form(k, cluster_tol=CLUSTER_TOL):
     """Modal form as computed before the one-pass Schur reduction.
 
@@ -237,12 +244,11 @@ def _reference_modal_form(k, cluster_tol=CLUSTER_TOL):
     the remaining state matrix and a general Sylvester solve, and every
     stable block is ranked by ``hinf_norm``.
     """
-    clusters = _cluster_eigenvalues(linalg.eigenvalues(k.A), cluster_tol)
-    all_vals = [_full_cluster_values(c) for c in clusters]
+    all_vals = _cluster_values(linalg.eigenvalues(k.A), cluster_tol)
     blocks = []
     a, b, c = k.A, k.B, k.C
-    for idx in range(len(clusters)):
-        if idx < len(clusters) - 1:
+    for idx in range(len(all_vals)):
+        if idx < len(all_vals) - 1:
             def select(re, im, own=all_vals[idx]):
                 lam = complex(re, im)
                 return (np.abs(own - lam).min()
@@ -325,13 +331,12 @@ def _peel_per_cluster(sys_abc, select):
 
 
 def _per_cluster_modal_form(k):
-    clusters = _cluster_eigenvalues(linalg.eigenvalues(k.A), CLUSTER_TOL)
-    values = [_full_cluster_values(c) for c in clusters]
+    values = _cluster_values(linalg.eigenvalues(k.A))
     labels = np.repeat(np.arange(len(values)), [v.size for v in values])
-    values = np.concatenate(values)
+    n_clusters, values = len(values), np.concatenate(values)
     blocks = []
     remaining = (k.A, k.B, k.C, linalg.eigenvalues(k.A))
-    for idx in range(len(clusters) - 1):
+    for idx in range(n_clusters - 1):
         part, remaining = _peel_per_cluster(
             remaining[:3], lambda lam, idx=idx: _labels(lam, values, labels) == idx)
         blocks.append(_modal_block(*part))

@@ -209,6 +209,21 @@ def test_care_makes_one_schur_reduction_of_its_hamiltonian(monkeypatch, rng):
     assert np.array_equal(p, expected)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: linalg.solve_lyapunov(-np.eye(2), [[1.0, 1.0], [0.0, 1.0]]),
+    lambda: linalg.solve_lyapunov(-np.eye(2), np.eye(3)),
+    lambda: linalg.solve_sylvester(-np.eye(2), -np.eye(3), np.ones((3, 2))),
+    lambda: linalg.solve_care(-np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1)),
+    lambda: linalg.solve_care(-np.eye(2), np.ones((2, 1)), np.eye(3), np.eye(1)),
+    lambda: linalg.solve_care(-np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2)),
+    lambda: linalg.solve_care(-np.eye(2), np.eye(2), np.eye(2), -np.eye(2)),
+], ids=["asymmetric Q", "Q shape", "Sylvester C shape", "Riccati B shape",
+        "Riccati Q shape", "Riccati R shape", "indefinite R"])
+def test_solvers_refuse_malformed_operands(solve):
+    with pytest.raises(DimensionError):
+        solve()
+
+
 def test_care_no_stabilizing_solution():
     # oscillator with no control authority: axis Hamiltonian eigenvalues
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -287,6 +287,15 @@ def test_l2_mirror_first_order():
     assert abs(l2_norm(lag(1.0)) - 1.0 / np.sqrt(2.0)) < 1e-10
 
 
+@pytest.mark.parametrize("s, error", [
+    (make_system([[-1.0]], [[1.0]], [[1.0]], [[0.5]]), UnsupportedError),
+    (make_system([[0.0, 2.0], [-2.0, 0.0]], [[1.0], [0.0]], [[1.0, 0.0]]), AxisPoleError),
+], ids=["biproper", "axis pole"])
+def test_l2_refuses_feedthrough_and_axis_poles(s, error):
+    with pytest.raises(error):
+        l2_norm(s)
+
+
 def test_l2_removed_block():
     _, k = bench_unstable_pair()
     block = make_system(k.A[2:, 2:], k.B[2:], k.C[:, 2:])

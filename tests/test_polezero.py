@@ -106,6 +106,40 @@ def test_residue_factorization_rejects_repeated_pole():
         residue_factorization(f, -1.0)
 
 
+def _synthetic_division(coeffs, root):
+    """Quotient of the ascending polynomial ``coeffs`` by ``(s - root)``,
+    one Horner step per coefficient."""
+    c = np.asarray(coeffs, dtype=complex)
+    out = np.zeros(c.size - 1, dtype=complex)
+    acc = c[-1]
+    for i in range(c.size - 2, -1, -1):
+        out[i] = acc
+        acc = c[i] + acc * root
+    return out
+
+
+def test_residue_factorization_matches_synthetic_division(rng):
+    # the deflations by the computed pole and by the nearest zero, real or
+    # complex, agree with a Horner loop up to the rounding of its products
+    poly = np.polynomial.polynomial
+    eps = np.finfo(float).eps
+    for draw in range(60):
+        poles = np.array([-4.0, -1.5, 0.5, 2.0, 3.5])[: 3 + draw % 3]
+        z = complex(rng.uniform(-4.0, 4.0), rng.uniform(0.1, 2.0) * (draw % 2))
+        zeros = [z, z.conjugate()] if z.imag else [z.real]
+        f = RationalTransferFunction(np.real(poly.polyfromroots(zeros)),
+                                     poly.polyfromroots(poles))
+        residue, _, r = residue_factorization(f, float(poles[draw % poles.size]))
+        roots, zs = f.poles(), f.zeros()
+        pole = roots[np.abs(roots - poles[draw % poles.size]).argmin()]
+        q = zs[np.abs(zs - pole).argmin()]
+        den_at = poly.polyval(pole, _synthetic_division(f.den, pole))
+        ref_residue = poly.polyval(pole, f.num) / den_at
+        ref_r = poly.polyval(pole, _synthetic_division(f.num, q)) / den_at
+        assert abs(residue - ref_residue) <= 8 * eps * abs(ref_residue)
+        assert abs(r - ref_r) <= 8 * eps * abs(ref_r)
+
+
 def test_residue_scales_linearly_with_gap():
     # residue at p scales linearly in the pole-zero gap gamma
     p = 2.0

@@ -36,6 +36,12 @@ def test_monic_denominator_normalization():
     assert np.allclose(f.num, [1.0])
 
 
+@pytest.mark.parametrize("num, den", [([], []), ([], [1.0, 2.0]), ([1.0], [0.0, 0.0])])
+def test_rejects_empty_numerator_and_zero_denominator(num, den):
+    with pytest.raises(DimensionError):
+        RationalTransferFunction(num, den)
+
+
 def test_rejects_improper():
     with pytest.raises(DimensionError):
         RationalTransferFunction([1.0, 1.0], [1.0])

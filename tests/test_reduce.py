@@ -25,6 +25,7 @@ from ctred.reduce import (
     drop_negligible_antistable,
     minimal_realization,
     modal_truncate,
+    modal_truncate_decomposition,
     mode_ranking,
     split_cancelled_unstable,
 )
@@ -86,6 +87,18 @@ def test_balance_requires_stability_and_minimality():
     dup = make_system(np.diag([-1.0, -1.0]), [[1.0], [0.0]], [[1.0, 1.0]])
     with pytest.raises(MinimalityError):
         balance(dup)
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda: balance(make_system(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))),
+    lambda: modal_truncate_decomposition(modal_form(make_system(
+        np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]])), 2),
+    lambda: modal_truncate_decomposition(modal_form(make_system(
+        np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]])), 0),
+], ids=["balance order 0", "remove every block", "remove no block"])
+def test_reductions_refuse_infeasible_orders(reduce):
+    with pytest.raises(InfeasibleOrderError):
+        reduce()
 
 
 def test_balance_sigma_matches_gramian_product(rng):

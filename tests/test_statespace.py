@@ -52,6 +52,33 @@ def test_make_system_copies_the_caller_arrays():
         a[0, 0], b[1, 0], c[0, 1] = -1.0, 1.0, 0.0
 
 
+def test_make_system_converts_each_matrix_once(monkeypatch):
+    # the omitted D is built by the system from its converted B and C
+    calls = []
+    as_matrix = linalg.as_matrix
+
+    def counting(a, name="matrix"):
+        calls.append(name)
+        return as_matrix(a, name)
+
+    monkeypatch.setattr(linalg, "as_matrix", counting)
+    s = make_system([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0]])
+    assert calls == ["A", "B", "C"]
+    assert s.D.shape == (1, 1) and not s.D.any() and not s.D.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateSpaceSystem(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3))),
+    lambda: StateSpaceSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 3))),
+    lambda: StateSpaceSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((2, 1))),
+    lambda: series(lag(-1.0), make_system(-np.eye(1), np.ones((1, 1)), np.ones((2, 1)))),
+    lambda: four_block(lag(-1.0), lag(-2.0)).block(2, 0),
+], ids=["non-square A", "C width", "D shape", "series mismatch", "four-block index"])
+def test_construction_and_interconnection_refuse_mismatched_shapes(build):
+    with pytest.raises(DimensionError):
+        build()
+
+
 def test_make_system_rejects_mismatched_b():
     with pytest.raises(DimensionError):
         make_system([[-1.0]], [[1.0], [2.0]], [[1.0]])

@@ -1,4 +1,5 @@
-"""One SHA-256 per benchmark workload over every output of its seeded pool.
+"""One SHA-256 per benchmark workload over every output of its seeded pool,
+and one per ``ctred repro`` report.
 
 Usage, from any directory:
 
@@ -7,9 +8,12 @@ Usage, from any directory:
 Builds each workload's request pool exactly as ``bench/run.py`` does for
 the seed, serves every request once with the ``ctred`` of this checkout's
 ``src`` and hashes every item: its op, error, verdict, cost bound, cost,
-order and the shapes and bytes of the reduced realization.  Nothing is
-timed.  Two checkouts whose digests agree at a seed produce byte-identical
-outputs on that seed's pools.
+order and the shapes and bytes of the reduced realization.  Then it runs
+``ctred repro`` for table1, unstable and scaling in a temporary directory
+and hashes the bytes of each report (the scaling CSV rows included); the
+reports do not depend on the seed.  Nothing is timed.  Two checkouts whose
+digests agree at a seed produce byte-identical outputs on that seed's
+pools and byte-identical repro reports.
 """
 
 import argparse
@@ -17,6 +21,7 @@ import hashlib
 import os
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +69,19 @@ def main(argv=None) -> None:
                     _update(h, value)
                 count += 1
         print(f"{name} seed {args.seed}: {h.hexdigest()} ({count} items)")
+
+    from ctred import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the reports name their relative output paths
+        for which in ("table1", "unstable", "scaling"):
+            if cli.main(["--quiet", "repro", which]) != 0:
+                raise SystemExit(f"ctred repro {which} failed")
+            h = hashlib.sha256()
+            for path in sorted(Path(tmp).glob(f"{which}_report.*")):
+                h.update(path.name.encode() + b"\0" + path.read_bytes())
+            print(f"repro {which}: {h.hexdigest()}")
+        os.chdir(ROOT)
 
 
 if __name__ == "__main__":
