@@ -70,28 +70,27 @@ the stabilizing check, the four-block map, its spectrum and its norms
 (the peak gains of ``X``, ``KX`` and ``Y`` read that spectrum), the
 split of ``K``, and, for the last reduced controller seen, the split of
 ``K_r``, the error system and its norms, the error products with ``X``,
-their peak gains and the reduced loop's eigenvalue verdict.  The
-analysis sits in a single process-wide slot keyed on the *identity* of
-``g`` and ``k`` (and the ``CTRED_TOL_STAB`` override it was computed
-under), never on their content: systems are immutable and own their
-arrays, so the same objects always describe the same loop, while equal
-content built anew -- each request of a batch, each repeated round --
-gets its own analysis.  A content key would make a repeated experiment
-skip the work it is meant to repeat.  Each certificate gets its own copy
-of the shared quantities.  The slot is read once into a local and
-replaced only by a fully built analysis, so concurrent callers at worst
-recompute.  Within an analysis every shared quantity is a
-``functools.cached_property``, stored only once fully computed; where
-the descriptor locks while it computes (Python 3.11 and older), no
-property waits on another in a cycle, and a product replaced by a racing
-thread only makes the losing caller compute its own peak gain.
+their peak gains and the reduced loop's eigenvalue verdict.  The last
+analysis is kept (``functools.lru_cache``) under ``g``, ``k`` and the
+``CTRED_TOL_STAB`` override.  Systems compare by *identity*, never by
+content: they are immutable and own their arrays, so the same objects
+always describe the same loop, while equal content built anew -- each
+request of a batch, each repeated round -- gets its own analysis.  A
+content key would make a repeated experiment skip the work it is meant
+to repeat.  Each certificate gets its own copy of the shared quantities,
+and a racing caller at worst recomputes.  Within an analysis every
+shared quantity is a ``functools.cached_property``, stored only once
+fully computed; where the descriptor locks while it computes (Python
+3.11 and older), no property waits on another in a cycle, and a product
+replaced by a racing thread only makes the losing caller compute its own
+peak gain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,7 +218,7 @@ class _ErrorAnalysis:
         # not the loop: no reference cycle
         self.g, self.k, self.fb, self.k_split = loop.g, loop.k, loop.fb, loop.k_split
         self.k_r, self.k_r_split = k_r, _split(k_r)
-        self._gains: dict = {}
+        self._gains: dict[StateSpaceSystem, float] = {}
 
     @cached_property
     def delta(self) -> StateSpaceSystem:
@@ -304,10 +303,10 @@ class _ErrorAnalysis:
         """``linf_norm(form)``, computed once per form object (the raw
         products are held, so lemma3 and thm1 share their gains).  On a
         stable ``form`` it is the H-infinity norm."""
-        held = self._gains.get(id(form))
-        if held is None:  # the entry keeps ``form``, so its id stays taken
-            held = self._gains[id(form)] = (form, linf_norm(form))
-        return held[1]
+        gain = self._gains.get(form)
+        if gain is None:
+            gain = self._gains[form] = linf_norm(form)
+        return gain
 
     @cached_property
     def verdict(self) -> tuple:
@@ -321,18 +320,14 @@ class _LoopAnalysis:
     Construction checks that ``k`` stabilizes ``g``, builds the four-block
     map, keeps the spectrum of its state matrix and splits ``k``;
     ``||X||_inf`` and the other loop norms are computed on first use, on
-    that spectrum.  The error analysis of the last reduced controller is
-    kept.
+    that spectrum.  :meth:`error` keeps the error analysis of the last
+    reduced controller seen on any loop.
     """
-
-    last: _LoopAnalysis | None = None  # the slot :func:`_loop` reuses
 
     def __init__(self, g: StateSpaceSystem, k: StateSpaceSystem):
         self.g, self.k = g, k
-        self.tol_override = stab_override()
         self.fb, self.spectrum = _stabilizing_four_block(g, k)
         self.k_split = _split(k)
-        self._error = None
 
     def block_hinf(self, block: StateSpaceSystem) -> float:
         """``hinf_norm`` of a block of the four-block map, on the kept
@@ -353,25 +348,24 @@ class _LoopAnalysis:
         """A fresh copy of :func:`_loop_quantities` of the loop."""
         return dict(self._quantities)
 
+    @lru_cache(maxsize=1)
     def error(self, k_r: StateSpaceSystem) -> _ErrorAnalysis:
-        err = self._error
-        if err is None or err.k_r is not k_r:
-            err = self._error = _ErrorAnalysis(self, k_r)
-        return err
+        return _ErrorAnalysis(self, k_r)
+
+
+@lru_cache(maxsize=1)
+def _loop_analysis(g: StateSpaceSystem, k: StateSpaceSystem,
+                   override: str | None) -> _LoopAnalysis:
+    """The analysis of ``(g, k)`` under the ``CTRED_TOL_STAB`` ``override``."""
+    return _LoopAnalysis(g, k)
 
 
 def _loop(g: StateSpaceSystem, k: StateSpaceSystem,
           k_r: StateSpaceSystem) -> _LoopAnalysis:
     """Shared certificate prologue: ``k_r`` must fit the loop and ``k`` must
-    stabilize ``g``; returns the analysis of the nominal loop, reusing the
-    last one when it was built for these very objects."""
+    stabilize ``g``; returns the analysis of the nominal loop."""
     _check_loop_dims(g, k_r)
-    loop = _LoopAnalysis.last
-    if (loop is None or loop.g is not g or loop.k is not k
-            or loop.tol_override != stab_override()):
-        loop = _LoopAnalysis(g, k)
-        _LoopAnalysis.last = loop
-    return loop
+    return _loop_analysis(g, k, stab_override())
 
 
 def _epilogue(theorem: str, err: _ErrorAnalysis, quantities: dict,
@@ -574,13 +568,10 @@ def _bound_terms(q: dict, s1_coeff_h2: float):
     return s1, s2
 
 
-def _record_bound(q: dict, notes: list) -> float:
-    """Record ``s1``/``s2`` and return the small-gain cost bound."""
+def _record_bound(q: dict) -> float:
+    """Record ``s1``/``s2`` and return the cost bound (``x_hinf * delta_hinf < 1``)."""
     q["s1"], q["s2"] = _bound_terms(q, 2.0)
     denom = 1.0 - q["x_hinf"] * q["delta_hinf"]
-    if denom <= 0.0:
-        notes.append("small-gain margin is non-positive; bound is infinite")
-        return math.inf
     return (q["cost_original"] + q["s1"] + q["s2"]) / denom**2
 
 
@@ -594,7 +585,7 @@ def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,
     quantities.update(delta_norms)
     d_hinf = delta_norms["delta_hinf"]
     condition = math.isfinite(d_hinf) and d_hinf * quantities["x_hinf"] < 1.0
-    cost_bound = _record_bound(quantities, notes) if condition else None
+    cost_bound = _record_bound(quantities) if condition else None
     return _epilogue("thm2", err, quantities, condition, cost_bound, notes,
                      _computed("delta_hinf", "x_hinf"))
 
@@ -602,7 +593,8 @@ def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,
 def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
                reduction: TruncationResult) -> ReductionCertificate:
     """Certificate for balanced truncation: the discarded Hankel tail must
-    be below half the reciprocal peak gain of the input sensitivity."""
+    be below half the reciprocal peak gain of the input sensitivity, and
+    the measured error must agree (``delta`` stable, ``x_hinf * delta_hinf < 1``)."""
     if reduction.method != "balanced":
         raise WrongCertificateError("this certificate applies to balanced truncation")
     loop = _loop(g, k, reduction.reduced)
@@ -613,12 +605,12 @@ def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
     condition = tail < 1.0 / (2.0 * quantities["x_hinf"])
     delta_norms, notes = err.delta_norms()
     quantities.update(delta_norms)
-    cost_bound = None
-    if condition and math.isfinite(delta_norms["delta_hinf"]):
-        cost_bound = _record_bound(quantities, notes)
-    elif condition:
+    d_hinf = delta_norms["delta_hinf"]
+    if condition and not quantities["x_hinf"] * d_hinf < 1.0:  # contradicts the tail
         condition = False
-        notes.append("tail condition held but the error system is not stable")
+        why = "x_hinf * delta_hinf >= 1" if math.isfinite(d_hinf) else "the error system is not stable"
+        notes.append(f"tail condition held but {why}")
+    cost_bound = _record_bound(quantities) if condition else None
     return _epilogue("cor1", err, quantities, condition, cost_bound, notes,
                      _computed("delta_hinf", "x_hinf"))
 
@@ -646,7 +638,7 @@ def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
     condition = quantities["delta_hinf"] * quantities["x_hinf"] < 1.0
     cost_bound = None
     if condition:
-        cost_bound = _record_bound(quantities, notes)
+        cost_bound = _record_bound(quantities)
         quantities["s1_single_h2_term"], _ = _bound_terms(quantities, 1.0)
     return _epilogue("cor2", err, quantities, condition, cost_bound, notes,
                      _computed("delta_hinf", "x_hinf"))

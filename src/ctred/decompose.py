@@ -75,9 +75,8 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
     Every eigenvalue must be bounded away from the imaginary axis; the
     feedthrough (if any) stays with the stable part.
     """
-    empty = zero_system(k.p, k.m)
     if k.n == 0:
-        return StableUnstableSplit(k, empty)
+        return StableUnstableSplit(k, zero_system(k.p, k.m))
     schur = linalg._real_schur(k.A)
     tol = linalg.half_plane_tol(k.A)
     if np.any(np.abs(schur[2].real) <= tol):

@@ -113,10 +113,7 @@ def eigenvalues(a) -> np.ndarray:
 
 def spectral_abscissa(a) -> float:
     """Largest real part over the spectrum; -inf for an empty matrix."""
-    ev = eigenvalues(a)
-    if ev.size == 0:
-        return -np.inf
-    return float(ev.real.max())
+    return _stability(as_matrix(a, "A"))[1]
 
 
 def half_plane_tol(a: np.ndarray) -> float:
@@ -332,16 +329,21 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     return solutions
 
 
+def _check_weight(w: np.ndarray, n: int, name: str) -> None:
+    """Refuse (:class:`DimensionError`) an equation's weight unless it is
+    ``n x n`` and ``||W - W^T|| <= SYMMETRY_REL max(1, ||W||)``."""
+    if w.shape != (n, n):
+        raise DimensionError(f"{name} must be {n}x{n}, got shape {w.shape}")
+    if w.size and np.linalg.norm(w - w.T) > SYMMETRY_REL * max(1.0, np.linalg.norm(w)):
+        raise DimensionError(f"{name} must be symmetric")
+
+
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve ``A X + X A^T + Q = 0`` for stable ``A`` and symmetric ``Q``."""
     am = as_matrix(a, "A")
     qm = as_matrix(q, "Q")
     _require_square(am, "A")
-    _require_square(qm, "Q")
-    if am.shape != qm.shape:
-        raise DimensionError(f"A {am.shape} and Q {qm.shape} must match")
-    if qm.size and np.linalg.norm(qm - qm.T) > SYMMETRY_REL * max(1.0, np.linalg.norm(qm)):
-        raise DimensionError("Q must be symmetric")
+    _check_weight(qm, am.shape[0], "Q")
     return _gramians(am, (qm,))[0]
 
 
@@ -400,22 +402,21 @@ def solve_care(a, b, q, r) -> np.ndarray:
     (:class:`ConvergenceError`) when ``_check_residual`` refuses the terms
     ``A^T P``, ``P A``, ``-P B R^{-1} B^T P`` and ``Q`` (``P`` is symmetric,
     so ``A^T P = (P A)^T``), and the closed loop ``A - B R^{-1} B^T P`` is
-    verified stable before returning.
+    verified stable before returning.  ``Q`` and ``R`` pass ``_check_weight``
+    and ``R`` must be positive definite (:class:`DimensionError`).
     """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
     qm = as_matrix(q, "Q")
     rm = as_matrix(r, "R")
     _require_square(am, "A")
-    _require_square(qm, "Q")
-    _require_square(rm, "R")
     n = am.shape[0]
     if bm.shape[0] != n:
         raise DimensionError(f"B must have {n} rows, got {bm.shape[0]}")
-    if qm.shape[0] != n:
-        raise DimensionError(f"Q must be {n}x{n}")
-    if rm.shape[0] != bm.shape[1]:
-        raise DimensionError("R must match the number of columns of B")
+    _check_weight(qm, n, "Q")
+    _check_weight(rm, bm.shape[1], "R")
+    if rm.size and not np.linalg.eigvalsh(rm)[0] > 0.0:
+        raise DimensionError("R must be symmetric positive definite")
     try:
         rinv_bt = sla.solve(rm, bm.T, assume_a="pos")
     except sla.LinAlgError as exc:
@@ -432,12 +433,9 @@ def solve_care(a, b, q, r) -> np.ndarray:
         )
     u1 = form.Z[:n, :n]
     u2 = form.Z[n:, :n]
-    # a numerically singular u1 (reciprocal condition number at or below
-    # n eps, numpy's matrix-rank tolerance) leaves the stable subspace no
-    # graph over the first n coordinates: the solve would only warn and
-    # return noise
-    sv = np.linalg.svd(u1, compute_uv=False)
-    if n and sv[-1] <= n * np.finfo(float).eps * sv[0]:
+    # a u1 below numpy's default numerical rank leaves the stable subspace
+    # no graph over the first n coordinates: the solve would return noise
+    if n and np.linalg.matrix_rank(u1) < n:
         raise NoStabilizingSolutionError("stable subspace is not a graph")
     p = sla.solve(u1.T, u2.T).T
     p = 0.5 * (p + p.T)

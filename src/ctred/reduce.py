@@ -205,8 +205,7 @@ def modal_truncate_decomposition(md: ModalDecomposition, r_red: int) -> Truncati
 
 def _gramian_factor(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Rank-revealing factor ``Z`` with ``W ~ Z Z^T`` (columns may be
-    dropped) and its 2-norm ``sqrt(max eig W)``."""
-    w = 0.5 * (w + w.T)
+    dropped) and its 2-norm ``sqrt(max eig W)``; ``W`` is symmetric."""
     evals, vecs = np.linalg.eigh(w)
     top = max(evals.max(initial=0.0), 0.0)
     keep = evals > max(top, 1e-300) * GRAMIAN_CUT
@@ -343,15 +342,18 @@ class _Split:
                 + self.anti_pass.upper_bound)
 
     @property
+    def floor(self) -> float:
+        """The larger rounding floor of the two passes."""
+        return max(self.stable_pass.floor, self.anti_pass.floor)
+
+    @property
     def anti_negligible(self) -> bool:
         """The antistable part's Hankel bound is negligible against both
-        the stable part's scale and the rounding floor of the two passes
-        (the situation created by exactly cancelling unstable modes in a
+        the stable part's scale and the rounding :attr:`floor` (the
+        situation created by exactly cancelling unstable modes in a
         difference of systems)."""
-        stable_hp, anti_hp = self.stable_pass, self.anti_pass
-        stable_scale = stable_hp.bound + _feedthrough_gain(self.stable.D)
-        floor = max(stable_hp.floor, anti_hp.floor)
-        return anti_hp.bound <= max(ANTI_NEGLIGIBLE * stable_scale, floor)
+        stable_scale = self.stable_pass.bound + _feedthrough_gain(self.stable.D)
+        return self.anti_pass.bound <= max(ANTI_NEGLIGIBLE * stable_scale, self.floor)
 
     @property
     def unstable_count(self) -> int:
@@ -414,8 +416,7 @@ def minimal_realization(s: StateSpaceSystem) -> StateSpaceSystem:
     stable_hp, anti_hp = split.stable_pass, split.anti_pass
 
     top = max(np.max(stable_hp.sigma, initial=0.0), np.max(anti_hp.sigma, initial=0.0))
-    noise_floor = max(stable_hp.floor, anti_hp.floor)
-    cut = max(MINREAL_TOL * top, noise_floor)
+    cut = max(MINREAL_TOL * top, split.floor)
     stable_red = _truncate_part_by_tol(split.stable, stable_hp, cut)
     anti_red = mirror(_truncate_part_by_tol(split.anti_mirror, anti_hp, cut))
     result = add(stable_red, anti_red)
@@ -426,7 +427,7 @@ def minimal_realization(s: StateSpaceSystem) -> StateSpaceSystem:
     r_out = frequency_response(result, probes)
     diff = float(np.max(np.abs(r_in - r_out)))
     scale = float(np.max(np.abs(r_in)))
-    if diff > max(MINREAL_CHECK * scale, 10.0 * noise_floor):
+    if diff > max(MINREAL_CHECK * scale, 10.0 * split.floor):
         raise ConvergenceError(
             "minimal realization is numerically unreliable for this system "
             "(state directions below the Gramian rounding floor)"

@@ -18,7 +18,7 @@ from .errors import DimensionError, NotStabilizingError, UnsupportedError
 from .tolerances import RANK_REL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceSystem:
     """State-space realization ``y = C x + D u``, ``x' = A x + B u``.
 
@@ -26,8 +26,9 @@ class StateSpaceSystem:
     (a fresh C-ordered float64 copy with finite entries), checks the shapes
     against each other and stores that copy read-only; an omitted ``D`` is
     the zero matrix.  A system therefore never shares its arrays with the
-    caller, so nothing outside it can change it (certificates key their
-    shared loop analysis on system identity).  Raises
+    caller, so nothing outside it can change it.  Systems compare and hash
+    by identity: a system can key a cache (the certificates' loop
+    analyses), and equal matrices built anew make a distinct key.  Raises
     :class:`DimensionError` or :class:`NonFiniteError`.
     """
 

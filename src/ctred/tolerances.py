@@ -29,8 +29,8 @@ RESID_REL = 1e-10
 # Relative spectral-separation floor for Sylvester decoupling.
 SEP_REL = 1e-6
 
-# Relative asymmetry ||Q - Q^T|| / max(1, ||Q||) above which solve_lyapunov
-# refuses its right-hand side as not symmetric.
+# Relative asymmetry ||W - W^T|| / max(1, ||W||) above which solve_lyapunov
+# (W = Q) and solve_care (W = Q or R) refuse a weight as not symmetric.
 SYMMETRY_REL = 1e-8
 
 # Relative size of the imaginary parts of polynomial coefficients below

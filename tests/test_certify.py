@@ -242,7 +242,7 @@ def test_lemma3_refuses_counts_for_a_pole_at_the_origin(unstable_pair):
 
 def test_lemma3_refuses_counts_for_an_integrating_controller():
     # K = -1/s stabilizes 1/(s+1) but does not split; K_r = -1/(s+0.01)
-    # does, and the error analysis stops at K's refusal
+    # does, and the error analysis stops at K's refusal (thm2's too)
     g = make_system([[-1.0]], [[1.0]], [[1.0]])
     k = make_system([[0.0]], [[1.0]], [[-1.0]])
     k_r = make_system([[-0.01]], [[1.0]], [[-1.0]])
@@ -252,6 +252,10 @@ def test_lemma3_refuses_counts_for_an_integrating_controller():
     assert any(n.startswith("unstable pole count of the original controller undefined")
                for n in cert.notes)
     assert math.isinf(cert.quantities["x_delta_linf"])
+    thm2 = check_thm2_bound(g, k, k_r)
+    assert not thm2.condition_satisfied and thm2.cost_bound is None
+    assert math.isinf(thm2.quantities["delta_hinf"])
+    assert thm2.notes[0].startswith("error system: stability undecidable (")
 
 
 def test_thm1_trivial_identity(balmod):
@@ -407,6 +411,22 @@ def test_cor1_tail_condition_fails_on_an_unstable_error():
     assert "tail condition held but the error system is not stable" in cert.notes
 
 
+def test_cor1_fails_on_a_tail_its_measured_error_contradicts(balmod):
+    # a hand-built "balanced" result whose tail (1e-9) claims a tiny error
+    # while K_r adds 9/(s+1): ||delta|| is about 9 and x_hinf about 2.05,
+    # so the small-gain margin the tail promises is gone
+    g, k = balmod
+    k_r = add(balanced_truncate_unstable(k, 2).reduced,
+              make_system([[-1.0]], [[1.0]], [[9.0]]))
+    cert = check_cor1(g, k, TruncationResult(k_r, "balanced", (1e-9,)))
+    q = cert.quantities
+    assert q["sigma_tail_sum"] < 1.0 / (2.0 * q["x_hinf"])
+    assert q["delta_hinf"] == pytest.approx(9.0, rel=1e-5)
+    assert q["x_hinf"] * q["delta_hinf"] >= 1.0
+    assert not cert.condition_satisfied and cert.cost_bound is None
+    assert cert.notes == ("tail condition held but x_hinf * delta_hinf >= 1",)
+
+
 @pytest.mark.parametrize("make, error", [
     (lambda k: check_cor1(k[0], k[1], TruncationResult(k[1], "modal", ())),
      WrongCertificateError),
@@ -534,6 +554,22 @@ def test_biproper_reduced_controller_is_an_input_error(balmod, check):
         k_r = TruncationResult(k_r, "balanced", ())
     with pytest.raises(DimensionError, match="strictly proper"):
         check(g, k, k_r)
+
+
+@pytest.mark.parametrize("check, error", [
+    (check_lemma3, DimensionError), (check_thm1, DimensionError),
+    (check_thm2_bound, DimensionError), (check_cor1, DimensionError),
+    (check_cor2, DimensionError), (check_thm3, UnsupportedError),
+], ids=["lemma3", "thm1", "thm2", "cor1", "cor2", "thm3"])
+def test_reduced_controller_of_the_wrong_shape_is_refused(balmod, check, error):
+    # K_r must map the plant's one output to its one input; thm3 refuses a
+    # K_r that is not SISO before it reaches the loop
+    g, k = balmod
+    for k_r in (make_system(k.A, np.hstack([k.B, k.B]), k.C),
+                make_system(k.A, k.B, np.vstack([k.C, k.C]))):
+        arg = TruncationResult(k_r, "balanced", ()) if check is check_cor1 else k_r
+        with pytest.raises(error, match=None if check is check_thm3 else "controller must map"):
+            check(g, k, arg)
 
 
 def _fresh(s: StateSpaceSystem) -> StateSpaceSystem:

@@ -56,6 +56,23 @@ def test_input_error_exit_2(files, capsys):
     assert run(["cost", bad, p["k1"]]) == 2
 
 
+@pytest.mark.parametrize("args, code", [
+    (["cost", "missing", "k1"], 2),
+    (["reduce", "g1", "k1", "--method", "balanced"], 3),
+    (["reduce", "g1", "k1", "--method", "modal"], 3),
+    (["reduce", "g1", "k1", "--method", "modal", "--order", "-1"], 3),
+], ids=["missing file", "balanced without order", "modal without blocks or order",
+        "modal order -1"])
+def test_refusals_exit_with_their_codes(files, capsys, args, code):
+    tmp, p = files
+    paths = {**p, "missing": tmp / "missing.json"}
+    args = [paths.get(a, a) for a in args]
+    if args[0] == "reduce":
+        args += ["--out", tmp / "x.json"]
+    assert run(["--quiet", *args]) == code
+    assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == code
+
+
 def test_norms_command(files, capsys):
     _, p = files
     assert run(["norms", p["k2"], "--which", "linf"]) == 0

@@ -69,6 +69,14 @@ def test_split_rejects_axis_pole():
         split_stable_unstable(s)
 
 
+def test_split_refuses_poles_off_the_axis_but_within_the_separation_tolerance():
+    # +-5e-7 lie beyond the half-plane tolerance (1e-8) but only 1e-6 apart,
+    # within SEP_REL of the unit scale: the decoupling solve is refused
+    s = make_system(np.diag([-5e-7, 5e-7, -1.0]), np.ones((3, 1)), np.ones((1, 3)))
+    with pytest.raises(SeparationError, match="ill-conditioned stable/antistable split"):
+        split_stable_unstable(s)
+
+
 def test_split_spectrum_preserved(rng):
     k = add(random_stable_minimal(rng, 3), random_antistable(rng, 2))
     split = split_stable_unstable(k)

@@ -209,6 +209,11 @@ def test_care_makes_one_schur_reduction_of_its_hamiltonian(monkeypatch, rng):
     assert np.array_equal(p, expected)
 
 
+# an unstable A with a stabilizing solution: a refused weight is refused
+# by the one weight rule, not by a residual or a wrong solution
+_CARE_A = np.array([[1.0, 0.3], [0.0, 2.0]])
+
+
 @pytest.mark.parametrize("solve", [
     lambda: linalg.solve_lyapunov(-np.eye(2), [[1.0, 1.0], [0.0, 1.0]]),
     lambda: linalg.solve_lyapunov(-np.eye(2), np.eye(3)),
@@ -217,8 +222,12 @@ def test_care_makes_one_schur_reduction_of_its_hamiltonian(monkeypatch, rng):
     lambda: linalg.solve_care(-np.eye(2), np.ones((2, 1)), np.eye(3), np.eye(1)),
     lambda: linalg.solve_care(-np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2)),
     lambda: linalg.solve_care(-np.eye(2), np.eye(2), np.eye(2), -np.eye(2)),
+    lambda: linalg.solve_care(_CARE_A, np.ones((2, 1)), np.eye(2), -np.eye(1)),
+    lambda: linalg.solve_care(_CARE_A, np.eye(2), np.eye(2), [[2.0, 0.5], [0.0, 2.0]]),
+    lambda: linalg.solve_care(_CARE_A, np.ones((2, 1)), [[1.0, 1.0], [0.0, 1.0]], np.eye(1)),
 ], ids=["asymmetric Q", "Q shape", "Sylvester C shape", "Riccati B shape",
-        "Riccati Q shape", "Riccati R shape", "indefinite R"])
+        "Riccati Q shape", "Riccati R shape", "indefinite R", "negative 1x1 R",
+        "asymmetric R", "Riccati asymmetric Q"])
 def test_solvers_refuse_malformed_operands(solve):
     with pytest.raises(DimensionError):
         solve()

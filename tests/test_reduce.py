@@ -7,12 +7,13 @@ import scipy.linalg as sla
 from conftest import transfer_close
 from ctred import linalg
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
-from ctred.decompose import modal_form, split_stable_unstable
+from ctred.decompose import ModalBlock, ModalDecomposition, modal_form, split_stable_unstable
 from ctred.errors import (
     InfeasibleOrderError,
     MinimalityError,
     PartitionTieError,
     StabilityError,
+    ZeroModeError,
 )
 from ctred.gen import random_antistable, random_stable_minimal
 from ctred.norms import hinf_norm, linf_norm
@@ -99,6 +100,19 @@ def test_balance_requires_stability_and_minimality():
 def test_reductions_refuse_infeasible_orders(reduce):
     with pytest.raises(InfeasibleOrderError):
         reduce()
+
+
+def test_modal_truncation_refuses_to_remove_an_unrankable_mode():
+    # unrankable (NaN) modes are ranked last, so removing two of three
+    # blocks reaches one of them
+    one = np.ones((1, 1))
+    blocks = (ModalBlock(-one, one, one, -1.0 + 0j, 1.0),
+              ModalBlock(0 * one, one, one, 0j, np.nan),
+              ModalBlock(0 * one, one, one, 0j, np.nan))
+    md = ModalDecomposition(blocks, m=1, p=1)
+    assert mode_ranking(md)[0] == 0
+    with pytest.raises(ZeroModeError):
+        modal_truncate_decomposition(md, 2)
 
 
 def test_balance_sigma_matches_gramian_product(rng):

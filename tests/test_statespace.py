@@ -67,6 +67,16 @@ def test_make_system_converts_each_matrix_once(monkeypatch):
     assert s.D.shape == (1, 1) and not s.D.any() and not s.D.flags.writeable
 
 
+def test_systems_compare_and_hash_by_identity():
+    # equal matrices built anew make a distinct system; every system can
+    # key a dict, as the certificates' caches key their analyses
+    g, k = bench_balanced_vs_modal_pair()
+    s, t = lag(-1.0), lag(-1.0)
+    assert s != t and s == s and g != k
+    assert {s: 0, t: 1, g: 2, k: 3}[t] == 1
+    assert len({s, t, g, k, s}) == 4
+
+
 @pytest.mark.parametrize("build", [
     lambda: StateSpaceSystem(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3))),
     lambda: StateSpaceSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 3))),

@@ -1,5 +1,5 @@
 """One SHA-256 per benchmark workload over every output of its seeded pool,
-and one per ``ctred repro`` report.
+one per ``ctred repro`` report and one over ``ctred.gen``.
 
 Usage, from any directory:
 
@@ -11,9 +11,14 @@ the seed, serves every request once with the ``ctred`` of this checkout's
 order and the shapes and bytes of the reduced realization.  Then it runs
 ``ctred repro`` for table1, unstable and scaling in a temporary directory
 and hashes the bytes of each report (the scaling CSV rows included); the
-reports do not depend on the seed.  Nothing is timed.  Two checkouts whose
-digests agree at a seed produce byte-identical outputs on that seed's
-pools and byte-identical repro reports.
+reports do not depend on the seed.  Last it hashes ``generate_instance``
+for seeds 0-59 at each shape of ``GEN_SHAPES`` (the matrices of each
+instance, or the type of the refusal) and ``GEN_DRAWS`` draws each of
+``random_stable_minimal`` and ``random_antistable`` from one generator
+seeded 0; this line does not depend on the seed either.  Nothing is
+timed.  Two checkouts whose digests agree at a seed produce byte-identical
+outputs on that seed's pools, byte-identical repro reports and identical
+``gen`` output.
 """
 
 import argparse
@@ -25,6 +30,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+GEN_SHAPES = ((3, 0), (4, 1), (5, 2), (6, 5))  # (order, n_unstable)
+GEN_SEEDS = range(60)
+GEN_DRAWS = 20  # of each random system kind, orders 1-5 in turn
 
 
 def _update(h, value) -> None:
@@ -82,6 +91,34 @@ def main(argv=None) -> None:
                 h.update(path.name.encode() + b"\0" + path.read_bytes())
             print(f"repro {which}: {h.hexdigest()}")
         os.chdir(ROOT)
+    print(f"gen: {_gen_digest()}")
+
+
+def _gen_digest() -> str:
+    """SHA-256 over the ``ctred.gen`` outputs listed in the module docstring."""
+    import numpy as np
+    from ctred import gen
+    from ctred.errors import CtredError
+
+    h = hashlib.sha256()
+
+    def feed(make) -> None:
+        try:
+            systems = make()
+        except CtredError as exc:
+            _update(h, type(exc).__name__)
+            return
+        for s in systems:
+            _update(h, (s.A, s.B, s.C, s.D))
+
+    for order, n_unstable in GEN_SHAPES:
+        for seed in GEN_SEEDS:
+            feed(lambda: gen.generate_instance(order, n_unstable, seed))
+    rng = np.random.default_rng(0)
+    for draw in (gen.random_stable_minimal, gen.random_antistable):
+        for i in range(GEN_DRAWS):
+            feed(lambda: (draw(rng, 1 + i % 5),))
+    return h.hexdigest()
 
 
 if __name__ == "__main__":
