@@ -8,10 +8,11 @@ otherwise), and builds the four-block map of the nominal loop.  The
 closed-loop blocks ``X``, ``Y``, ``KX`` and ``KY`` then feed the
 certificate's sufficient condition on the error ``delta = K_r - K`` and,
 for the bound certificates, an upper bound on the closed-loop quadratic
-cost of ``K_r``.  The epilogue records an independent eigenvalue-based
-stability verdict of the reduced loop and its spectral abscissa, so the
-conservatism of a sufficient condition stays visible, and returns a
-:class:`ReductionCertificate` holding every norm evaluated.
+cost of ``K_r``.  The epilogue (:meth:`_Record.certificate`) records an
+independent eigenvalue-based stability verdict of the reduced loop and
+its spectral abscissa, so the conservatism of a sufficient condition
+stays visible, and returns a :class:`ReductionCertificate` holding every
+norm evaluated.
 
 Undefined norms (e.g. the peak gain of an unstable error system) are
 recorded as ``inf`` and fail the condition instead of raising, so batch
@@ -34,36 +35,33 @@ realized when ``delta_u`` has order 0; when ``delta_u`` is rounding noise
 :func:`~ctred.reduce.drop_negligible_antistable`), ``delta_s`` is its
 stable realization; otherwise ``delta`` has genuine unstable poles.
 
-The small-gain conditions of ``lemma3`` and ``thm1`` are decided bound
-first.  By submultiplicativity ``b = ||X||_inf * d`` bounds both
-``||X*delta||`` and ``||delta*X||`` on the axis, where ``d = ||D|| +
-2 sum sigma(delta_s) + 2 sum sigma(mirror(delta_u))`` is the Hankel-sum
-bound of the two parts (:attr:`~ctred.reduce._Split.upper_bound`, Glover
-1984) and ``||X||_inf`` carries a margin for the error of the computed
-peak gain (:func:`_small_gain_bound`).  When ``b < 1`` the gain part of
-the condition holds: ``b`` is recorded in place of the product norms and
-their peak-gain searches are skipped.  ``lemma3`` still refuses a product
-with a pole on the axis, read from the spectra of the loop and of the two
-splits.  ``thm1`` measures the stable realization of ``delta`` times
-``X`` (stable because both factors are) and first adds the proven bound
-on the product it dropped, ``(1 + SMALL_GAIN_MARGIN) ||X||_inf 2 sum
-sigma(mirror(delta_u))`` with the margin of :func:`_small_gain_bound`
-(0 when ``delta_u`` has order 0); only a genuine ``delta_u``, or a
-controller that does not split, sends ``thm1`` to the stability test of
-each whole product (:func:`_stable_form`).  When ``b >= 1``, and whenever
-a controller does not split, the product norms are computed, so a
-failing condition always rests on computed norms and the verdicts are
-those of the norms themselves.  In a SISO loop ``X*delta`` and
-``delta*X`` are one transfer function, and one peak-gain search serves
-both names (:meth:`_ErrorAnalysis.products`).  Every certificate names,
-in ``kinds``, each norm its condition reads as ``"upper_bound"`` or
-``"computed"``.
+Each certificate fills one :class:`_Record` with its quantities, the
+kinds of the norms its condition reads and its notes, and every error
+product gain is decided bound first by :meth:`_Record.gain`, so a
+failing condition always rests on computed norms.  ``lemma3`` and
+``thm1`` hand it ``b = ||X||_inf * d``, which by submultiplicativity
+bounds both ``||X*delta||`` and ``||delta*X||`` on the axis, where ``d =
+||D|| + 2 sum sigma(delta_s) + 2 sum sigma(mirror(delta_u))`` is the
+Hankel-sum bound of the two parts (:attr:`~ctred.reduce._Split.upper_bound`,
+Glover 1984; ``inf`` when a controller does not split) and ``||X||_inf``
+carries a margin for the error of the computed peak gain
+(:func:`_small_gain_bound`).  ``lemma3`` also hands it the products' poles, read from the spectra of the loop and
+of the two splits, so a product with a pole on the axis is refused.
+``thm1`` measures the stable realization of ``delta`` times ``X``
+(stable because both factors are) and adds to ``b`` the proven bound on
+the product it dropped, :func:`_small_gain_bound` of ``2 sum
+sigma(mirror(delta_u))`` (0 when ``delta_u`` has order 0); only a
+genuine ``delta_u``, or a controller that does not split, sends ``thm1``
+to the stability test of each whole product (:func:`_stable_form`).  In
+a SISO loop ``X*delta`` and ``delta*X`` are one transfer function, and
+one peak-gain search serves both names (:meth:`_ErrorAnalysis.products`).
 
-The bound certificates ``thm2``, ``cor1`` and ``cor2`` read ``delta_hinf``
-and ``delta_h2`` from one error analysis: both norms are measured once
-per reduced controller, on the stable realization of ``K_r - K``
-(``delta`` itself or ``delta_s``).  ``cor1`` takes only its Hankel tail
-from the truncation result.
+The bound certificates ``thm2``, ``cor1`` and ``cor2`` share one body
+(:func:`_small_gain_record`): they read ``delta_hinf`` and ``delta_h2``
+from one error analysis, both measured once per reduced controller on
+the stable realization of ``K_r - K`` (``delta`` itself or
+``delta_s``), and the computed ``||X||_inf``.  ``cor1`` takes only its
+Hankel tail from the truncation result.
 
 Certificates on the same plant and controller share one loop analysis:
 the stabilizing check, the four-block map, its spectrum and its norms
@@ -77,13 +75,13 @@ content: they are immutable and own their arrays, so the same objects
 always describe the same loop, while equal content built anew -- each
 request of a batch, each repeated round -- gets its own analysis.  A
 content key would make a repeated experiment skip the work it is meant
-to repeat.  Each certificate gets its own copy of the shared quantities,
-and a racing caller at worst recomputes.  Within an analysis every
-shared quantity is a ``functools.cached_property``, stored only once
-fully computed; where the descriptor locks while it computes (Python
-3.11 and older), no property waits on another in a cycle, and a product
-replaced by a racing thread only makes the losing caller compute its own
-peak gain.
+to repeat.  Each certificate's record copies the shared quantities it
+starts from, and a racing caller at worst recomputes.  Within an
+analysis every shared quantity is a ``functools.cached_property``,
+stored only once fully computed; where the descriptor locks while it
+computes (Python 3.11 and older), no property waits on another in a
+cycle, and a product replaced by a racing thread only makes the losing
+caller compute its own peak gain.
 """
 
 from __future__ import annotations
@@ -261,7 +259,9 @@ class _ErrorAnalysis:
         return parts.stable if parts.anti_negligible else None
 
     @cached_property
-    def _delta_norms(self) -> tuple[dict, tuple]:
+    def delta_norms(self) -> tuple[dict, tuple]:
+        """``delta_hinf`` and ``delta_h2`` of :attr:`delta_stable` (``inf``
+        when ``delta`` is not stable), and notes that say why."""
         form = self.delta_stable
         if form is not None:
             return {"delta_hinf": hinf_norm(form), "delta_h2": h2_norm(form)}, ()
@@ -270,13 +270,6 @@ class _ErrorAnalysis:
                else f"error system: stability undecidable ({parts})")
         return dict.fromkeys(("delta_hinf", "delta_h2"), math.inf), (
             why, "error system is not stable; its H norms are undefined")
-
-    def delta_norms(self) -> tuple[dict, list]:
-        """``delta_hinf`` and ``delta_h2`` of :attr:`delta_stable` (``inf``
-        when ``delta`` is not stable, with notes that say why); fresh
-        copies of both."""
-        values, notes = self._delta_norms
-        return dict(values), list(notes)
 
     @cached_property
     def x_delta(self) -> StateSpaceSystem:
@@ -341,12 +334,9 @@ class _LoopAnalysis:
         return self.block_hinf(self.fb.x)
 
     @cached_property
-    def _quantities(self) -> dict:
-        return _loop_quantities(self)
-
     def quantities(self) -> dict:
-        """A fresh copy of :func:`_loop_quantities` of the loop."""
-        return dict(self._quantities)
+        """:func:`_loop_quantities` of the loop."""
+        return _loop_quantities(self)
 
     @lru_cache(maxsize=1)
     def error(self, k_r: StateSpaceSystem) -> _ErrorAnalysis:
@@ -368,18 +358,57 @@ def _loop(g: StateSpaceSystem, k: StateSpaceSystem,
     return _loop_analysis(g, k, stab_override())
 
 
-def _epilogue(theorem: str, err: _ErrorAnalysis, quantities: dict,
-              condition: bool, cost_bound, notes: list, kinds: dict):
-    """Shared certificate epilogue: the eigenvalue verdict on ``(g, k_r)``."""
-    stable, alpha = err.verdict
-    quantities["closed_loop_abscissa"] = alpha
-    return ReductionCertificate(theorem, quantities, condition, cost_bound,
-                                stable, tuple(notes), kinds)
+class _Record:
+    """The ``quantities``, norm ``kinds`` and ``notes`` of one certificate
+    on the error analysis ``err``.
 
+    It starts from its own copies of the ``shared`` quantities and of
+    ``notes``, with the norms named in ``computed`` of kind ``"computed"``;
+    :meth:`gain` records each norm that is decided bound first.
+    """
 
-def _computed(*names: str) -> dict:
-    """Norm kinds for a condition that reads only computed norms."""
-    return dict.fromkeys(names, "computed")
+    def __init__(self, err: _ErrorAnalysis, *shared: dict, notes=(), computed=()):
+        self.err = err
+        self.quantities = {}
+        for q in shared:
+            self.quantities.update(q)
+        self.notes = list(notes)
+        self.kinds = dict.fromkeys(computed, "computed")
+
+    def gain(self, name: str, bound: float, form: StateSpaceSystem | None,
+             poles=None) -> float:
+        """Record and return the peak gain ``name`` of ``form``, bound first.
+
+        The proven upper bound ``bound`` is recorded as ``"upper_bound"``
+        when it is below one, and ``form``'s peak-gain search is skipped;
+        when ``poles`` is given, none of the poles of ``form`` it returns
+        may lie on the axis.  Otherwise the gain is computed
+        (:meth:`_ErrorAnalysis.peak_gain`), or ``inf`` when ``form`` is
+        ``None``, so a failing condition rests on computed norms.  A gain
+        undefined for a pole on the axis is ``inf``, with a note.
+        """
+        kind = "computed"
+        try:
+            if bound < 1.0:
+                if poles is not None:
+                    _check_no_axis_poles(form, poles())
+                value, kind = bound, "upper_bound"
+            else:
+                value = math.inf if form is None else self.err.peak_gain(form)
+        except AxisPoleError as exc:
+            value = math.inf
+            self.notes.append(f"{name} undefined: {exc}")
+        self.quantities[name], self.kinds[name] = value, kind
+        return value
+
+    def certificate(self, theorem: str, condition: bool,
+                    cost_bound=None) -> ReductionCertificate:
+        """The certificate, with the eigenvalue verdict on ``(g, k_r)`` and
+        the reduced loop's spectral abscissa."""
+        stable, alpha = self.err.verdict
+        self.quantities["closed_loop_abscissa"] = alpha
+        return ReductionCertificate(theorem, self.quantities, condition, cost_bound,
+                                    stable, tuple(self.notes), self.kinds)
 
 
 def _small_gain_bound(loop: _LoopAnalysis, d: float) -> float:
@@ -458,40 +487,25 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     """
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
-    notes: list[str] = []
-    quantities: dict = {}
+    rec = _Record(err)
 
     counts = {}
     for name, split in (("original", err.k_split), ("reduced", err.k_r_split)):
         if isinstance(split, _Split):
             counts[f"unstable_poles_{name}"] = float(split.unstable_count)
         else:
-            notes.append(f"unstable pole count of the {name} controller undefined: {split}")
+            rec.notes.append(f"unstable pole count of the {name} controller undefined: {split}")
     if len(counts) == 2:
-        quantities.update(counts)
+        rec.quantities.update(counts)
     counts_ok = len(counts) == 2 and len(set(counts.values())) == 1
 
+    # a bound below one means both controllers split, and the products'
+    # poles are those of the loop and of the two splits
     bound = _small_gain_bound(loop, err.delta_bound)
-    gains, kinds = {}, _computed("x_delta_linf", "delta_x_linf")
-    for product, form in err.products(err.delta).items():
-        name = f"{product}_linf"
-        try:
-            if bound < 1.0:
-                # an undefined norm stays undefined; a finite bound means
-                # both controllers split, and the product's poles are those
-                # of the loop and of the two splits
-                _check_no_axis_poles(form, np.concatenate([loop.spectrum,
-                                                           err.parts.spectrum]))
-                gains[name], kinds[name] = bound, "upper_bound"
-            else:
-                gains[name] = err.peak_gain(form)
-        except AxisPoleError as exc:
-            gains[name], kinds[name] = math.inf, "computed"
-            notes.append(f"{name} undefined: {exc}")
-    quantities.update(gains)
-
-    condition = counts_ok and min(gains.values()) < 1.0
-    return _epilogue("lemma3", err, quantities, condition, None, notes, kinds)
+    gains = [rec.gain(f"{product}_linf", bound, form,
+                      lambda: np.concatenate([loop.spectrum, err.parts.spectrum]))
+             for product, form in err.products(err.delta).items()]
+    return rec.certificate("lemma3", counts_ok and min(gains) < 1.0)
 
 
 def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -512,40 +526,25 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     """
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
-    notes: list[str] = []
-    quantities: dict = {}
+    rec = _Record(err)
 
     d = err.delta_stable
     if d is None:
-        dy_form, _ = _stable_form(series(err.delta, loop.fb.y), notes, "delta*Y")
+        dy_form, _ = _stable_form(series(err.delta, loop.fb.y), rec.notes, "delta*Y")
         dy_stable = dy_form is not None
-        forms = {product: _stable_form(form, notes, label) for (product, form), label
+        forms = {product: _stable_form(form, rec.notes, label) for (product, form), label
                  in zip(err.products(err.delta).items(), ("X*delta", "delta*X"))}
     else:
         dy_stable = True
         dropped = _small_gain_bound(loop, err.parts.anti_pass.upper_bound)
         forms = {product: (form, dropped) for product, form in err.products(d).items()}
+    # the stable form is the product minus the dropped part
     bound = _small_gain_bound(loop, err.delta_bound)
-    kinds = _computed("x_delta_hinf", "delta_x_hinf")
-    for product, (form, dropped) in forms.items():
-        name = f"{product}_hinf"
-        if form is None:
-            quantities[name] = math.inf
-        elif bound + dropped < 1.0:
-            # the stable form is the product minus the dropped part
-            quantities[name], kinds[name] = bound + dropped, "upper_bound"
-        else:
-            try:
-                quantities[name] = err.peak_gain(form)
-            except AxisPoleError as exc:
-                quantities[name] = math.inf
-                notes.append(f"{name} undefined: {exc}")
+    gains = [rec.gain(f"{product}_hinf", bound + dropped, form)
+             for product, (form, dropped) in forms.items()]
     if not dy_stable:
-        notes.append("delta*(I-GK)^{-1} is not stable")
-    condition = (
-        dy_stable and max(quantities["x_delta_hinf"], quantities["delta_x_hinf"]) < 1.0
-    )
-    return _epilogue("thm1", err, quantities, condition, None, notes, kinds)
+        rec.notes.append("delta*(I-GK)^{-1} is not stable")
+    return rec.certificate("thm1", dy_stable and max(gains) < 1.0)
 
 
 def _bound_terms(q: dict, s1_coeff_h2: float):
@@ -575,44 +574,46 @@ def _record_bound(q: dict) -> float:
     return (q["cost_original"] + q["s1"] + q["s2"]) / denom**2
 
 
+def _small_gain_record(g: StateSpaceSystem, k: StateSpaceSystem,
+                       k_r: StateSpaceSystem) -> tuple[_Record, bool]:
+    """The body of ``thm2``, ``cor1`` and ``cor2``: a record of the loop
+    norms and of the computed ``delta_hinf`` and ``delta_h2`` with their
+    notes, and whether ``x_hinf * delta_hinf < 1`` (never on an unstable
+    error, whose ``delta_hinf`` is ``inf``)."""
+    loop = _loop(g, k, k_r)
+    err = loop.error(k_r)
+    values, notes = err.delta_norms
+    rec = _Record(err, loop.quantities, values, notes=notes,
+                  computed=("delta_hinf", "x_hinf"))
+    return rec, loop.x_hinf * values["delta_hinf"] < 1.0
+
+
 def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,
                      k_r: StateSpaceSystem) -> ReductionCertificate:
     """Small-gain certificate with a closed-loop cost bound, for stable errors."""
-    loop = _loop(g, k, k_r)
-    err = loop.error(k_r)
-    quantities = loop.quantities()
-    delta_norms, notes = err.delta_norms()
-    quantities.update(delta_norms)
-    d_hinf = delta_norms["delta_hinf"]
-    condition = math.isfinite(d_hinf) and d_hinf * quantities["x_hinf"] < 1.0
-    cost_bound = _record_bound(quantities) if condition else None
-    return _epilogue("thm2", err, quantities, condition, cost_bound, notes,
-                     _computed("delta_hinf", "x_hinf"))
+    rec, condition = _small_gain_record(g, k, k_r)
+    return rec.certificate("thm2", condition,
+                           _record_bound(rec.quantities) if condition else None)
 
 
 def check_cor1(g: StateSpaceSystem, k: StateSpaceSystem,
                reduction: TruncationResult) -> ReductionCertificate:
     """Certificate for balanced truncation: the discarded Hankel tail must
-    be below half the reciprocal peak gain of the input sensitivity, and
-    the measured error must agree (``delta`` stable, ``x_hinf * delta_hinf < 1``)."""
+    be below half the reciprocal peak gain of the input sensitivity (any
+    tail when that gain is 0), and the measured error must agree
+    (``delta`` stable, ``x_hinf * delta_hinf < 1``)."""
     if reduction.method != "balanced":
         raise WrongCertificateError("this certificate applies to balanced truncation")
-    loop = _loop(g, k, reduction.reduced)
-    err = loop.error(reduction.reduced)
-    quantities = loop.quantities()
-    tail = float(sum(reduction.truncated_tail))
-    quantities["sigma_tail_sum"] = tail
-    condition = tail < 1.0 / (2.0 * quantities["x_hinf"])
-    delta_norms, notes = err.delta_norms()
-    quantities.update(delta_norms)
-    d_hinf = delta_norms["delta_hinf"]
-    if condition and not quantities["x_hinf"] * d_hinf < 1.0:  # contradicts the tail
+    rec, small_gain = _small_gain_record(g, k, reduction.reduced)
+    q = rec.quantities
+    tail = q["sigma_tail_sum"] = float(sum(reduction.truncated_tail))
+    condition = q["x_hinf"] == 0.0 or tail < 1.0 / (2.0 * q["x_hinf"])
+    if condition and not small_gain:  # contradicts the tail
         condition = False
-        why = "x_hinf * delta_hinf >= 1" if math.isfinite(d_hinf) else "the error system is not stable"
-        notes.append(f"tail condition held but {why}")
-    cost_bound = _record_bound(quantities) if condition else None
-    return _epilogue("cor1", err, quantities, condition, cost_bound, notes,
-                     _computed("delta_hinf", "x_hinf"))
+        why = ("x_hinf * delta_hinf >= 1" if math.isfinite(q["delta_hinf"])
+               else "the error system is not stable")
+        rec.notes.append(f"tail condition held but {why}")
+    return rec.certificate("cor1", condition, _record_bound(q) if condition else None)
 
 
 def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -626,22 +627,17 @@ def check_cor2(g: StateSpaceSystem, k: StateSpaceSystem,
     instances), so the bound uses it; the single-coefficient variant is
     recorded alongside for comparison.
     """
-    loop = _loop(g, k, k_r)
-    err = loop.error(k_r)
-    delta_norms, notes = err.delta_norms()
-    if math.isinf(delta_norms["delta_hinf"]):
+    rec, condition = _small_gain_record(g, k, k_r)
+    q = rec.quantities
+    if math.isinf(q["delta_hinf"]):
         raise WrongCertificateError(
             "error system is unstable; use the unstable-truncation certificate (thm3)"
         )
-    quantities = loop.quantities()
-    quantities.update(delta_norms)
-    condition = quantities["delta_hinf"] * quantities["x_hinf"] < 1.0
     cost_bound = None
     if condition:
-        cost_bound = _record_bound(quantities)
-        quantities["s1_single_h2_term"], _ = _bound_terms(quantities, 1.0)
-    return _epilogue("cor2", err, quantities, condition, cost_bound, notes,
-                     _computed("delta_hinf", "x_hinf"))
+        cost_bound = _record_bound(q)
+        q["s1_single_h2_term"], _ = _bound_terms(q, 1.0)
+    return rec.certificate("cor2", condition, cost_bound)
 
 
 def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
@@ -663,8 +659,8 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         raise UnsupportedError("this certificate is defined for SISO systems only")
     loop = _loop(g, k, k_r)
     err = loop.error(k_r)
-    notes: list[str] = []
-    quantities = loop.quantities()
+    rec = _Record(err, loop.quantities, computed=("inv_one_minus_xdelta_linf",))
+    quantities, notes = rec.quantities, rec.notes
 
     # the poles of delta are those of both controllers
     parts = err.parts
@@ -738,5 +734,4 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
         q["s1"] = s1
         q["s2"] = s2
         cost_bound = prefactor**2 * (q["cost_original"] + s1 + s2)
-    return _epilogue("thm3", err, quantities, condition, cost_bound, notes,
-                     _computed("inv_one_minus_xdelta_linf"))
+    return rec.certificate("thm3", condition, cost_bound)

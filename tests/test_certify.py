@@ -118,7 +118,7 @@ def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair
 
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_gramians", counted)
-            q = loop.quantities()
+            q = loop.quantities
         assert calls == [(3, 0)]
         fb = loop.fb
         for name, block in (("x_h2", fb.x), ("kx_h2", fb.kx), ("xk_h2", fb.xk),
@@ -141,7 +141,7 @@ def test_loop_analysis_makes_one_schur_form(balmod, unstable_pair, monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(linalg.sla, "schur", counted)
-            loop.quantities()
+            loop.quantities
             assert len(calls) == 1
             lqg_cost_blocks(g, k)
         assert len(calls) == 2
@@ -427,6 +427,18 @@ def test_cor1_fails_on_a_tail_its_measured_error_contradicts(balmod):
     assert cert.notes == ("tail condition held but x_hinf * delta_hinf >= 1",)
 
 
+def test_cor1_passes_when_x_vanishes():
+    # C = 0 makes X = 0: any tail meets the condition, which used to divide
+    # by 2*||X||_inf, and cor1 bounds the cost as thm2 does
+    g = make_system(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[0.0, 0.0]])
+    k = make_system(np.diag([-3.0, -4.0]), [[1.0], [2.0]], [[1.0, 1.0]])
+    res = balanced_truncate_unstable(k, 1)
+    cert = check_cor1(g, k, res)
+    assert cert.quantities["x_hinf"] == 0.0
+    assert cert.condition_satisfied and cert.notes == ()
+    assert cert.cost_bound == check_thm2_bound(g, k, res.reduced).cost_bound
+
+
 @pytest.mark.parametrize("make, error", [
     (lambda k: check_cor1(k[0], k[1], TruncationResult(k[1], "modal", ())),
      WrongCertificateError),
@@ -572,8 +584,11 @@ def test_reduced_controller_of_the_wrong_shape_is_refused(balmod, check, error):
             check(g, k, arg)
 
 
-def _fresh(s: StateSpaceSystem) -> StateSpaceSystem:
-    """An equal copy of a strictly proper system that is a new object."""
+def _fresh(s):
+    """An equal copy of a strictly proper system, or of a truncation result
+    with such a reduced controller, that is a new object."""
+    if isinstance(s, TruncationResult):
+        return dataclasses.replace(s, reduced=_fresh(s.reduced))
     return make_system(s.A, s.B, s.C)
 
 
@@ -620,7 +635,7 @@ def test_loop_analysis_builds_each_four_block_once(balmod, monkeypatch):
 
     monkeypatch.setattr(statespace.FourBlockMap, "block", counted)
     k_r = balanced_truncate_unstable(k, 2).reduced
-    certify._loop(g, k, k_r).quantities()
+    certify._loop(g, k, k_r).quantities
     check_lemma3(g, k, k_r)
     assert calls == {(0, 0): 1, (0, 1): 1, (1, 0): 1}
 
@@ -672,7 +687,7 @@ def test_thm2_and_cor1_share_one_error_analysis(balmod, monkeypatch, thm2_first)
     expected = {check: check(_fresh(g), _fresh(k), fresh_args[check]).to_dict()
                 for check, _ in checks}
 
-    certify._loop(g, k, res.reduced).quantities()  # the loop norms, computed once
+    certify._loop(g, k, res.reduced).quantities  # the loop norms, computed once
     calls = {}
     _count_calls(monkeypatch, certify, "hinf_norm", calls)
     _count_calls(monkeypatch, certify, "h2_norm", calls)
@@ -686,39 +701,58 @@ def test_thm2_and_cor1_share_one_error_analysis(balmod, monkeypatch, thm2_first)
 
 
 def _interleaving_cases(balmod, unstable_pair):
-    """Two loops, each with certificates on two reduced controllers."""
+    """Two loops, each with certificates on two reduced controllers; the
+    six certificates between them."""
     g, k = balmod
     split = split_stable_unstable(k)
     k_modal = add(modal_truncate(split.stable_part, 1).reduced, split.unstable_part)
-    k_bal = balanced_truncate_unstable(k, 2).reduced
+    bal = balanced_truncate_unstable(k, 2)
+    k_bal = bal.reduced
     g_u, k_u = unstable_pair
     k_u_modal = modal_truncate(k_u, 1).reduced
     return [
-        (g, k, [(check_thm2_bound, k_bal), (check_lemma3, k_bal),
+        (g, k, [(check_thm2_bound, k_bal), (check_lemma3, k_bal), (check_cor1, bal),
                 (check_cor2, k_modal), (check_thm1, k_bal)]),
         (g_u, k_u, [(check_thm3, k_u_modal), (check_thm1, k_u_modal),
                     (check_thm2_bound, k_u)]),
     ]
 
 
+# the norms each certificate's condition reads: the keys of its kinds
+NORMS_READ = {
+    "lemma3": {"x_delta_linf", "delta_x_linf"},
+    "thm1": {"x_delta_hinf", "delta_x_hinf"},
+    "thm2": {"delta_hinf", "x_hinf"},
+    "cor1": {"delta_hinf", "x_hinf"},
+    "cor2": {"delta_hinf", "x_hinf"},
+    "thm3": {"inv_one_minus_xdelta_linf"},
+}
+
+
 def test_interleaved_loops_match_fresh_copies(balmod, unstable_pair, monkeypatch):
     # loops A, B, A in turn; each returned quantities dict is then spoiled,
-    # which must not reach a later certificate on the same loop
+    # which must not reach a later certificate on the same loop; every
+    # certificate names in kinds exactly the norms its condition reads
     pair_a, pair_b = _interleaving_cases(balmod, unstable_pair)
     expected = {
         id(pair): [check(_fresh(pair[0]), _fresh(pair[1]), _fresh(k_r)).to_dict()
                    for check, k_r in pair[2]]
         for pair in (pair_a, pair_b)
     }
-    calls = {}
+    calls, theorems = {}, set()
     _count_calls(monkeypatch, certify, "_loop_quantities", calls)
     for pair in (pair_a, pair_b, pair_a):
         g, k, checks = pair
         for (check, k_r), want in zip(checks, expected[id(pair)]):
             cert = check(g, k, k_r)
             assert cert.to_dict() == want
+            assert set(cert.kinds) == NORMS_READ[cert.theorem]
+            assert set(cert.kinds) <= set(cert.quantities)
+            theorems.add(cert.theorem)
             cert.quantities.clear()
-    # thm2 and cor2 share the first visit to A, thm3 and thm2 the visit to B
+    assert theorems == set(certify.THEOREMS)
+    # thm2, cor1 and cor2 share the first visit to A, thm3 and thm2 the
+    # visit to B
     assert calls == {"_loop_quantities": 3}
 
 

@@ -8,21 +8,27 @@ Usage, from any directory:
 Builds each workload's request pool exactly as ``bench/run.py`` does for
 the seed, serves every request once with the ``ctred`` of this checkout's
 ``src`` and hashes every item: its op, error, verdict, cost bound, cost,
-order and the shapes and bytes of the reduced realization.  Then it runs
-``ctred repro`` for table1, unstable and scaling in a temporary directory
-and hashes the bytes of each report (the scaling CSV rows included); the
-reports do not depend on the seed.  Last it hashes ``generate_instance``
+order and the shapes and bytes of the reduced realization.  A second line
+per workload hashes the full JSON of every certificate the six
+``ctred.check_*`` functions returned while serving it (``to_dict()``
+dumped with sorted keys, each ended by a NUL byte), so a changed
+quantity, kind or note shows even where the verdict and cost bound
+agree; a workload that makes no certificate prints the hash of nothing.
+Then it runs ``ctred repro`` for table1, unstable and scaling in a
+temporary directory and hashes the bytes of each report (the scaling CSV
+rows included); the reports do not depend on the seed.  Last it hashes ``generate_instance``
 for seeds 0-59 at each shape of ``GEN_SHAPES`` (the matrices of each
 instance, or the type of the refusal) and ``GEN_DRAWS`` draws each of
 ``random_stable_minimal`` and ``random_antistable`` from one generator
 seeded 0; this line does not depend on the seed either.  Nothing is
 timed.  Two checkouts whose digests agree at a seed produce byte-identical
-outputs on that seed's pools, byte-identical repro reports and identical
-``gen`` output.
+outputs and certificates on that seed's pools, byte-identical repro
+reports and identical ``gen`` output.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import struct
 import sys
@@ -34,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GEN_SHAPES = ((3, 0), (4, 1), (5, 2), (6, 5))  # (order, n_unstable)
 GEN_SEEDS = range(60)
 GEN_DRAWS = 20  # of each random system kind, orders 1-5 in turn
+CHECKS = ("check_lemma3", "check_thm1", "check_thm2_bound", "check_cor1",
+          "check_cor2", "check_thm3")
 
 
 def _update(h, value) -> None:
@@ -54,6 +62,15 @@ def _update(h, value) -> None:
             h.update(repr(a.shape).encode() + a.tobytes())
 
 
+def _recording(check, certs: list):
+    """``check``, appending every certificate it returns to ``certs``."""
+    def recorded(*args):
+        cert = check(*args)
+        certs.append(cert)
+        return cert
+    return recorded
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True)
@@ -64,8 +81,15 @@ def main(argv=None) -> None:
     import run  # pins the BLAS threads before numpy is imported
     import workloads
 
+    import ctred
+
+    certs = []  # the workloads look the checks up on ctred at call time
+    for check in CHECKS:
+        setattr(ctred, check, _recording(getattr(ctred, check), certs))
+
     for name in workloads.WORKLOADS:
         wl, rounds = run.setup(name, args.seed)
+        certs.clear()
         h, count = hashlib.sha256(), 0
         for req in (r for rnd in rounds for r in rnd):
             items, _ = run.serve(wl, req)
@@ -78,6 +102,11 @@ def main(argv=None) -> None:
                     _update(h, value)
                 count += 1
         print(f"{name} seed {args.seed}: {h.hexdigest()} ({count} items)")
+        h = hashlib.sha256()
+        for cert in certs:
+            h.update(json.dumps(cert.to_dict(), sort_keys=True).encode() + b"\0")
+        print(f"{name} seed {args.seed} certificates: {h.hexdigest()} "
+              f"({len(certs)} certificates)")
 
     from ctred import cli
 
