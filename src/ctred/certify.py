@@ -43,11 +43,12 @@ failing condition always rests on computed norms.  ``lemma3`` and
 bounds both ``||X*delta||`` and ``||delta*X||`` on the axis, where ``d =
 ||D|| + 2 sum sigma(delta_s) + 2 sum sigma(mirror(delta_u))`` is the
 Hankel-sum bound of the two parts (:attr:`~ctred.reduce._Split.upper_bound`,
-Glover 1984; ``inf`` when a controller does not split) and ``||X||_inf``
-carries a margin for the error of the computed peak gain
-(:func:`_small_gain_bound`).  ``lemma3`` also hands it the products' poles, read from the spectra of the loop and
-of the two splits, so a product with a pole on the axis is refused.
-``thm1`` measures the stable realization of ``delta`` times ``X``
+Glover 1984; ``inf`` when a controller does not split).  ``||X||_inf`` is
+itself taken bound first (:func:`_small_gain_bound`): the Hankel-sum bound
+of ``X`` when it decides, else the computed peak gain with a margin for
+its error.  ``lemma3`` also hands it the products' poles, read from the
+spectra of the loop and of the two splits, so a product with a pole on the
+axis is refused.  ``thm1`` measures the stable realization of ``delta`` times ``X``
 (stable because both factors are) and adds to ``b`` the proven bound on
 the product it dropped, :func:`_small_gain_bound` of ``2 sum
 sigma(mirror(delta_u))`` (0 when ``delta_u`` has order 0); only a
@@ -64,11 +65,13 @@ the stable realization of ``K_r - K`` (``delta`` itself or
 Hankel tail from the truncation result.
 
 Certificates on the same plant and controller share one loop analysis:
-the stabilizing check, the four-block map, its spectrum and its norms
-(the peak gains of ``X``, ``KX`` and ``Y`` read that spectrum), the
-split of ``K``, and, for the last reduced controller seen, the split of
-``K_r``, the error system and its norms, the error products with ``X``,
-their peak gains and the reduced loop's eigenvalue verdict.  The last
+the stabilizing check, the four-block map, the real Schur form of its
+state matrix and its norms (the peak gains of ``X``, ``KX`` and ``Y`` read
+the form's spectrum; the H2 norms and ``X``'s Hankel-sum bound solve their
+Gramians on the form), the split of ``K``, and, for the last reduced
+controller seen, the split of ``K_r``, the error system and its norms, the
+error products with ``X``, their peak gains and the reduced loop's
+eigenvalue verdict.  The last
 analysis is kept (``functools.lru_cache``) under ``g``, ``k`` and the
 ``CTRED_TOL_STAB`` override.  Systems compare by *identity*, never by
 content: they are immutable and own their arrays, so the same objects
@@ -95,13 +98,14 @@ import numpy as np
 from . import linalg, norms
 from .errors import (
     AxisPoleError,
+    ConvergenceError,
     SeparationError,
     UnsupportedError,
     WrongCertificateError,
     ZeroModeError,
 )
 from .norms import _check_no_axis_poles, _h2_norms, h2_norm, hinf_norm, linf_norm
-from .reduce import TruncationResult, _Split, drop_negligible_antistable
+from .reduce import TruncationResult, _hankel_pass, _Split, drop_negligible_antistable
 from .statespace import (
     StateSpaceSystem,
     _check_loop_dims,
@@ -168,26 +172,28 @@ def lqg_cost(g: StateSpaceSystem, k: StateSpaceSystem) -> float:
     """Quadratic regulation cost of the loop under unit-intensity white noise.
 
     Equals the squared H2 norm of the joint closed-loop map from the two
-    noise channels to the performance output and the control input.
+    noise channels to the performance output and the control input.  Its
+    Gramian is solved on the Schur form the stability test made.
     """
-    return h2_norm(_stabilizing_four_block(g, k)[0].system) ** 2
+    fb, form = _stabilizing_four_block(g, k)
+    return _h2_norms(fb.system, form=form)[0][0] ** 2
 
 
 def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     """Total cost and the four per-block squared-H2 contributions."""
-    cols, whole = _four_block_h2(_stabilizing_four_block(g, k)[0])
+    cols, whole = _four_block_h2(*_stabilizing_four_block(g, k))
     parts = [cols[j][i] ** 2 for i in (0, 1) for j in (0, 1)]
     return whole ** 2, parts
 
 
-def _four_block_h2(fb):
+def _four_block_h2(fb, form):
     """H2 norms of the four blocks of ``fb``, as ``[[x, kx], [xk, ky]]`` by
     input block, and of the whole map: three Gramians (input block 0,
-    input block 1, all inputs) on one Schur form of the closed-loop
-    matrix."""
+    input block 1, all inputs) on ``form``, the held Schur form of the
+    closed-loop matrix."""
     every = slice(None)
     *cols, (whole,) = _h2_norms(
-        fb.system, [(c, fb.row_blocks) for c in fb.col_blocks] + [(every, (every,))]
+        fb.system, [(c, fb.row_blocks) for c in fb.col_blocks] + [(every, (every,))], form
     )
     return cols, whole
 
@@ -311,15 +317,18 @@ class _LoopAnalysis:
     """The nominal loop ``(g, k)`` as every certificate starts from it.
 
     Construction checks that ``k`` stabilizes ``g``, builds the four-block
-    map, keeps the spectrum of its state matrix and splits ``k``;
-    ``||X||_inf`` and the other loop norms are computed on first use, on
-    that spectrum.  :meth:`error` keeps the error analysis of the last
-    reduced controller seen on any loop.
+    map, keeps the real Schur form of its state matrix (whose diagonal is
+    the loop's spectrum) and splits ``k``.  Every loop norm is computed on
+    first use: the peak gains on that spectrum, the H2 norms and the
+    Hankel-sum bound of ``X`` from Gramians on that form.  :meth:`error`
+    keeps the error analysis of the last reduced controller seen on any
+    loop.
     """
 
     def __init__(self, g: StateSpaceSystem, k: StateSpaceSystem):
         self.g, self.k = g, k
-        self.fb, self.spectrum = _stabilizing_four_block(g, k)
+        self.fb, self.form = _stabilizing_four_block(g, k)
+        self.spectrum = self.form[2]
         self.k_split = _split(k)
 
     def block_hinf(self, block: StateSpaceSystem) -> float:
@@ -332,6 +341,19 @@ class _LoopAnalysis:
     def x_hinf(self) -> float:
         """``||X||_inf``, the loop norm every small-gain condition reads."""
         return self.block_hinf(self.fb.x)
+
+    @cached_property
+    def x_bound(self) -> float:
+        """A proven upper bound on ``||X||_inf``: the Hankel-sum bound of
+        ``X`` with one noise floor per state
+        (:attr:`~ctred.reduce._HankelPass.upper_bound`), from its Gramians on
+        the held form; ``inf`` when a Gramian is refused
+        (:class:`ConvergenceError`, as on a loop with a large ``||X||_inf``
+        whose Gramian misses its residual check)."""
+        try:
+            return _hankel_pass(self.fb.x, self.form).upper_bound
+        except ConvergenceError:
+            return math.inf
 
     @cached_property
     def quantities(self) -> dict:
@@ -413,19 +435,25 @@ class _Record:
 
 def _small_gain_bound(loop: _LoopAnalysis, d: float) -> float:
     """Upper bound on ``||X*e||`` and ``||e*X||`` over the axis for an
-    ``e`` with ``||e|| <= d``.
+    ``e`` with ``||e|| <= d``, by submultiplicativity, bound first.
 
-    Submultiplicativity gives ``(1 + SMALL_GAIN_MARGIN) ||X||_inf d``.
-    ``d`` is proven; the computed ``||X||_inf`` is not: it is within
-    ``HINF_REL`` of a gain the kernel evaluated, which lies at or below the
-    peak.  Over the 1984 peak gains of the stability_batch and bound_batch
-    pools at seeds 11 and 401 the worst lay 8.5e-11 below a dense direct-LU
-    reference; before the search trusted only evaluated gains,
-    ``hinf_norm`` was measured low by up to 1.4e-5 on closed-loop blocks and
-    1.7e-5 on error products.  ``SMALL_GAIN_MARGIN`` covers those five
-    times over and costs nothing in practice: a bound within that margin of
-    one falls through to the computed norm.
+    ``loop.x_bound * d`` (:attr:`_LoopAnalysis.x_bound`) is returned when
+    it is below one: both factors are proven, and no peak gain of ``X`` is
+    searched.  Otherwise, or when ``X``'s Gramians were refused, it is
+    ``(1 + SMALL_GAIN_MARGIN) ||X||_inf d`` on the computed ``||X||_inf``,
+    which is not proven: it is within ``HINF_REL`` of a gain the kernel
+    evaluated, which lies at or below the peak.  Over the 1984 peak gains
+    of the stability_batch and bound_batch pools at seeds 11 and 401 the
+    worst lay 8.5e-11 below a dense direct-LU reference; before the search
+    trusted only evaluated gains, ``hinf_norm`` was measured low by up to
+    1.4e-5 on closed-loop blocks and 1.7e-5 on error products.
+    ``SMALL_GAIN_MARGIN`` covers those five times over and costs nothing in
+    practice: a bound within that margin of one falls through to the
+    computed norm.
     """
+    bound = loop.x_bound * d
+    if bound < 1.0:
+        return bound
     return (1.0 + SMALL_GAIN_MARGIN) * loop.x_hinf * d
 
 
@@ -457,10 +485,10 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
     its strictly proper part for the H2 entry (the raw H2 integral of a
     biproper function diverges).  The two H2 entries of each input block
     share one Gramian, the cost keeps its own, and the three share one
-    Schur form of the closed-loop matrix (:func:`_four_block_h2`).
+    held Schur form of the closed-loop matrix (:func:`_four_block_h2`).
     """
     fb = loop.fb
-    ((x_h2, kx_h2), (xk_h2, ky_h2)), whole = _four_block_h2(fb)
+    ((x_h2, kx_h2), (xk_h2, ky_h2)), whole = _four_block_h2(fb, loop.form)
     return {
         "x_h2": x_h2,
         "x_hinf": loop.x_hinf,

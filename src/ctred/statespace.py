@@ -197,18 +197,18 @@ def closed_loop_matrix(g: StateSpaceSystem, k: StateSpaceSystem) -> np.ndarray:
     return linalg._block_diag([g.A, k.A], {(0, 1): g.B @ k.C, (1, 0): k.B @ g.C})
 
 
-def _loop_stability(acl: np.ndarray) -> tuple[bool, float, np.ndarray]:
-    """``(stable, spectral_abscissa, spectrum)`` of a closed-loop state
-    matrix: the internal-stability test of :func:`is_internally_stable` and
-    of :func:`_stabilizing_four_block`, by :func:`~ctred.linalg.is_stable`'s
-    rule."""
-    ev = linalg.eigenvalues(acl)
-    return (*linalg._stability(acl, ev), ev)
+def _loop_stability(acl: np.ndarray, ev: np.ndarray | None = None) -> tuple[bool, float]:
+    """``(stable, spectral_abscissa)`` of a closed-loop state matrix: the
+    internal-stability test of :func:`is_internally_stable` and of
+    :func:`_stabilizing_four_block`, by :func:`~ctred.linalg.is_stable`'s
+    rule.  ``ev`` is the spectrum of ``acl`` when the caller has it (the
+    diagonal of a Schur form it holds); otherwise one eigen-solve finds it."""
+    return linalg._stability(acl, ev)
 
 
 def is_internally_stable(g: StateSpaceSystem, k: StateSpaceSystem):
     """Internal stability of the loop; returns ``(stable, spectral_abscissa)``."""
-    return _loop_stability(closed_loop_matrix(g, k))[:2]
+    return _loop_stability(closed_loop_matrix(g, k))
 
 
 @dataclass(frozen=True)
@@ -279,17 +279,21 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
 
 
 def _stabilizing_four_block(g: StateSpaceSystem,
-                            k: StateSpaceSystem) -> tuple[FourBlockMap, np.ndarray]:
-    """``four_block(g, k)`` and the spectrum of its state matrix; raises
-    :class:`NotStabilizingError` unless ``k`` internally stabilizes ``g``."""
+                            k: StateSpaceSystem) -> tuple[FourBlockMap, tuple]:
+    """``four_block(g, k)`` and the real Schur form ``(T, Z, ev)`` of its
+    state matrix (:func:`~ctred.linalg._real_schur`), whose diagonal
+    spectrum ``ev`` the stability test reads; raises
+    :class:`NotStabilizingError` unless ``k`` internally stabilizes ``g``.
+    Callers keep the form for the loop's Gramians."""
     fb = four_block(g, k)
-    stable, alpha, ev = _loop_stability(fb.system.A)
+    form = linalg._real_schur(fb.system.A)
+    stable, alpha = _loop_stability(fb.system.A, form[2])
     if not stable:
         raise NotStabilizingError(
             f"controller does not internally stabilize the plant "
             f"(closed-loop abscissa {alpha:.3e})"
         )
-    return fb, ev
+    return fb, form
 
 
 def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):

@@ -131,8 +131,9 @@ GRID_FLOOR = 1e-8
 
 # Relative margin on the computed ||X||_inf in the small-gain bound
 # (1 + SMALL_GAIN_MARGIN) ||X||_inf d of the certificates
-# (ctred.certify._small_gain_bound); measured peak gains once lay up to
-# 1.7e-5 low, and the margin covered that five times over.
+# (ctred.certify._small_gain_bound), read only when X's Hankel-sum bound
+# does not decide; measured peak gains once lay up to 1.7e-5 low, and the
+# margin covered that five times over.
 SMALL_GAIN_MARGIN = 1e-4
 
 

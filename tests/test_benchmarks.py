@@ -36,9 +36,9 @@ def test_scaling_sweep_tests_each_loop_once(monkeypatch):
     calls = []
     stable = statespace._loop_stability
 
-    def counted(acl):
+    def counted(acl, ev=None):
         calls.append(acl)
-        return stable(acl)
+        return stable(acl, ev)
 
     monkeypatch.setattr(statespace, "_loop_stability", counted)
     benchmarks.run_scaling_sweep()

@@ -54,6 +54,7 @@ from ctred.statespace import (
     negate,
     series,
 )
+from ctred.tolerances import SMALL_GAIN_MARGIN
 
 
 @pytest.fixture(scope="module")
@@ -106,20 +107,20 @@ def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair
                                                            monkeypatch):
     # x and kx share the first input block, xk and ky the second, and the
     # cost keeps its own Gramian: one kernel call with three right-hand
-    # sides per loop
+    # sides per loop, on the loop's held Schur form
     for g, k in (balmod, unstable_pair):
         loop = certify._LoopAnalysis(g, k)
         calls = []
         original = linalg._gramians
 
-        def counted(a, controllability, observability=()):
-            calls.append((len(controllability), len(observability)))
-            return original(a, controllability, observability)
+        def counted(a, controllability, observability=(), form=None):
+            calls.append((len(controllability), len(observability), form is loop.form))
+            return original(a, controllability, observability, form)
 
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_gramians", counted)
             q = loop.quantities
-        assert calls == [(3, 0)]
+        assert calls == [(3, 0, True)]
         fb = loop.fb
         for name, block in (("x_h2", fb.x), ("kx_h2", fb.kx), ("xk_h2", fb.xk),
                             ("ky_h2", fb.ky)):
@@ -128,24 +129,39 @@ def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair
 
 
 def test_loop_analysis_makes_one_schur_form(balmod, unstable_pair, monkeypatch):
-    # the three loop Gramians share one real Schur form of the closed-loop
-    # matrix, and no other quantity of the loop makes one; lqg_cost_blocks
-    # reads the same three Gramians
+    # the loop analysis reduces the closed-loop matrix to real Schur form
+    # once, reads its stability test off that form's diagonal and solves
+    # the three H2 Gramians and X's Hankel pass on it: no other Schur form
+    # and no eigen-solve of the closed-loop matrix.  lqg_cost and
+    # lqg_cost_blocks make one form each, and no eigen-solve either
     for g, k in (balmod, unstable_pair):
-        loop = certify._LoopAnalysis(g, k)
-        calls, original = [], linalg.sla.schur
+        acl = four_block(g, k).system.A
+        forms, schurs, eigvals_shapes = [], [], []
+        real_schur, schur, eigvals = linalg._real_schur, linalg.sla.schur, np.linalg.eigvals
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.array(a))
-            return original(a, *args, **kwargs)
+        def counted_form(m):
+            forms.append(np.array_equal(m, acl))
+            return real_schur(m)
+
+        def counted_schur(a, *args, **kwargs):
+            schurs.append(np.array_equal(a, acl))
+            return schur(a, *args, **kwargs)
+
+        def counted_eigvals(a):
+            eigvals_shapes.append(np.shape(a))
+            return eigvals(a)
 
         with monkeypatch.context() as mp:
-            mp.setattr(linalg.sla, "schur", counted)
-            loop.quantities
-            assert len(calls) == 1
+            mp.setattr(linalg, "_real_schur", counted_form)
+            mp.setattr(linalg.sla, "schur", counted_schur)
+            mp.setattr(np.linalg, "eigvals", counted_eigvals)
+            loop = certify._LoopAnalysis(g, k)
+            loop.quantities, loop.x_bound
+            assert sum(forms) == sum(schurs) == 1
+            lqg_cost(g, k)
             lqg_cost_blocks(g, k)
-        assert len(calls) == 2
-        assert all(np.array_equal(a, loop.fb.system.A) for a in calls)
+        assert sum(forms) == sum(schurs) == 3
+        assert acl.shape not in eigvals_shapes
 
 
 def test_lqg_cost_quadrature_oracle(balmod):
@@ -644,16 +660,73 @@ def test_loop_analysis_builds_each_four_block_once(balmod, monkeypatch):
                                            (check_thm1, check_lemma3)])
 def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
     # with a stable controller X*delta and delta*X are stable as realized,
-    # so thm1 tests the very products lemma3 tests; ||X||_inf times the
-    # Hankel bound of delta decides both, and the one peak gain is ||X||_inf
+    # so thm1 tests the very products lemma3 tests.  The detuning's Hankel
+    # bound times X's Hankel bound is above one (1.21), times the computed
+    # ||X||_inf below it (0.81): that decides both, and the one peak gain
+    # is ||X||_inf
     g, k = generate_instance(4, 0, 0)
-    k_r = balanced_truncate_unstable(k, 3).reduced
+    k_r = add(k, make_system([[-2.0]], [[48.0]], [[50.0]]))
     expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
                 for check in (first, second)]
     calls = {}
     _count_calls(monkeypatch, norms, "_peak_gain", calls)
-    assert [check(g, k, k_r).to_dict() for check in (first, second)] == expected
+    certs = [check(g, k, k_r) for check in (first, second)]
+    assert [cert.to_dict() for cert in certs] == expected
     assert calls == {"_peak_gain": 1}
+    for cert in certs:
+        assert cert.condition_satisfied
+        assert set(cert.kinds.values()) == {"upper_bound"}
+
+
+def test_x_hankel_bound_decides_without_a_peak_gain(monkeypatch):
+    # ||X||_inf enters bound first: X's Hankel bound times delta's is below
+    # one, so lemma3 and thm1 pass without any peak-gain search
+    g, k = generate_instance(4, 0, 0)
+    k_r = balanced_truncate_unstable(k, 3).reduced
+    calls = {}
+    _count_calls(monkeypatch, norms, "_peak_gain", calls)
+    certs = [check(g, k, k_r) for check in (check_lemma3, check_thm1)]
+    assert calls == {}
+    loop = certify._loop(g, k, k_r)
+    bound = loop.x_bound * loop.error(k_r).delta_bound
+    assert bound < 1.0
+    for cert, name in zip(certs, ("x_delta_linf", "x_delta_hinf")):
+        assert cert.condition_satisfied
+        assert set(cert.kinds.values()) == {"upper_bound"}
+        assert cert.quantities[name] == bound
+
+
+def test_refused_x_gramian_falls_back_to_the_computed_norm(monkeypatch):
+    # a loop whose X Gramian misses its residual check has no Hankel bound:
+    # the small-gain bound is the margined computed ||X||_inf d, as when the
+    # bound was never tried, and no other error is caught
+    g, k = generate_instance(4, 0, 0)
+    k_r = balanced_truncate_unstable(k, 3).reduced
+    checks = (check_lemma3, check_thm1)
+    with monkeypatch.context() as mp:
+        mp.setattr(certify, "_small_gain_bound",
+                   lambda loop, d: (1.0 + SMALL_GAIN_MARGIN) * loop.x_hinf * d)
+        expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict() for check in checks]
+
+    def refused(s, form=None):
+        raise ConvergenceError("Lyapunov residual 1.45e-03 exceeds tolerance")
+
+    monkeypatch.setattr(certify, "_hankel_pass", refused)
+    assert [check(g, k, k_r).to_dict() for check in checks] == expected
+    assert certify._loop(g, k, k_r).x_bound == math.inf
+
+    def failing(s, form=None):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr(certify, "_hankel_pass", failing)
+    with pytest.raises(ZeroDivisionError):
+        check_lemma3(_fresh(g), _fresh(k), k_r)
+
+
+def test_x_hankel_bound_is_at_least_the_computed_norm():
+    for g, k, _ in criterion_07_triples(40):
+        loop = certify._LoopAnalysis(g, k)
+        assert loop.x_bound >= loop.x_hinf
 
 
 def test_siso_products_share_one_peak_gain_search(monkeypatch):
@@ -834,7 +907,7 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
                      if split_stable_unstable(k).unstable_part.n)
     expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
                 for check in (check_lemma3, check_thm1)]
-    splits, schur_orders = [], []
+    splits, schurs = [], []
     split, schur = split_stable_unstable, linalg.sla.schur
 
     def counted_split(s):
@@ -842,7 +915,7 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
         return split(s)
 
     def counted_schur(a, *args, **kwargs):
-        schur_orders.append(np.shape(a)[0])
+        schurs.append(a)
         return schur(a, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -852,7 +925,10 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
     monkeypatch.setattr(linalg.sla, "schur", counted_schur)
     assert [check(g, k, k_r).to_dict() for check in (check_lemma3, check_thm1)] == expected
     assert len(splits) == 2 and splits[0] is k and splits[1] is k_r
-    assert max(schur_orders, default=0) < k.n + k_r.n
+    # the loop's own Schur form is the closed-loop matrix itself
+    acl = certify._loop(g, k, k_r).fb.system.A
+    assert sum(a is acl for a in schurs) == 1
+    assert max((np.shape(a)[0] for a in schurs if a is not acl), default=0) < k.n + k_r.n
 
 
 def _norm_or_inf(product, norm):
@@ -879,6 +955,8 @@ def test_small_gain_norms_bound_the_products():
             recorded = lemma3.quantities[f"{name}_linf"]
             assert recorded >= grid_peak_oracle(product, n=20000) * (1 - 1e-8)
             direct[f"{name}_linf"] = _norm_or_inf(product, norms.linf_norm)
+            if lemma3.kinds[f"{name}_linf"] == "upper_bound":
+                assert recorded >= direct[f"{name}_linf"]
             form, _ = certify._stable_form(product, [], name)
             if form is None:
                 direct[f"{name}_hinf"] = math.inf
@@ -886,6 +964,8 @@ def test_small_gain_norms_bound_the_products():
             recorded = thm1.quantities[f"{name}_hinf"]
             assert recorded >= grid_peak_oracle(form, n=20000) * (1 - 1e-8)
             direct[f"{name}_hinf"] = norms.hinf_norm(form)
+            if thm1.kinds[f"{name}_hinf"] == "upper_bound":
+                assert recorded >= direct[f"{name}_hinf"]
         kinds |= set(lemma3.kinds.values()) | set(thm1.kinds.values())
 
         q = lemma3.quantities

@@ -91,6 +91,38 @@ def test_schur_spectrum_invariant(rng):
     assert np.max(np.abs(ev_a - ev_t)) < 1e-9
 
 
+def _loop_block_eigenvalues(t):
+    """Reference: the diagonal blocks of ``t`` walked top down, each 2x2
+    block solved on its own."""
+    n, ev, i = t.shape[0], [], 0
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            ev.extend(np.linalg.eigvals(t[i:i + 2, i:i + 2]))
+            i += 2
+        else:
+            ev.append(complex(t[i, i]))
+            i += 1
+    return np.array(ev, dtype=complex)
+
+
+def test_block_eigenvalues_match_the_block_by_block_walk(rng):
+    # one stacked eigvals call gives the 2x2 blocks bit for bit, on Schur
+    # forms and on quasi-triangular matrices with adjacent subdiagonal
+    # entries (paired top down)
+    for _ in range(300):
+        n = int(rng.integers(0, 16))
+        t, _ = sla.schur(rng.standard_normal((n, n)), output="real")
+        got = linalg._block_eigenvalues(t)
+        assert got.dtype == complex
+        assert got.tobytes() == _loop_block_eigenvalues(t).tobytes()
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        t = np.triu(rng.standard_normal((n, n)))
+        sub = np.flatnonzero(rng.random(n - 1) < 0.6)
+        t[sub + 1, sub] = rng.standard_normal(sub.size)
+        assert linalg._block_eigenvalues(t).tobytes() == _loop_block_eigenvalues(t).tobytes()
+
+
 def test_lyapunov_scalar():
     x = linalg.solve_lyapunov(np.array([[-1.0]]), np.array([[1.0]]))
     assert np.allclose(x, [[0.5]])
