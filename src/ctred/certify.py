@@ -48,10 +48,10 @@ itself taken bound first (:func:`_small_gain_bound`): the Hankel-sum bound
 of ``X`` when it decides, else the computed peak gain with a margin for
 its error.  ``lemma3`` also hands it the products' poles, read from the
 spectra of the loop and of the two splits, so a product with a pole on the
-axis is refused.  ``thm1`` measures the stable realization of ``delta`` times ``X``
-(stable because both factors are) and adds to ``b`` the proven bound on
-the product it dropped, :func:`_small_gain_bound` of ``2 sum
-sigma(mirror(delta_u))`` (0 when ``delta_u`` has order 0); only a
+axis is refused.  ``thm1`` measures the stable realization of ``delta``
+times ``X`` (stable because both factors are) and adds to ``b`` the
+proven bound on the product it dropped, :func:`_small_gain_bound` of
+``2 sum sigma(mirror(delta_u))`` (0 when ``delta_u`` has order 0); only a
 genuine ``delta_u``, or a controller that does not split, sends ``thm1``
 to the stability test of each whole product (:func:`_stable_form`).  In
 a SISO loop ``X*delta`` and ``delta*X`` are one transfer function, and
@@ -65,13 +65,13 @@ the stable realization of ``K_r - K`` (``delta`` itself or
 Hankel tail from the truncation result.
 
 Certificates on the same plant and controller share one loop analysis:
-the stabilizing check, the four-block map, the real Schur form of its
-state matrix and its norms (the peak gains of ``X``, ``KX`` and ``Y`` read
-the form's spectrum; the H2 norms and ``X``'s Hankel-sum bound solve their
-Gramians on the form), the split of ``K``, and, for the last reduced
-controller seen, the split of ``K_r``, the error system and its norms, the
-error products with ``X``, their peak gains and the reduced loop's
-eigenvalue verdict.  The last
+the stabilizing check, the four-block map (realized on one real Schur
+form of its state matrix), its spectrum and its norms (the peak gains of
+``X``, ``KX`` and ``Y`` read that spectrum; the H2 norms and ``X``'s
+Hankel-sum bound take triangular Gramian solves), the split of ``K``,
+and, for the last reduced controller seen, the split of ``K_r``, the
+error system and its norms, the error products with ``X``, their peak
+gains and the reduced loop's eigenvalue verdict.  The last
 analysis is kept (``functools.lru_cache``) under ``g``, ``k`` and the
 ``CTRED_TOL_STAB`` override.  Systems compare by *identity*, never by
 content: they are immutable and own their arrays, so the same objects
@@ -172,28 +172,26 @@ def lqg_cost(g: StateSpaceSystem, k: StateSpaceSystem) -> float:
     """Quadratic regulation cost of the loop under unit-intensity white noise.
 
     Equals the squared H2 norm of the joint closed-loop map from the two
-    noise channels to the performance output and the control input.  Its
-    Gramian is solved on the Schur form the stability test made.
+    noise channels to the performance output and the control input.
     """
-    fb, form = _stabilizing_four_block(g, k)
-    return _h2_norms(fb.system, form=form)[0][0] ** 2
+    return h2_norm(_stabilizing_four_block(g, k)[0].system) ** 2
 
 
 def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     """Total cost and the four per-block squared-H2 contributions."""
-    cols, whole = _four_block_h2(*_stabilizing_four_block(g, k))
+    cols, whole = _four_block_h2(_stabilizing_four_block(g, k)[0])
     parts = [cols[j][i] ** 2 for i in (0, 1) for j in (0, 1)]
     return whole ** 2, parts
 
 
-def _four_block_h2(fb, form):
+def _four_block_h2(fb):
     """H2 norms of the four blocks of ``fb``, as ``[[x, kx], [xk, ky]]`` by
     input block, and of the whole map: three Gramians (input block 0,
-    input block 1, all inputs) on ``form``, the held Schur form of the
-    closed-loop matrix."""
+    input block 1, all inputs) on one Schur form of the closed-loop
+    matrix."""
     every = slice(None)
     *cols, (whole,) = _h2_norms(
-        fb.system, [(c, fb.row_blocks) for c in fb.col_blocks] + [(every, (every,))], form
+        fb.system, [(c, fb.row_blocks) for c in fb.col_blocks] + [(every, (every,))]
     )
     return cols, whole
 
@@ -317,18 +315,18 @@ class _LoopAnalysis:
     """The nominal loop ``(g, k)`` as every certificate starts from it.
 
     Construction checks that ``k`` stabilizes ``g``, builds the four-block
-    map, keeps the real Schur form of its state matrix (whose diagonal is
-    the loop's spectrum) and splits ``k``.  Every loop norm is computed on
-    first use: the peak gains on that spectrum, the H2 norms and the
-    Hankel-sum bound of ``X`` from Gramians on that form.  :meth:`error`
-    keeps the error analysis of the last reduced controller seen on any
-    loop.
+    map on one real Schur form of its state matrix
+    (:func:`~ctred.statespace._stabilizing_four_block`), keeps the spectrum
+    of that form's diagonal and splits ``k``.  Every loop norm is computed
+    on first use: the peak gains on that spectrum, the H2 norms and the
+    Hankel-sum bound of ``X`` from triangular Gramian solves.
+    :meth:`error` keeps the error analysis of the last reduced controller
+    seen on any loop.
     """
 
     def __init__(self, g: StateSpaceSystem, k: StateSpaceSystem):
         self.g, self.k = g, k
-        self.fb, self.form = _stabilizing_four_block(g, k)
-        self.spectrum = self.form[2]
+        self.fb, self.spectrum = _stabilizing_four_block(g, k)
         self.k_split = _split(k)
 
     def block_hinf(self, block: StateSpaceSystem) -> float:
@@ -346,12 +344,11 @@ class _LoopAnalysis:
     def x_bound(self) -> float:
         """A proven upper bound on ``||X||_inf``: the Hankel-sum bound of
         ``X`` with one noise floor per state
-        (:attr:`~ctred.reduce._HankelPass.upper_bound`), from its Gramians on
-        the held form; ``inf`` when a Gramian is refused
-        (:class:`ConvergenceError`, as on a loop with a large ``||X||_inf``
-        whose Gramian misses its residual check)."""
+        (:attr:`~ctred.reduce._HankelPass.upper_bound`), from triangular
+        Gramian solves on the loop's Schur form; ``inf`` when a Gramian
+        misses its residual check (:class:`ConvergenceError`)."""
         try:
-            return _hankel_pass(self.fb.x, self.form).upper_bound
+            return _hankel_pass(self.fb.x).upper_bound
         except ConvergenceError:
             return math.inf
 
@@ -485,10 +482,10 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
     its strictly proper part for the H2 entry (the raw H2 integral of a
     biproper function diverges).  The two H2 entries of each input block
     share one Gramian, the cost keeps its own, and the three share one
-    held Schur form of the closed-loop matrix (:func:`_four_block_h2`).
+    Schur form of the closed-loop matrix (:func:`_four_block_h2`).
     """
     fb = loop.fb
-    ((x_h2, kx_h2), (xk_h2, ky_h2)), whole = _four_block_h2(fb, loop.form)
+    ((x_h2, kx_h2), (xk_h2, ky_h2)), whole = _four_block_h2(fb)
     return {
         "x_h2": x_h2,
         "x_hinf": loop.x_hinf,

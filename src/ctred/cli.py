@@ -18,7 +18,12 @@ import numpy as np
 from . import benchmarks, certify, errors, norms, reduce as reduction, sysfile
 from .decompose import modal_form
 from .gen import generate_instance
-from .statespace import _check_loop_dims, _stabilizing_four_block, frequency_response
+from .statespace import (
+    _check_loop_dims,
+    _require_stabilizing,
+    closed_loop_matrix,
+    frequency_response,
+)
 from .tolerances import COR1_MATCH
 
 EXIT_INPUT = 2
@@ -94,7 +99,7 @@ def _modal_blocks_for_order(md, target_order: int) -> int:
 def _cmd_reduce(args) -> int:
     g, _ = sysfile.load_system(args.plant)
     k, _ = sysfile.load_system(args.controller)
-    _stabilizing_four_block(g, k)
+    _require_stabilizing(closed_loop_matrix(g, k))
     if args.method == "balanced":
         if args.order is None:
             raise errors.InfeasibleOrderError("balanced reduction needs --order")

@@ -15,10 +15,9 @@ one checked triangular step, ``_trsyl`` (LAPACK ``trsyl``, its info and
 scale), and one acceptance rule, ``_check_residual`` (below).  Every
 Lyapunov solve is ``_gramians``: all Gramians of one state matrix from one
 Schur form, the matrix itself or its negated transpose when the
-stable/antistable split left it in that form, or the form a closed loop
-holds.  ``_solve_sylvester`` serves :func:`solve_sylvester` and
-:mod:`ctred.decompose`, which hands it the blocks of one Schur form.  No
-scipy Lyapunov or Sylvester solver runs.
+stable/antistable split left it in that form.  ``_solve_sylvester`` serves
+:func:`solve_sylvester` and :mod:`ctred.decompose`, which hands it the
+blocks of one Schur form.  No scipy Lyapunov or Sylvester solver runs.
 
 Reordering is one LAPACK ``trsen`` call, checked in ``_reorder_schur``
 (its info, the reconstruction residual and the partition of the reordered
@@ -285,8 +284,7 @@ def _check_residual(terms: Sequence[np.ndarray], equation: str,
 
 
 def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
-              observability: Sequence[np.ndarray] = (),
-              form: tuple | None = None) -> list[np.ndarray]:
+              observability: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
     """Solutions of ``A X + X A^T + Q = 0`` for each ``Q`` in
     ``controllability``, then of ``A^T X + X A + Q = 0`` for each ``Q`` in
     ``observability``, all from one real Schur form ``A = Z T Z^T``
@@ -296,12 +294,10 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     ``a`` is a validated square matrix and every ``Q`` a symmetric matrix
     of its shape.  ``T`` is ``A`` itself when it is in real Schur canonical
     form, ``-A^T`` (solved with the transposed ``trsyl`` operations) when
-    that is, as for the mirror of an antistable part, the held ``form``
-    ``(T, Z, ...)`` of ``A`` when the caller passes one (``_real_schur``;
-    the closed-loop form of a loop), and one ``gees`` otherwise.  The
-    diagonal of ``T`` holds the real parts of the eigenvalues.  Raises
-    :class:`StabilityError` unless they all lie more than
-    :func:`half_plane_tol` of ``A`` left of the imaginary axis, and
+    that is, as for the mirror of an antistable part, and one ``gees``
+    otherwise.  The diagonal of ``T`` holds the real parts of the
+    eigenvalues.  Raises :class:`StabilityError` unless they all lie more
+    than :func:`half_plane_tol` of ``A`` left of the imaginary axis, and
     :class:`ConvergenceError` from ``_trsyl`` or from ``_check_residual``
     on the terms ``op X``, ``X op^T`` and ``Q`` (``op`` is ``A`` or
     ``A^T``; ``X`` is symmetric, so ``X op^T = (op X)^T`` costs no second
@@ -310,9 +306,7 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     if not a.shape[0]:
         return [np.zeros((0, 0)) for _ in (*controllability, *observability)]
     z, sign = None, 1.0
-    if form is not None:
-        t, z = form[:2]
-    elif _is_real_schur(a):
+    if _is_real_schur(a):
         t = a
     elif _is_real_schur(-a.T):
         t, sign = -a.T, -1.0

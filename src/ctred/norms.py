@@ -60,16 +60,15 @@ from .tolerances import (
 )
 
 
-def _h2_norms(s: StateSpaceSystem, blocks=((slice(None), (slice(None),)),),
-              form: tuple | None = None) -> list[list[float]]:
+def _h2_norms(s: StateSpaceSystem,
+              blocks=((slice(None), (slice(None),)),)) -> list[list[float]]:
     """H2 norms of blocks ``C[r] (sI - A)^{-1} B[:, c]`` of ``s``.
 
     Each of ``blocks`` is ``(c, rows)``: an input-column selection and the
     output-row selections ``r`` read with it (by default the whole
     system); one list of norms is returned per block.  Each ``c`` takes one
     controllability Gramian, which its rows share, and every Gramian
-    shares one Schur form of ``A``: ``form`` when the caller holds one
-    (:func:`~ctred.linalg._gramians`).  ``s`` must be stable and strictly
+    shares one Schur form of ``A``.  ``s`` must be stable and strictly
     proper.  A trace ``tr(C Wc C^T)`` that rounds below zero is clipped to
     0.
     """
@@ -78,8 +77,7 @@ def _h2_norms(s: StateSpaceSystem, blocks=((slice(None), (slice(None),)),),
     if s.n == 0:
         return [[0.0] * len(rows) for _, rows in blocks]
     try:
-        gramians = linalg._gramians(s.A, [s.B[:, c] @ s.B[:, c].T for c, _ in blocks],
-                                    form=form)
+        gramians = linalg._gramians(s.A, [s.B[:, c] @ s.B[:, c].T for c, _ in blocks])
     except StabilityError as exc:
         raise StabilityError("H2 norm requires a stable system") from exc
     traces = [[float(np.trace(s.C[r] @ wc @ s.C[r].T)) for r in rows]

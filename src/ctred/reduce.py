@@ -246,18 +246,17 @@ class _HankelPass(NamedTuple):
         return tuple(map(float, self.sigma)) + (float(self.floor),) * (n - self.sigma.size)
 
 
-def _hankel_pass(s: StateSpaceSystem, form: tuple | None = None) -> _HankelPass:
+def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
     """Both Gramians of a stable part (may be non-minimal) from one Schur
     form of its state matrix, their eigen square roots and one SVD.
 
     A part that :func:`~ctred.decompose.split_stable_unstable` left, or
     its mirror, is already in Schur form (or is the negated transpose of
-    one), and ``form`` is the Schur form of ``s.A`` a caller holds (a
-    closed loop's), so their Gramians take only triangular solves
+    one), so its Gramians take only triangular solves
     (:func:`~ctred.linalg._gramians`).
     """
     if s.n:
-        wc, wo = linalg._gramians(s.A, (s.B @ s.B.T,), (s.C.T @ s.C,), form)
+        wc, wo = linalg._gramians(s.A, (s.B @ s.B.T,), (s.C.T @ s.C,))
         zc, zc_norm = _gramian_factor(wc)
         zo, zo_norm = _gramian_factor(wo)
         if zc.shape[1] and zo.shape[1]:

@@ -200,9 +200,12 @@ def closed_loop_matrix(g: StateSpaceSystem, k: StateSpaceSystem) -> np.ndarray:
 def _loop_stability(acl: np.ndarray, ev: np.ndarray | None = None) -> tuple[bool, float]:
     """``(stable, spectral_abscissa)`` of a closed-loop state matrix: the
     internal-stability test of :func:`is_internally_stable` and of
-    :func:`_stabilizing_four_block`, by :func:`~ctred.linalg.is_stable`'s
-    rule.  ``ev`` is the spectrum of ``acl`` when the caller has it (the
-    diagonal of a Schur form it holds); otherwise one eigen-solve finds it."""
+    :func:`_require_stabilizing`, by :func:`~ctred.linalg.is_stable`'s rule
+    at the scale of ``acl``.  ``ev`` is the spectrum of ``acl`` when the
+    caller has it (the diagonal of a Schur form it made); otherwise one
+    eigen-solve finds it.  The two spectra differ by rounding, so the two
+    callers' verdicts can differ only for an abscissa within rounding of
+    the threshold."""
     return linalg._stability(acl, ev)
 
 
@@ -278,22 +281,39 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     return FourBlockMap(StateSpaceSystem(a, b, c), p=g.p, m=g.m)
 
 
-def _stabilizing_four_block(g: StateSpaceSystem,
-                            k: StateSpaceSystem) -> tuple[FourBlockMap, tuple]:
-    """``four_block(g, k)`` and the real Schur form ``(T, Z, ev)`` of its
-    state matrix (:func:`~ctred.linalg._real_schur`), whose diagonal
-    spectrum ``ev`` the stability test reads; raises
-    :class:`NotStabilizingError` unless ``k`` internally stabilizes ``g``.
-    Callers keep the form for the loop's Gramians."""
-    fb = four_block(g, k)
-    form = linalg._real_schur(fb.system.A)
-    stable, alpha = _loop_stability(fb.system.A, form[2])
+def _require_stabilizing(acl: np.ndarray, ev: np.ndarray | None = None) -> None:
+    """Raise :class:`NotStabilizingError` unless the closed-loop state matrix
+    ``acl`` passes :func:`_loop_stability` (on its spectrum ``ev`` when the
+    caller has it)."""
+    stable, alpha = _loop_stability(acl, ev)
     if not stable:
         raise NotStabilizingError(
             f"controller does not internally stabilize the plant "
             f"(closed-loop abscissa {alpha:.3e})"
         )
-    return fb, form
+
+
+def _stabilizing_four_block(g: StateSpaceSystem,
+                            k: StateSpaceSystem) -> tuple[FourBlockMap, np.ndarray]:
+    """``four_block(g, k)`` in the coordinates of one real Schur form
+    ``A = Z T Z^T`` of its state matrix (:func:`~ctred.linalg._real_schur`),
+    ``(T, Z^T B, C Z)``, and the spectrum of ``T``'s diagonal blocks, which
+    the stability test reads; raises :class:`NotStabilizingError` unless
+    ``k`` internally stabilizes ``g``.
+
+    The change of coordinates is orthogonal and moves no transfer function,
+    H2 norm, Hankel singular value or peak gain (beyond rounding); it makes
+    every Gramian of the map and of its blocks a triangular solve
+    (:func:`~ctred.linalg._gramians`), so a loop makes one ``gees`` and no
+    ``geev``.
+    """
+    fb = four_block(g, k)
+    s = fb.system
+    t, z, ev = linalg._real_schur(s.A)
+    _require_stabilizing(s.A, ev)
+    if z is not None:
+        fb = FourBlockMap(StateSpaceSystem(t, z.T @ s.B, s.C @ z), p=fb.p, m=fb.m)
+    return fb, ev
 
 
 def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):
@@ -302,7 +322,8 @@ def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):
     Both live on the shared closed-loop state; ``Y`` carries an identity
     feedthrough, ``X`` none.  Requires an internally stabilizing loop.
     """
-    fb, _ = _stabilizing_four_block(g, k)
+    fb = four_block(g, k)
+    _require_stabilizing(fb.system.A)
     return fb.y, fb.x
 
 

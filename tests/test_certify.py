@@ -48,6 +48,7 @@ from ctred.reduce import (
 )
 from ctred.statespace import (
     StateSpaceSystem,
+    _stabilizing_four_block,
     add,
     four_block,
     make_system,
@@ -97,25 +98,32 @@ def test_lqg_cost_equals_block_sum(balmod):
 
 
 def test_lqg_cost_blocks_match_h2_of_each_block(balmod, unstable_pair):
+    # exactly the blocks' norms on the loop's Schur realization, and within
+    # rounding of those on the shared closed-loop state
     for g, k in (balmod, unstable_pair):
-        fb = four_block(g, k)
+        fb, _ = _stabilizing_four_block(g, k)
         _, parts = lqg_cost_blocks(g, k)
         assert parts == [h2_norm(fb.block(i, j)) ** 2 for i in (0, 1) for j in (0, 1)]
+        fb = four_block(g, k)
+        assert parts == pytest.approx(
+            [h2_norm(fb.block(i, j)) ** 2 for i in (0, 1) for j in (0, 1)], rel=1e-10)
 
 
 def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair,
                                                            monkeypatch):
     # x and kx share the first input block, xk and ky the second, and the
     # cost keeps its own Gramian: one kernel call with three right-hand
-    # sides per loop, on the loop's held Schur form
+    # sides per loop, on the state matrix of the loop's Schur realization,
+    # which takes triangular solves only
     for g, k in (balmod, unstable_pair):
         loop = certify._LoopAnalysis(g, k)
         calls = []
         original = linalg._gramians
 
-        def counted(a, controllability, observability=(), form=None):
-            calls.append((len(controllability), len(observability), form is loop.form))
-            return original(a, controllability, observability, form)
+        def counted(a, controllability, observability=()):
+            calls.append((len(controllability), len(observability),
+                           a is loop.fb.system.A and linalg._is_real_schur(a)))
+            return original(a, controllability, observability)
 
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_gramians", counted)
@@ -130,21 +138,19 @@ def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair
 
 def test_loop_analysis_makes_one_schur_form(balmod, unstable_pair, monkeypatch):
     # the loop analysis reduces the closed-loop matrix to real Schur form
-    # once, reads its stability test off that form's diagonal and solves
-    # the three H2 Gramians and X's Hankel pass on it: no other Schur form
-    # and no eigen-solve of the closed-loop matrix.  lqg_cost and
-    # lqg_cost_blocks make one form each, and no eigen-solve either
+    # once and realizes the loop on it: the stability test reads the form's
+    # diagonal, and the three H2 Gramians and X's Hankel pass take only
+    # triangular solves.  Construction makes no Schur form but that one and
+    # the split of k's, quantities and x_bound make none, lqg_cost and
+    # lqg_cost_blocks one each of the closed-loop matrix, and nothing makes
+    # an eigen-solve of the closed-loop matrix
     for g, k in (balmod, unstable_pair):
         acl = four_block(g, k).system.A
-        forms, schurs, eigvals_shapes = [], [], []
-        real_schur, schur, eigvals = linalg._real_schur, linalg.sla.schur, np.linalg.eigvals
-
-        def counted_form(m):
-            forms.append(np.array_equal(m, acl))
-            return real_schur(m)
+        schurs, eigvals_shapes = [], []
+        schur, eigvals = linalg.sla.schur, np.linalg.eigvals
 
         def counted_schur(a, *args, **kwargs):
-            schurs.append(np.array_equal(a, acl))
+            schurs.append(np.array(a))
             return schur(a, *args, **kwargs)
 
         def counted_eigvals(a):
@@ -152,15 +158,19 @@ def test_loop_analysis_makes_one_schur_form(balmod, unstable_pair, monkeypatch):
             return eigvals(a)
 
         with monkeypatch.context() as mp:
-            mp.setattr(linalg, "_real_schur", counted_form)
             mp.setattr(linalg.sla, "schur", counted_schur)
             mp.setattr(np.linalg, "eigvals", counted_eigvals)
             loop = certify._LoopAnalysis(g, k)
+            built = len(schurs)
             loop.quantities, loop.x_bound
-            assert sum(forms) == sum(schurs) == 1
+            assert len(schurs) == built
             lqg_cost(g, k)
             lqg_cost_blocks(g, k)
-        assert sum(forms) == sum(schurs) == 3
+        on_acl = [np.array_equal(a, acl) for a in schurs]
+        assert on_acl[built:] == [True, True]
+        assert sum(on_acl[:built]) == 1
+        assert all(np.array_equal(a, k.A) for a, hit in zip(schurs[:built], on_acl)
+                   if not hit)
         assert acl.shape not in eigvals_shapes
 
 
@@ -708,14 +718,14 @@ def test_refused_x_gramian_falls_back_to_the_computed_norm(monkeypatch):
                    lambda loop, d: (1.0 + SMALL_GAIN_MARGIN) * loop.x_hinf * d)
         expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict() for check in checks]
 
-    def refused(s, form=None):
+    def refused(s):
         raise ConvergenceError("Lyapunov residual 1.45e-03 exceeds tolerance")
 
     monkeypatch.setattr(certify, "_hankel_pass", refused)
     assert [check(g, k, k_r).to_dict() for check in checks] == expected
     assert certify._loop(g, k, k_r).x_bound == math.inf
 
-    def failing(s, form=None):
+    def failing(s):
         raise ZeroDivisionError("defect")
 
     monkeypatch.setattr(certify, "_hankel_pass", failing)
@@ -907,8 +917,8 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
                      if split_stable_unstable(k).unstable_part.n)
     expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
                 for check in (check_lemma3, check_thm1)]
-    splits, schurs = [], []
-    split, schur = split_stable_unstable, linalg.sla.schur
+    splits, schurs, acls = [], [], []
+    split, schur, build = split_stable_unstable, linalg.sla.schur, statespace.four_block
 
     def counted_split(s):
         splits.append(s)
@@ -918,15 +928,21 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
         schurs.append(a)
         return schur(a, *args, **kwargs)
 
+    def recorded_build(g, k):
+        fb = build(g, k)
+        acls.append(fb.system.A)
+        return fb
+
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "ctred"
                 and getattr(module, "split_stable_unstable", None) is split):
             monkeypatch.setattr(module, "split_stable_unstable", counted_split)
     monkeypatch.setattr(linalg.sla, "schur", counted_schur)
+    monkeypatch.setattr(statespace, "four_block", recorded_build)
     assert [check(g, k, k_r).to_dict() for check in (check_lemma3, check_thm1)] == expected
     assert len(splits) == 2 and splits[0] is k and splits[1] is k_r
-    # the loop's own Schur form is the closed-loop matrix itself
-    acl = certify._loop(g, k, k_r).fb.system.A
+    # the loop's own Schur form is of the closed-loop matrix itself
+    [acl] = acls
     assert sum(a is acl for a in schurs) == 1
     assert max((np.shape(a)[0] for a in schurs if a is not acl), default=0) < k.n + k_r.n
 
@@ -995,6 +1011,6 @@ def test_loop_peak_gain_is_shared_by_bound_and_small_gain_certificates(
     monkeypatch.setattr(norms, "_peak_gain", recorded)
     check_thm2_bound(g, k, k_r)
     check_lemma3(g, k, k_r)
-    x = four_block(g, k).x
+    x = _stabilizing_four_block(g, k)[0].x
     assert sum(all(np.array_equal(getattr(s, f), getattr(x, f)) for f in "ABCD")
                for s in args) == 1

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import transfer_close
+from conftest import criterion_07_triples, transfer_close
 from ctred import linalg
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.errors import DimensionError, NonFiniteError, NotStabilizingError
 from ctred.statespace import (
     StateSpaceSystem,
+    _stabilizing_four_block,
     add,
     check_minimal,
     closed_loop_matrix,
@@ -20,6 +21,7 @@ from ctred.statespace import (
     zero_system,
     zeros,
 )
+from ctred.tolerances import inf_norm
 
 FIRST_ORDER = make_system([[-1.0]], [[1.0]], [[1.0]])
 
@@ -245,6 +247,38 @@ def test_sensitivity_pair_requires_stabilizing():
     k0 = make_system([[-1.0]], [[1.0]], [[0.0]])
     with pytest.raises(NotStabilizingError):
         sensitivity_pair(g, k0)
+
+
+def test_loop_stability_verdicts_differ_only_within_rounding(monkeypatch):
+    # the certificates' loop test reads the spectrum off one Schur form of
+    # the closed-loop matrix, is_internally_stable reads geev's; both
+    # abscissas agree to rounding, so with the threshold a hair to either
+    # side of the abscissa the two verdicts agree
+    for g, k, _ in criterion_07_triples(20):
+        acl = closed_loop_matrix(g, k)
+        alpha = is_internally_stable(g, k)[1]
+        band = 1e-10 * inf_norm(acl)
+        assert abs(linalg._real_schur(acl)[2].real.max() - alpha) <= 1e-3 * band
+        monkeypatch.setenv("CTRED_TOL_STAB", repr(-alpha - band))
+        assert is_internally_stable(g, k)[0]
+        _stabilizing_four_block(g, k)
+        monkeypatch.setenv("CTRED_TOL_STAB", repr(-alpha + band))
+        assert not is_internally_stable(g, k)[0]
+        with pytest.raises(NotStabilizingError):
+            _stabilizing_four_block(g, k)
+
+
+def test_stabilizing_four_block_is_the_loop_on_its_schur_form():
+    # (T, Z^T B, C Z) on one real Schur form of the closed-loop matrix: the
+    # same four blocks up to rounding, the spectrum read off T
+    for g, k in (bench_balanced_vs_modal_pair(), bench_unstable_pair()):
+        fb, ev = _stabilizing_four_block(g, k)
+        ref = four_block(g, k)
+        assert linalg._is_real_schur(fb.system.A)
+        assert np.array_equal(ev, linalg._block_eigenvalues(fb.system.A))
+        for i in (0, 1):
+            for j in (0, 1):
+                assert transfer_close(fb.block(i, j), ref.block(i, j))
 
 
 def test_check_minimal_benchmark_controller():
