@@ -152,7 +152,7 @@ def mode_importance(block: ModalBlock) -> float:
         raise AxisPoleError("mode on the imaginary axis cannot be ranked")
     if lam.real < 0.0 and block.order > 1:
         return hinf_norm(block.system())
-    coupling = block.C @ np.linalg.solve(block.A, block.B)
+    coupling = block.C @ linalg._gesv(block.A, block.B)
     return float(_largest_singular_values(coupling[None])[0])
 
 

@@ -19,6 +19,21 @@ stable/antistable split left it in that form.  ``_solve_sylvester`` serves
 :func:`solve_sylvester` and :mod:`ctred.decompose`, which hands it the
 blocks of one Schur form.  No scipy Lyapunov or Sylvester solver runs.
 
+The single-matrix factorizations of the hot path are direct LAPACK
+calls, each made and checked in one private driver: ``_gees`` (real
+Schur form), ``_geev`` (eigenvalues), ``_posv`` (positive definite
+solve), ``_syevd`` (symmetric eigen-decomposition), ``_gesdd`` (economy
+SVD) and ``_gesv`` (general solve).  At the orders ctred serves, the
+numpy and scipy wrappers cost more than the routines inside them.  Each
+driver makes the LAPACK call of the wrapper it stands for and returns
+what that returns, refuses non-finite input where that wrapper does,
+with the same exception type, and raises ``numpy.linalg.LinAlgError``
+when LAPACK reports a nonzero ``info``.  The numbers agree bit for bit
+where numpy and scipy link the same LAPACK.  Their wheels bundle separate
+OpenBLAS builds: with numpy 2.4.6 and scipy 1.17.1, on random draws of
+orders 1-39, ``gesv`` rounds apart from order 6 and ``gesdd`` from order
+33, and the other four agree.
+
 Reordering is one LAPACK ``trsen`` call, checked in ``_reorder_schur``
 (its info, the reconstruction residual and the partition of the reordered
 spectrum); :func:`solve_care` reorders the one Schur form of its
@@ -97,6 +112,96 @@ def _require_square(a: np.ndarray, name: str) -> None:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
 
 
+def _lapack_ok(info: int, routine: str) -> None:
+    """Raise ``numpy.linalg.LinAlgError`` unless LAPACK ``routine`` reported
+    ``info`` 0."""
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info {info})")
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite (counted: an ``all`` reduction
+    costs more than the count at these sizes)."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _no_sort(re: float, im: float) -> None:
+    """``gees``'s selection callback, never called: the form is unsorted."""
+
+
+def _gees(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form ``(T, Z)`` of a square matrix, ``a = Z T Z^T``: one
+    unsorted ``gees`` call with its default workspace, as
+    ``scipy.linalg.schur(a, output="real")`` returns it.  Raises
+    ``ValueError`` on a non-finite entry, as that does."""
+    if not _finite(a):
+        raise ValueError("array must not contain infs or NaNs")
+    t, _, _, _, z, _, info = sla.lapack.dgees(_no_sort, a)
+    _lapack_ok(info, "gees")
+    return t, z
+
+
+def _geev(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square matrix in LAPACK's order: one ``geev`` call
+    without eigenvectors, as ``np.linalg.eigvals(a)`` returns them (a real
+    array when every imaginary part is zero).  Raises ``LinAlgError`` on a
+    non-finite entry, as that does."""
+    if not _finite(a):
+        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
+    wr, wi, _, _, info = sla.lapack.dgeev(a, compute_vl=0, compute_vr=0)
+    _lapack_ok(info, "geev")
+    if not np.count_nonzero(wi):
+        return wr
+    ev = wr.astype(complex)  # wr + 1j * wi could flip the sign of a zero real part
+    ev.imag = wi
+    return ev
+
+
+def _posv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``X`` with ``A X = B`` for a symmetric positive definite ``A``, as
+    ``scipy.linalg.solve(a, b, assume_a="pos")`` returns it: a 1x1 ``A``
+    divides (refusing only an exact zero, so a negative ``A`` passes), any
+    larger one takes one Cholesky ``posv`` call, which refuses a matrix
+    that is not positive definite.  Raises ``ValueError`` on a non-finite
+    entry, as scipy does."""
+    if not (_finite(a) and _finite(b)):
+        raise ValueError("array must not contain infs or NaNs")
+    if a.shape == (1, 1):
+        if a[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("singular 1x1 matrix")
+        return b / a
+    _, x, info = sla.lapack.dposv(a, b)
+    _lapack_ok(info, "posv")
+    return x
+
+
+def _syevd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric
+    matrix, read from its lower triangle: one divide-and-conquer ``syevd``
+    call, as ``np.linalg.eigh(a)`` returns them."""
+    w, v, info = sla.lapack.dsyevd(a, lower=1)
+    _lapack_ok(info, "syevd")
+    return w, v
+
+
+def _gesdd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy SVD ``a = U diag(s) V^T`` (``s`` descending): one
+    divide-and-conquer ``gesdd`` call, as
+    ``np.linalg.svd(a, full_matrices=False)`` returns it."""
+    u, s, vt, info = sla.lapack.dgesdd(a, full_matrices=0)
+    _lapack_ok(info, "gesdd")
+    return u, s, vt
+
+
+def _gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``X`` with ``A X = B`` for a square ``A``: one LU ``gesv`` call, as
+    ``np.linalg.solve(a, b)`` returns it; an exactly singular ``A`` is
+    refused."""
+    _, _, x, info = sla.lapack.dgesv(a, b)
+    _lapack_ok(info, "gesv")
+    return x
+
+
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square matrix, sorted by (real, imag) parts.
 
@@ -106,7 +211,7 @@ def eigenvalues(a) -> np.ndarray:
     _require_square(m, "A")
     if m.shape[0] == 0:
         return np.array([], dtype=complex)
-    ev = np.linalg.eigvals(m)
+    ev = _geev(m)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
 
@@ -156,17 +261,13 @@ def _block_eigenvalues(t: np.ndarray) -> np.ndarray:
     """Eigenvalues of a quasi-triangular matrix in diagonal-block order.
 
     A 1x1 block is its diagonal entry; every 2x2 block (a nonzero
-    subdiagonal entry starts one, read top down) is solved in one stacked
-    ``eigvals`` call."""
+    subdiagonal entry starts one, read top down) takes one ``_geev``."""
     ev = t.diagonal().astype(complex)
-    starts, free = [], 0
+    free = 0
     for i in np.flatnonzero(t.diagonal(-1)).tolist():
         if i >= free:  # not the second row of the block above
-            starts.append(i)
+            ev[i:i + 2] = _geev(t[i:i + 2, i:i + 2])
             free = i + 2
-    if starts:
-        rows = np.array(starts)[:, None] + (0, 1)
-        ev[rows] = np.linalg.eigvals(t[rows[:, :, None], rows[:, None, :]])
     return ev
 
 
@@ -201,7 +302,7 @@ def _real_schur(m: np.ndarray):
     ``Z`` ``None`` for the identity; any other takes an unsorted
     Hessenberg-QR sweep (``gees``).
     """
-    t, z = (m, None) if _is_real_schur(m) else sla.schur(m, output="real")
+    t, z = (m, None) if _is_real_schur(m) else _gees(m)
     return t, z, _block_eigenvalues(t)
 
 
@@ -311,7 +412,7 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     elif _is_real_schur(-a.T):
         t, sign = -a.T, -1.0
     else:
-        t, z = sla.schur(a, output="real")
+        t, z = _gees(a)
     if not (sign * t.diagonal()).max() < -half_plane_tol(a):
         raise StabilityError("A must have all eigenvalues strictly in the left half-plane")
 

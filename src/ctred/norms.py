@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import AxisPoleError, ConvergenceError, StabilityError, UnsupportedError
@@ -57,6 +56,7 @@ from .tolerances import (
     HAM_CANDIDATE,
     HINF_MAX_ITER,
     HINF_REL,
+    inf_norm,
 )
 
 
@@ -213,8 +213,8 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
         return np.array([np.inf])
     r = gamma**2 * np.eye(s.m) - d.T @ d
     try:
-        rinv_bdt = sla.solve(r, np.hstack([b.T, d.T]), assume_a="pos")
-    except sla.LinAlgError:  # gamma within rounding of the feedthrough gain
+        rinv_bdt = linalg._posv(r, np.hstack([b.T, d.T]))
+    except np.linalg.LinAlgError:  # gamma within rounding of the feedthrough gain
         return np.array([np.inf])
     rinv_bt, rinv_dt = rinv_bdt[:, :n], rinv_bdt[:, n:]
     acl = a + b @ rinv_dt @ c
@@ -222,8 +222,8 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
         (0, 1): gamma * (b @ rinv_bt),
         (1, 0): -(c.T @ (np.eye(s.p) + d @ rinv_dt) @ c) / gamma,
     })
-    ev = np.linalg.eigvals(ham)
-    axis_tol = HAM_CANDIDATE * max(np.linalg.norm(ham, np.inf), 1e-300)
+    ev = linalg._geev(ham)
+    axis_tol = HAM_CANDIDATE * max(inf_norm(ham), 1e-300)
     return np.sort(np.abs(ev[np.abs(ev.real) <= axis_tol].imag))
 
 

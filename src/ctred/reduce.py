@@ -206,7 +206,7 @@ def modal_truncate_decomposition(md: ModalDecomposition, r_red: int) -> Truncati
 def _gramian_factor(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Rank-revealing factor ``Z`` with ``W ~ Z Z^T`` (columns may be
     dropped) and its 2-norm ``sqrt(max eig W)``; ``W`` is symmetric."""
-    evals, vecs = np.linalg.eigh(w)
+    evals, vecs = linalg._syevd(w)
     top = max(evals.max(initial=0.0), 0.0)
     keep = evals > max(top, 1e-300) * GRAMIAN_CUT
     return vecs[:, keep] * np.sqrt(evals[keep]), math.sqrt(top)
@@ -260,7 +260,7 @@ def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
         zc, zc_norm = _gramian_factor(wc)
         zo, zo_norm = _gramian_factor(wo)
         if zc.shape[1] and zo.shape[1]:
-            u, sv, vt = np.linalg.svd(zo.T @ zc, full_matrices=False)
+            u, sv, vt = linalg._gesdd(zo.T @ zc)
             floor = GRAMIAN_FLOOR * np.finfo(float).eps * zc_norm * zo_norm
             return _HankelPass(sv, floor, zc, zo, u, vt)
     return _HankelPass(np.zeros(0), 0.0, None, None, None, None)

@@ -147,7 +147,7 @@ def test_loop_analysis_makes_one_schur_form(balmod, unstable_pair, monkeypatch):
     for g, k in (balmod, unstable_pair):
         acl = four_block(g, k).system.A
         schurs, eigvals_shapes = [], []
-        schur, eigvals = linalg.sla.schur, np.linalg.eigvals
+        schur, eigvals = linalg._gees, linalg._geev
 
         def counted_schur(a, *args, **kwargs):
             schurs.append(np.array(a))
@@ -158,8 +158,8 @@ def test_loop_analysis_makes_one_schur_form(balmod, unstable_pair, monkeypatch):
             return eigvals(a)
 
         with monkeypatch.context() as mp:
-            mp.setattr(linalg.sla, "schur", counted_schur)
-            mp.setattr(np.linalg, "eigvals", counted_eigvals)
+            mp.setattr(linalg, "_gees", counted_schur)
+            mp.setattr(linalg, "_geev", counted_eigvals)
             loop = certify._LoopAnalysis(g, k)
             built = len(schurs)
             loop.quantities, loop.x_bound
@@ -918,7 +918,7 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
     expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
                 for check in (check_lemma3, check_thm1)]
     splits, schurs, acls = [], [], []
-    split, schur, build = split_stable_unstable, linalg.sla.schur, statespace.four_block
+    split, schur, build = split_stable_unstable, linalg._gees, statespace.four_block
 
     def counted_split(s):
         splits.append(s)
@@ -937,7 +937,7 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
         if (name.split(".")[0] == "ctred"
                 and getattr(module, "split_stable_unstable", None) is split):
             monkeypatch.setattr(module, "split_stable_unstable", counted_split)
-    monkeypatch.setattr(linalg.sla, "schur", counted_schur)
+    monkeypatch.setattr(linalg, "_gees", counted_schur)
     monkeypatch.setattr(statespace, "four_block", recorded_build)
     assert [check(g, k, k_r).to_dict() for check in (check_lemma3, check_thm1)] == expected
     assert len(splits) == 2 and splits[0] is k and splits[1] is k_r

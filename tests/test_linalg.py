@@ -106,9 +106,9 @@ def _loop_block_eigenvalues(t):
 
 
 def test_block_eigenvalues_match_the_block_by_block_walk(rng):
-    # one stacked eigvals call gives the 2x2 blocks bit for bit, on Schur
-    # forms and on quasi-triangular matrices with adjacent subdiagonal
-    # entries (paired top down)
+    # one geev per 2x2 block gives numpy's eigvals of the block bit for
+    # bit, on Schur forms and on quasi-triangular matrices with adjacent
+    # subdiagonal entries (paired top down)
     for _ in range(300):
         n = int(rng.integers(0, 16))
         t, _ = sla.schur(rng.standard_normal((n, n)), output="real")
@@ -228,13 +228,13 @@ def test_care_makes_one_schur_reduction_of_its_hamiltonian(monkeypatch, rng):
     expected = linalg.solve_care(a, b, np.eye(3), np.eye(2))
     gees = _counted_schur(monkeypatch)
     shapes = []
-    eigvals = np.linalg.eigvals
+    eigvals = linalg._geev
 
     def recording(m):
         shapes.append(np.shape(m))
         return eigvals(m)
 
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    monkeypatch.setattr(linalg, "_geev", recording)
     p = linalg.solve_care(a, b, np.eye(3), np.eye(2))
     assert [m.shape for m in gees] == [(6, 6)]
     assert shapes and (6, 6) not in shapes
@@ -318,7 +318,7 @@ def test_ordered_schur_reorders_a_schur_form_without_gees(monkeypatch):
         [0.0, 0.0, 0.0, -4.0],
     ])
     _, _, sdim = sla.schur(t, output="real", sort=lambda re, im: re < 0)
-    gees = _counting(monkeypatch, sla, "schur")
+    gees = _counting(monkeypatch, linalg, "_gees")
     form = linalg.ordered_real_schur(t, lambda l: l.real < 0)
     assert gees == []
     assert form.n_selected == 3 == sdim
@@ -333,7 +333,7 @@ def test_ordered_schur_reorders_a_schur_form_without_gees(monkeypatch):
 def test_ordered_schur_nonstandard_block_takes_gees(monkeypatch):
     a = np.array([[1.0, 2.0], [-3.0, 2.0]])  # unequal diagonal: not canonical
     assert not linalg._is_real_schur(a)
-    gees = _counting(monkeypatch, sla, "schur")
+    gees = _counting(monkeypatch, linalg, "_gees")
     form = linalg.ordered_real_schur(a, lambda l: l.real > 0)
     assert len(gees) == 1
     assert form.n_selected == 2
@@ -375,7 +375,7 @@ def test_sylvester_schur_pair_matches_the_general_path(monkeypatch, rng):
         general = sla.solve_sylvester(a, b, -c)
         with monkeypatch.context() as mp:
             scipy_path = _counting(mp, sla, "solve_sylvester")
-            gees = _counting(mp, sla, "schur")
+            gees = _counting(mp, linalg, "_gees")
             x = linalg.solve_sylvester(a, b, c)
         assert scipy_path == []
         assert len(gees) == 2 - schur_operands
@@ -395,7 +395,7 @@ def test_modal_form_makes_one_schur_reduction(monkeypatch, rng):
     # form, contiguous as they come, so no reordering and one triangular
     # Sylvester solve per block column after the first
     k = _eight_real_poles(rng)
-    gees = _counting(monkeypatch, sla, "schur")
+    gees = _counting(monkeypatch, linalg, "_gees")
     sylvester = _counting(monkeypatch, sla, "solve_sylvester")
     peak = _counting(monkeypatch, norms, "_peak_gain")
     detect = _counting(monkeypatch, linalg, "_is_real_schur")
@@ -411,14 +411,14 @@ def test_modal_form_makes_one_schur_reduction(monkeypatch, rng):
 def test_ordered_schur_matches_sorted_gees_bit_for_bit(monkeypatch, rng):
     # the reference is the route ordered_real_schur replaced, LAPACK gees
     # with its sort callback: an unsorted Hessenberg-QR sweep, then trsen
-    gees = sla.schur
+    gees, unsorted = sla.schur, linalg._gees
     sorts = []
 
     def recording(*args, **kwargs):
         sorts.append(kwargs.get("sort"))
-        return gees(*args, **kwargs)
+        return unsorted(*args, **kwargs)
 
-    monkeypatch.setattr(sla, "schur", recording)
+    monkeypatch.setattr(linalg, "_gees", recording)
     for draw in range(400):
         n = int(rng.integers(2, 17))
         a = rng.standard_normal((n, n))  # real poles and complex pairs
@@ -680,14 +680,14 @@ def _shifted_draw(rng, n):
 
 
 def _counted_schur(mp):
-    """Record the arguments of every ``scipy.linalg.schur`` call."""
-    calls, original = [], sla.schur
+    """Record the argument of every ``gees`` call (``linalg._gees``)."""
+    calls, original = [], linalg._gees
 
-    def counted(a, *args, **kwargs):
+    def counted(a):
         calls.append(np.array(a))
-        return original(a, *args, **kwargs)
+        return original(a)
 
-    mp.setattr(sla, "schur", counted)
+    mp.setattr(linalg, "_gees", counted)
     return calls
 
 
@@ -762,3 +762,133 @@ def test_every_gramian_solve_is_checked(monkeypatch, rng, form, corrupt, message
     with pytest.raises(ConvergenceError, match=message):
         linalg.solve_lyapunov(a, np.eye(6))
     assert len(calls) == 2
+
+
+def _driver_inputs(rng):
+    """Square draws of orders 1-20, a few per order: general matrices (real
+    eigenvalues and complex pairs), symmetric ones and upper triangular ones
+    (real spectra), then the 1x1 and 2x2 edge cases."""
+    draws = []
+    for n in range(1, 21):
+        for _ in range(6):
+            draws.append(rng.standard_normal((n, n)))
+        m = rng.standard_normal((n, n))
+        draws += [m + m.T, np.triu(m)]
+    draws += [np.array([[-2.5]]), np.array([[0.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+              np.array([[1.0, 2.0], [-3.0, 2.0]]), np.array([[1.0, 1.0], [0.0, 1.0]])]
+    return draws
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_lapack_drivers_match_the_wrappers_they_replace(rng):
+    # each driver returns what the numpy or scipy call it stands for
+    # returns, bit for bit, on seeded draws of orders 1-20
+    real_spectra = 0
+    for a in _driver_inputs(rng):
+        n = a.shape[0]
+        t, z = linalg._gees(a)
+        t_ref, z_ref = sla.schur(a, output="real")
+        assert _same_bits(t, t_ref) and _same_bits(z, z_ref)
+        ev, ev_ref = linalg._geev(a), np.linalg.eigvals(a)
+        assert _same_bits(ev, ev_ref)
+        real_spectra += ev.dtype == float
+        sym = a + a.T
+        w, v = linalg._syevd(sym)
+        w_ref, v_ref = np.linalg.eigh(sym)
+        assert _same_bits(w, w_ref) and _same_bits(v, v_ref)
+        for shape in ((n, n), (n, n + 2), (n + 2, n)):
+            m = rng.standard_normal(shape)
+            for got, want in zip(linalg._gesdd(m), np.linalg.svd(m, full_matrices=False)):
+                assert _same_bits(got, want)
+        b = rng.standard_normal((n, 3))
+        x, x_ref = linalg._gesv(a + n * np.eye(n), b), np.linalg.solve(a + n * np.eye(n), b)
+        # numpy and scipy link their own OpenBLAS builds, whose LU kernels
+        # may round apart from order 6 on; mode_importance solves on modal
+        # blocks, of order 1 or 2 unless eigenvalues cluster
+        assert _same_bits(x, x_ref) if n <= 5 else np.allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        spd = a @ a.T + 0.1 * np.eye(n)
+        assert _same_bits(linalg._posv(spd, b), sla.solve(spd, b, assume_a="pos"))
+    assert real_spectra >= 40  # the real-dtype return is exercised
+    # a 1x1 "pos" solve divides, as scipy's does, whatever the sign
+    a, b = np.array([[-3.0]]), rng.standard_normal((1, 4))
+    assert _same_bits(linalg._posv(a, b), sla.solve(a, b, assume_a="pos"))
+
+
+@pytest.mark.parametrize("driver, reference, error", [
+    (linalg._gees, lambda a: sla.schur(a, output="real"), ValueError),
+    (linalg._geev, np.linalg.eigvals, np.linalg.LinAlgError),
+    (lambda a: linalg._posv(a, np.ones((2, 1))),
+     lambda a: sla.solve(a, np.ones((2, 1)), assume_a="pos"), ValueError),
+])
+def test_lapack_drivers_refuse_non_finite_input_as_their_wrappers_do(driver, reference, error):
+    # the exact type: LinAlgError is a ValueError
+    for bad in (np.nan, np.inf):
+        a = np.array([[1.0, bad], [0.0, 2.0]])
+        for call in (reference, driver):
+            with pytest.raises(ValueError) as raised:
+                call(a)
+            assert raised.type is error
+
+
+def test_posv_refuses_what_scipy_refuses():
+    for a in (np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.solve(a, np.ones((a.shape[0], 1)), assume_a="pos")
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._posv(a, np.ones((a.shape[0], 1)))
+
+
+@pytest.mark.parametrize("routine, call", [
+    ("dgees", lambda a, b: linalg._gees(a)),
+    ("dgeev", lambda a, b: linalg._geev(a)),
+    ("dposv", lambda a, b: linalg._posv(a @ a.T, b)),
+    ("dsyevd", lambda a, b: linalg._syevd(a + a.T)),
+    ("dgesdd", lambda a, b: linalg._gesdd(a)),
+    ("dgesv", lambda a, b: linalg._gesv(a, b)),
+])
+def test_every_lapack_driver_checks_info(monkeypatch, rng, routine, call):
+    # a nonzero info (the last output of each routine) raises LinAlgError
+    real = getattr(sla.lapack, routine)
+    monkeypatch.setattr(sla.lapack, routine, lambda *args, **kwargs: (
+        *real(*args, **kwargs)[:-1], 1))
+    a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
+    with pytest.raises(np.linalg.LinAlgError, match=f"{routine[1:]} failed"):
+        call(a, b)
+
+
+# the single-matrix wrappers whose overhead the linalg drivers remove; the
+# sites named here are off the hot path (solve_care, the balancing-free
+# projection) or stack many matrices into one call
+_WRAPPERS = {f"{module}.{name}" for module in ("sla", "scipy.linalg", "np.linalg", "numpy.linalg")
+             for name in ("schur", "eigvals", "eigh", "svd", "solve")}
+_WRAPPER_SITES = {("linalg.py", "solve_care"), ("reduce.py", "_truncate_part_by_tol"),
+                  ("norms.py", "_largest_singular_values"), ("statespace.py", "eval"),
+                  ("statespace.py", "frequency_response")}
+
+
+def _wrapper_calls(node, owner=None):
+    """``(enclosing function, line)`` of each wrapper call below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _wrapper_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and ast.unparse(child.func) in _WRAPPERS:
+            yield owner, child.lineno
+        yield from _wrapper_calls(child, owner)
+
+
+def test_single_matrix_factorizations_take_the_lapack_drivers():
+    package = Path(linalg.__file__).parent
+    offenders, seen = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, line in _wrapper_calls(tree):
+            if (path.name, owner) in _WRAPPER_SITES:
+                seen.add((path.name, owner))
+            else:
+                offenders.append(f"{path.name}:{line} ({owner})")
+    assert offenders == []
+    assert seen == _WRAPPER_SITES  # every allowed site still makes its call
