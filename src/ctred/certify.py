@@ -43,25 +43,28 @@ failing condition always rests on computed norms.  ``lemma3`` and
 bounds both ``||X*delta||`` and ``||delta*X||`` on the axis, where ``d =
 ||D|| + 2 sum sigma(delta_s) + 2 sum sigma(mirror(delta_u))`` is the
 Hankel-sum bound of the two parts (:attr:`~ctred.reduce._Split.upper_bound`,
-Glover 1984; ``inf`` when a controller does not split).  ``||X||_inf`` is
-itself taken bound first (:func:`_small_gain_bound`): the Hankel-sum bound
-of ``X`` when it decides, else the computed peak gain with a margin for
-its error.  ``lemma3`` also hands it the products' poles, read from the
-spectra of the loop and of the two splits, so a product with a pole on the
-axis is refused.  ``thm1`` measures the stable realization of ``delta``
-times ``X`` (stable because both factors are) and adds to ``b`` the
-proven bound on the product it dropped, :func:`_small_gain_bound` of
-``2 sum sigma(mirror(delta_u))`` (0 when ``delta_u`` has order 0); only a
-genuine ``delta_u``, or a controller that does not split, sends ``thm1``
-to the stability test of each whole product (:func:`_stable_form`).  In
-a SISO loop ``X*delta`` and ``delta*X`` are one transfer function, and
-one peak-gain search serves both names (:meth:`_ErrorAnalysis.products`).
+Glover 1984; ``inf`` when a controller does not split).  ``||X||_inf``
+enters ``lemma3`` and ``thm1`` only as its own Hankel-sum bound
+(:attr:`_LoopAnalysis.x_bound`), so ``b`` is a product of two proven
+bounds; when it is not below one the product's own peak gain is computed,
+and no peak gain of ``X`` is searched.  ``lemma3`` also hands it the
+products' poles, read from the spectra of the loop and of the two splits,
+so a product with a pole on the axis is refused.  ``thm1`` measures the
+stable realization of ``delta`` times ``X`` (stable because both factors
+are) and adds to ``b`` the proven bound on the product it dropped, ``X``'s
+Hankel-sum bound times ``2 sum sigma(mirror(delta_u))`` (0 when
+``delta_u`` has order 0); only a genuine ``delta_u``, or a controller that
+does not split, sends ``thm1`` to the stability test of each whole product
+(:func:`_stable_form`).  In a SISO loop ``X*delta`` and ``delta*X`` are
+one transfer function, and one peak-gain search serves both names
+(:meth:`_ErrorAnalysis.products`).
 
 The bound certificates ``thm2``, ``cor1`` and ``cor2`` share one body
 (:func:`_small_gain_record`): they read ``delta_hinf`` and ``delta_h2``
 from one error analysis, both measured once per reduced controller on
 the stable realization of ``K_r - K`` (``delta`` itself or
-``delta_s``), and the computed ``||X||_inf``.  ``cor1`` takes only its
+``delta_s``), and the computed ``||X||_inf`` among the loop norms
+(:func:`_loop_quantities`).  ``cor1`` takes only its
 Hankel tail from the truncation result.
 
 Certificates on the same plant and controller share one loop analysis:
@@ -115,7 +118,7 @@ from .statespace import (
     negate,
     series,
 )
-from .tolerances import CLUSTER_TOL, SMALL_GAIN_MARGIN, stab_override
+from .tolerances import CLUSTER_TOL, stab_override
 
 THEOREMS = ("lemma3", "thm1", "thm2", "cor1", "cor2", "thm3")
 
@@ -336,17 +339,15 @@ class _LoopAnalysis:
         return norms._peak_gain(block, self.spectrum)
 
     @cached_property
-    def x_hinf(self) -> float:
-        """``||X||_inf``, the loop norm every small-gain condition reads."""
-        return self.block_hinf(self.fb.x)
-
-    @cached_property
     def x_bound(self) -> float:
-        """A proven upper bound on ``||X||_inf``: the Hankel-sum bound of
-        ``X`` with one noise floor per state
+        """A proven upper bound on ``||X||_inf``, the only form in which
+        ``lemma3`` and ``thm1`` read it: the Hankel-sum bound of ``X`` with
+        one noise floor per state
         (:attr:`~ctred.reduce._HankelPass.upper_bound`), from triangular
         Gramian solves on the loop's Schur form; ``inf`` when a Gramian
-        misses its residual check (:class:`ConvergenceError`)."""
+        misses its residual check (:class:`ConvergenceError`), so that every
+        bound it enters fails to decide (``inf * 0`` is NaN) and the error
+        products' own peak gains are computed."""
         try:
             return _hankel_pass(self.fb.x).upper_bound
         except ConvergenceError:
@@ -430,30 +431,6 @@ class _Record:
                                     stable, tuple(self.notes), self.kinds)
 
 
-def _small_gain_bound(loop: _LoopAnalysis, d: float) -> float:
-    """Upper bound on ``||X*e||`` and ``||e*X||`` over the axis for an
-    ``e`` with ``||e|| <= d``, by submultiplicativity, bound first.
-
-    ``loop.x_bound * d`` (:attr:`_LoopAnalysis.x_bound`) is returned when
-    it is below one: both factors are proven, and no peak gain of ``X`` is
-    searched.  Otherwise, or when ``X``'s Gramians were refused, it is
-    ``(1 + SMALL_GAIN_MARGIN) ||X||_inf d`` on the computed ``||X||_inf``,
-    which is not proven: it is within ``HINF_REL`` of a gain the kernel
-    evaluated, which lies at or below the peak.  Over the 1984 peak gains
-    of the stability_batch and bound_batch pools at seeds 11 and 401 the
-    worst lay 8.5e-11 below a dense direct-LU reference; before the search
-    trusted only evaluated gains, ``hinf_norm`` was measured low by up to
-    1.4e-5 on closed-loop blocks and 1.7e-5 on error products.
-    ``SMALL_GAIN_MARGIN`` covers those five times over and costs nothing in
-    practice: a bound within that margin of one falls through to the
-    computed norm.
-    """
-    bound = loop.x_bound * d
-    if bound < 1.0:
-        return bound
-    return (1.0 + SMALL_GAIN_MARGIN) * loop.x_hinf * d
-
-
 def _stable_form(s: StateSpaceSystem, notes: list, label: str):
     """Stability of a transfer function with a usable realization.
 
@@ -482,13 +459,15 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
     its strictly proper part for the H2 entry (the raw H2 integral of a
     biproper function diverges).  The two H2 entries of each input block
     share one Gramian, the cost keeps its own, and the three share one
-    Schur form of the closed-loop matrix (:func:`_four_block_h2`).
+    Schur form of the closed-loop matrix (:func:`_four_block_h2`).  The
+    computed ``x_hinf`` is read by the bound certificates only; ``lemma3``
+    and ``thm1`` read ``||X||_inf`` as :attr:`_LoopAnalysis.x_bound`.
     """
     fb = loop.fb
     ((x_h2, kx_h2), (xk_h2, ky_h2)), whole = _four_block_h2(fb)
     return {
         "x_h2": x_h2,
-        "x_hinf": loop.x_hinf,
+        "x_hinf": loop.block_hinf(fb.x),
         "xk_h2": xk_h2,
         "kx_h2": kx_h2,
         "kx_hinf": loop.block_hinf(fb.kx),
@@ -526,7 +505,7 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
 
     # a bound below one means both controllers split, and the products'
     # poles are those of the loop and of the two splits
-    bound = _small_gain_bound(loop, err.delta_bound)
+    bound = loop.x_bound * err.delta_bound
     gains = [rec.gain(f"{product}_linf", bound, form,
                       lambda: np.concatenate([loop.spectrum, err.parts.spectrum]))
              for product, form in err.products(err.delta).items()]
@@ -545,8 +524,8 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
     When ``delta`` has a stable realization ``d``
     (:attr:`_ErrorAnalysis.delta_stable`), the products of ``d`` with the
     stable ``Y`` and ``X`` are stable as realized; what they drop is
-    ``X*delta_u`` or ``delta_u*X``, bounded by :func:`_small_gain_bound`
-    of the Hankel bound of ``delta_u`` (0 when ``d`` is ``delta``).
+    ``X*delta_u`` or ``delta_u*X``, bounded by the Hankel bound of ``X``
+    times that of ``delta_u`` (0 when ``d`` is ``delta``).
     Otherwise each whole product is tested by :func:`_stable_form`.
     """
     loop = _loop(g, k, k_r)
@@ -561,10 +540,10 @@ def check_thm1(g: StateSpaceSystem, k: StateSpaceSystem,
                  in zip(err.products(err.delta).items(), ("X*delta", "delta*X"))}
     else:
         dy_stable = True
-        dropped = _small_gain_bound(loop, err.parts.anti_pass.upper_bound)
+        dropped = loop.x_bound * err.parts.anti_pass.upper_bound
         forms = {product: (form, dropped) for product, form in err.products(d).items()}
     # the stable form is the product minus the dropped part
-    bound = _small_gain_bound(loop, err.delta_bound)
+    bound = loop.x_bound * err.delta_bound
     gains = [rec.gain(f"{product}_hinf", bound + dropped, form)
              for product, (form, dropped) in forms.items()]
     if not dy_stable:
@@ -610,7 +589,7 @@ def _small_gain_record(g: StateSpaceSystem, k: StateSpaceSystem,
     values, notes = err.delta_norms
     rec = _Record(err, loop.quantities, values, notes=notes,
                   computed=("delta_hinf", "x_hinf"))
-    return rec, loop.x_hinf * values["delta_hinf"] < 1.0
+    return rec, rec.quantities["x_hinf"] * values["delta_hinf"] < 1.0
 
 
 def check_thm2_bound(g: StateSpaceSystem, k: StateSpaceSystem,

@@ -16,18 +16,25 @@ from .errors import CtredError, SynthesisError
 from .statespace import StateSpaceSystem, add, check_minimal, is_internally_stable
 
 
+def _rotated_diagonal(
+    rng: np.random.Generator, low: float, high: float, order: int, m: int, p: int,
+) -> StateSpaceSystem:
+    """Orthogonally rotated diagonal dynamics with eigenvalues uniform on
+    ``[low, high]``, entries of ``B`` and ``C`` uniform on [-1, 1]."""
+    lam = rng.uniform(low, high, order)
+    q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+    b = rng.uniform(-1.0, 1.0, (order, m))
+    c = rng.uniform(-1.0, 1.0, (p, order))
+    return StateSpaceSystem(q @ np.diag(lam) @ q.T, b, c)
+
+
 def random_stable_minimal(
     rng: np.random.Generator, order: int, m: int = 1, p: int = 1,
 ) -> StateSpaceSystem:
     """Random stable minimal system: orthogonally rotated diagonal dynamics
     with eigenvalues uniform on [-5, -0.2]."""
     for _ in range(50):
-        lam = rng.uniform(-5.0, -0.2, order)
-        q, _ = np.linalg.qr(rng.standard_normal((order, order)))
-        a = q @ np.diag(lam) @ q.T
-        b = rng.uniform(-1.0, 1.0, (order, m))
-        c = rng.uniform(-1.0, 1.0, (p, order))
-        s = StateSpaceSystem(a, b, c)
+        s = _rotated_diagonal(rng, -5.0, -0.2, order, m, p)
         if check_minimal(s):
             return s
     raise SynthesisError("failed to draw a minimal stable system")
@@ -38,12 +45,7 @@ def random_antistable(
 ) -> StateSpaceSystem:
     """Random antistable system: eigenvalues uniform on [0.1, 1.5], entries
     of ``B`` and ``C`` uniform on [-1, 1]."""
-    lam = rng.uniform(0.1, 1.5, order)
-    q, _ = np.linalg.qr(rng.standard_normal((order, order)))
-    a = q @ np.diag(lam) @ q.T
-    b = rng.uniform(-1.0, 1.0, (order, m))
-    c = rng.uniform(-1.0, 1.0, (p, order))
-    return StateSpaceSystem(a, b, c)
+    return _rotated_diagonal(rng, 0.1, 1.5, order, m, p)
 
 
 def synthesize_stabilizing_plant(k: StateSpaceSystem) -> StateSpaceSystem:

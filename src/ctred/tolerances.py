@@ -129,13 +129,6 @@ BRACKET_REL = 1e-13
 # Lowest frequency of the initial peak-gain grid (rad/s).
 GRID_FLOOR = 1e-8
 
-# Relative margin on the computed ||X||_inf in the small-gain bound
-# (1 + SMALL_GAIN_MARGIN) ||X||_inf d of the certificates
-# (ctred.certify._small_gain_bound), read only when X's Hankel-sum bound
-# does not decide; measured peak gains once lay up to 1.7e-5 low, and the
-# margin covered that five times over.
-SMALL_GAIN_MARGIN = 1e-4
-
 
 def stab_override() -> str | None:
     """The ``CTRED_TOL_STAB`` override in force, or ``None``."""

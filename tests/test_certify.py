@@ -55,7 +55,6 @@ from ctred.statespace import (
     negate,
     series,
 )
-from ctred.tolerances import SMALL_GAIN_MARGIN
 
 
 @pytest.fixture(scope="module")
@@ -671,9 +670,8 @@ def test_loop_analysis_builds_each_four_block_once(balmod, monkeypatch):
 def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
     # with a stable controller X*delta and delta*X are stable as realized,
     # so thm1 tests the very products lemma3 tests.  The detuning's Hankel
-    # bound times X's Hankel bound is above one (1.21), times the computed
-    # ||X||_inf below it (0.81): that decides both, and the one peak gain
-    # is ||X||_inf
+    # bound times X's Hankel bound is above one (1.21), so neither decides
+    # and the one peak gain is the SISO product's, searched once for both
     g, k = generate_instance(4, 0, 0)
     k_r = add(k, make_system([[-2.0]], [[48.0]], [[50.0]]))
     expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
@@ -683,9 +681,12 @@ def test_lemma3_and_thm1_share_error_peak_gains(monkeypatch, first, second):
     certs = [check(g, k, k_r) for check in (first, second)]
     assert [cert.to_dict() for cert in certs] == expected
     assert calls == {"_peak_gain": 1}
+    gains = set()
     for cert in certs:
         assert cert.condition_satisfied
-        assert set(cert.kinds.values()) == {"upper_bound"}
+        assert set(cert.kinds.values()) == {"computed"}
+        gains |= {cert.quantities[name] for name in cert.kinds}
+    assert len(gains) == 1
 
 
 def test_x_hankel_bound_decides_without_a_peak_gain(monkeypatch):
@@ -708,22 +709,29 @@ def test_x_hankel_bound_decides_without_a_peak_gain(monkeypatch):
 
 def test_refused_x_gramian_falls_back_to_the_computed_norm(monkeypatch):
     # a loop whose X Gramian misses its residual check has no Hankel bound:
-    # the small-gain bound is the margined computed ||X||_inf d, as when the
-    # bound was never tried, and no other error is caught
+    # x_bound is inf, so no product of bounds decides (thm1's dropped part
+    # is inf * 0, NaN), and lemma3 and thm1 record the products' computed
+    # peak gains, at or below the bounds that decide on the same loop when
+    # the Gramian is kept; no other error is caught
     g, k = generate_instance(4, 0, 0)
     k_r = balanced_truncate_unstable(k, 3).reduced
     checks = (check_lemma3, check_thm1)
-    with monkeypatch.context() as mp:
-        mp.setattr(certify, "_small_gain_bound",
-                   lambda loop, d: (1.0 + SMALL_GAIN_MARGIN) * loop.x_hinf * d)
-        expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict() for check in checks]
+    proven = [check(_fresh(g), _fresh(k), _fresh(k_r)) for check in checks]
 
     def refused(s):
         raise ConvergenceError("Lyapunov residual 1.45e-03 exceeds tolerance")
 
     monkeypatch.setattr(certify, "_hankel_pass", refused)
-    assert [check(g, k, k_r).to_dict() for check in checks] == expected
+    certs = [check(g, k, k_r) for check in checks]
     assert certify._loop(g, k, k_r).x_bound == math.inf
+    gain = norms.linf_norm(series(four_block(g, k).x, add(k_r, negate(k))))
+    for cert, bound in zip(certs, proven):
+        assert set(bound.kinds.values()) == {"upper_bound"}
+        assert set(cert.kinds.values()) == {"computed"}
+        assert cert.condition_satisfied == bound.condition_satisfied
+        for name in cert.kinds:
+            assert cert.quantities[name] == pytest.approx(gain, rel=1e-8)
+            assert cert.quantities[name] <= bound.quantities[name]
 
     def failing(s):
         raise ZeroDivisionError("defect")
@@ -736,19 +744,44 @@ def test_refused_x_gramian_falls_back_to_the_computed_norm(monkeypatch):
 def test_x_hankel_bound_is_at_least_the_computed_norm():
     for g, k, _ in criterion_07_triples(40):
         loop = certify._LoopAnalysis(g, k)
-        assert loop.x_bound >= loop.x_hinf
+        assert loop.x_bound >= loop.quantities["x_hinf"]
+
+
+def test_lemma3_and_thm1_search_no_peak_gain_of_x(monkeypatch):
+    # ||X||_inf enters lemma3 and thm1 only as X's Hankel-sum bound: where
+    # the product of bounds does not decide, the error product's own peak
+    # gain is searched, never X's
+    searched = []
+    original = norms._peak_gain
+
+    def recorded(s, ev):
+        searched.append(s)
+        return original(s, ev)
+
+    monkeypatch.setattr(norms, "_peak_gain", recorded)
+    x_searches = products = 0
+    for g, k, k_r in itertools.chain(criterion_07_triples(40), mimo_balanced_triples(12)):
+        searched.clear()
+        check_lemma3(g, k, k_r)
+        check_thm1(g, k, k_r)
+        x = _stabilizing_four_block(g, k)[0].x
+        x_searches += sum(all(np.array_equal(getattr(s, f), getattr(x, f)) for f in "ABCD")
+                          for s in searched)
+        products += len(searched)
+    assert x_searches == 0
+    assert products > 0  # the products of bounds did not decide everywhere
 
 
 def test_siso_products_share_one_peak_gain_search(monkeypatch):
     # in a SISO loop X*delta and delta*X are one transfer function: with a
     # stable controller and a detuning the bound does not decide, lemma3
-    # and thm1 search ||X||_inf and one product, whose gain stands for both
+    # and thm1 search one product, whose gain stands for both
     g, k = generate_instance(4, 0, 0)
     k_r = add(k, make_system([[-2.0]], [[100.0]], [[100.0]]))
     calls = {}
     _count_calls(monkeypatch, norms, "_peak_gain", calls)
     lemma3, thm1 = check_lemma3(g, k, k_r), check_thm1(g, k, k_r)
-    assert calls == {"_peak_gain": 2}
+    assert calls == {"_peak_gain": 1}
     assert set(lemma3.kinds.values()) == set(thm1.kinds.values()) == {"computed"}
     gain = lemma3.quantities["x_delta_linf"]
     assert gain > 1.0
@@ -998,7 +1031,8 @@ def test_small_gain_norms_bound_the_products():
 
 def test_loop_peak_gain_is_shared_by_bound_and_small_gain_certificates(
         balmod, monkeypatch):
-    # thm2 reads ||X||_inf among the loop norms; lemma3's bound reuses it
+    # thm2 reads ||X||_inf among the loop norms, the one search of X;
+    # lemma3 reads only X's Hankel-sum bound and searches no peak gain of X
     g, k = _fresh(balmod[0]), _fresh(balmod[1])
     k_r = balanced_truncate_unstable(k, 2).reduced
     args = []
