@@ -24,8 +24,8 @@ the split ``K = K_s + K_u`` and each error analysis that of ``K_r``.
 ``delta``'s parts are their differences, ``delta_s = K_rs - K_s`` and
 ``delta_u = K_ru - K_u``; both are block-diagonal sums of Schur forms, so
 their Hankel passes need no Schur reduction, and ``delta`` itself is never
-split.  The unstable poles of a controller are those its
-split keeps after dropping the directions at its rounding floor
+split.  The unstable poles of a controller are those its split keeps
+after dropping the directions at its rounding floor
 (:meth:`~ctred.reduce._Split.cancelled_anti`, the rule of
 :func:`~ctred.reduce.split_cancelled_unstable`): ``lemma3`` counts them
 for ``K`` and ``K_r``, and ``thm3`` matches the structural zeros of
@@ -48,10 +48,10 @@ enters ``lemma3`` and ``thm1`` only as its own Hankel-sum bound
 (:attr:`_LoopAnalysis.x_bound`), so ``b`` is a product of two proven
 bounds; when it is not below one the product's own peak gain is computed,
 and no peak gain of ``X`` is searched.  ``lemma3`` also hands it the
-products' poles, read from the spectra of the loop and of the two splits,
-so a product with a pole on the axis is refused.  ``thm1`` measures the
-stable realization of ``delta`` times ``X`` (stable because both factors
-are) and adds to ``b`` the proven bound on the product it dropped, ``X``'s
+products' poles, those of the loop and of the parts of ``delta``, so a
+product with a pole on the axis is refused.  ``thm1`` measures the stable
+realization of ``delta`` times ``X`` (stable because both factors are)
+and adds to ``b`` the proven bound on the product it dropped, ``X``'s
 Hankel-sum bound times ``2 sum sigma(mirror(delta_u))`` (0 when
 ``delta_u`` has order 0); only a genuine ``delta_u``, or a controller that
 does not split, sends ``thm1`` to the stability test of each whole product
@@ -62,20 +62,21 @@ one transfer function, and one peak-gain search serves both names
 The bound certificates ``thm2``, ``cor1`` and ``cor2`` share one body
 (:func:`_small_gain_record`): they read ``delta_hinf`` and ``delta_h2``
 from one error analysis, both measured once per reduced controller on
-the stable realization of ``K_r - K`` (``delta`` itself or
-``delta_s``), and the computed ``||X||_inf`` among the loop norms
-(:func:`_loop_quantities`).  ``cor1`` takes only its
-Hankel tail from the truncation result.
+the stable realization of ``K_r - K`` (``delta`` itself or ``delta_s``),
+and the computed ``||X||_inf`` among the loop norms
+(:func:`_loop_quantities`).  ``cor1`` takes only its Hankel tail from the
+truncation result.
 
-Certificates on the same plant and controller share one loop analysis:
-the stabilizing check, the four-block map (realized on one real Schur
-form of its state matrix), its spectrum and its norms (the peak gains of
-``X``, ``KX`` and ``Y`` read that spectrum; the H2 norms and ``X``'s
-Hankel-sum bound take triangular Gramian solves), the split of ``K``,
+Every pole a certificate reads is a system's own (``_poles``: the Schur
+diagonal's spectrum when ``A`` is in real Schur form, else one
+eigen-solve; :mod:`ctred.statespace`).  Certificates on the same plant
+and controller share one loop analysis: the stabilizing check, the
+four-block map on one real Schur form of its state matrix, which the map
+and its blocks hold with their poles, the loop norms, the split of ``K``
 and, for the last reduced controller seen, the split of ``K_r``, the
 error system and its norms, the error products with ``X``, their peak
-gains and the reduced loop's eigenvalue verdict.  The last
-analysis is kept (``functools.lru_cache``) under ``g``, ``k`` and the
+gains and the reduced loop's eigenvalue verdict.  The last analysis is
+kept (``functools.lru_cache``) under ``g``, ``k`` and the
 ``CTRED_TOL_STAB`` override.  Systems compare by *identity*, never by
 content: they are immutable and own their arrays, so the same objects
 always describe the same loop, while equal content built anew -- each
@@ -107,7 +108,7 @@ from .errors import (
     WrongCertificateError,
     ZeroModeError,
 )
-from .norms import _check_no_axis_poles, _h2_norms, h2_norm, hinf_norm, linf_norm
+from .norms import _AXIS_POLES, _h2_norms, h2_norm, hinf_norm, linf_norm
 from .reduce import TruncationResult, _hankel_pass, _Split, drop_negligible_antistable
 from .statespace import (
     StateSpaceSystem,
@@ -177,12 +178,12 @@ def lqg_cost(g: StateSpaceSystem, k: StateSpaceSystem) -> float:
     Equals the squared H2 norm of the joint closed-loop map from the two
     noise channels to the performance output and the control input.
     """
-    return h2_norm(_stabilizing_four_block(g, k)[0].system) ** 2
+    return h2_norm(_stabilizing_four_block(g, k).system) ** 2
 
 
 def lqg_cost_blocks(g: StateSpaceSystem, k: StateSpaceSystem):
     """Total cost and the four per-block squared-H2 contributions."""
-    cols, whole = _four_block_h2(_stabilizing_four_block(g, k)[0])
+    cols, whole = _four_block_h2(_stabilizing_four_block(g, k))
     parts = [cols[j][i] ** 2 for i in (0, 1) for j in (0, 1)]
     return whole ** 2, parts
 
@@ -233,9 +234,8 @@ class _ErrorAnalysis:
     @cached_property
     def parts(self):
         """The split of ``delta``: ``delta_s = K_rs - K_s`` and ``delta_u =
-        K_ru - K_u`` from the parts of the held splits, both block-diagonal
-        sums of Schur forms; the exception of a controller that does not
-        split."""
+        K_ru - K_u``, sums of Schur forms holding their poles; the exception
+        of a controller that does not split."""
         if not isinstance(self.k_r_split, _Split):
             return self.k_r_split
         if not isinstance(self.k_split, _Split):
@@ -247,8 +247,7 @@ class _ErrorAnalysis:
     def delta_bound(self) -> float:
         """Upper bound on ``||delta||`` over the axis
         (:attr:`~ctred.reduce._Split.upper_bound` of :attr:`parts`); ``inf``
-        when a controller's poles do not split into stable and antistable
-        parts."""
+        when a controller does not split."""
         return self.parts.upper_bound if isinstance(self.parts, _Split) else math.inf
 
     @cached_property
@@ -315,39 +314,26 @@ class _ErrorAnalysis:
 
 
 class _LoopAnalysis:
-    """The nominal loop ``(g, k)`` as every certificate starts from it.
-
-    Construction checks that ``k`` stabilizes ``g``, builds the four-block
-    map on one real Schur form of its state matrix
-    (:func:`~ctred.statespace._stabilizing_four_block`), keeps the spectrum
-    of that form's diagonal and splits ``k``.  Every loop norm is computed
-    on first use: the peak gains on that spectrum, the H2 norms and the
-    Hankel-sum bound of ``X`` from triangular Gramian solves.
-    :meth:`error` keeps the error analysis of the last reduced controller
-    seen on any loop.
+    """The nominal loop ``(g, k)`` as every certificate starts from it: the
+    stabilizing check, the four-block map on one real Schur form
+    (:func:`~ctred.statespace._stabilizing_four_block`), the split of ``k``
+    and the loop norms, each computed on first use.  :meth:`error` keeps
+    the error analysis of the last reduced controller seen on any loop.
     """
 
     def __init__(self, g: StateSpaceSystem, k: StateSpaceSystem):
         self.g, self.k = g, k
-        self.fb, self.spectrum = _stabilizing_four_block(g, k)
+        self.fb = _stabilizing_four_block(g, k)
         self.k_split = _split(k)
-
-    def block_hinf(self, block: StateSpaceSystem) -> float:
-        """``hinf_norm`` of a block of the four-block map, on the kept
-        spectrum: every block has the closed-loop state matrix, which the
-        construction found stable."""
-        return norms._peak_gain(block, self.spectrum)
 
     @cached_property
     def x_bound(self) -> float:
-        """A proven upper bound on ``||X||_inf``, the only form in which
-        ``lemma3`` and ``thm1`` read it: the Hankel-sum bound of ``X`` with
-        one noise floor per state
-        (:attr:`~ctred.reduce._HankelPass.upper_bound`), from triangular
-        Gramian solves on the loop's Schur form; ``inf`` when a Gramian
-        misses its residual check (:class:`ConvergenceError`), so that every
-        bound it enters fails to decide (``inf * 0`` is NaN) and the error
-        products' own peak gains are computed."""
+        """``||X||_inf`` as ``lemma3`` and ``thm1`` read it: the Hankel-sum
+        bound of ``X`` (:attr:`~ctred.reduce._HankelPass.upper_bound`), from
+        triangular Gramian solves; ``inf`` when a Gramian misses its residual
+        check (:class:`ConvergenceError`), so that every bound it enters
+        fails to decide (``inf * 0`` is NaN) and the error products' own
+        peak gains are computed."""
         try:
             return _hankel_pass(self.fb.x).upper_bound
         except ConvergenceError:
@@ -397,21 +383,20 @@ class _Record:
 
     def gain(self, name: str, bound: float, form: StateSpaceSystem | None,
              poles=None) -> float:
-        """Record and return the peak gain ``name`` of ``form``, bound first.
-
-        The proven upper bound ``bound`` is recorded as ``"upper_bound"``
-        when it is below one, and ``form``'s peak-gain search is skipped;
-        when ``poles`` is given, none of the poles of ``form`` it returns
-        may lie on the axis.  Otherwise the gain is computed
+        """Record and return the peak gain ``name`` of ``form``, bound first:
+        the proven upper bound ``bound`` as ``"upper_bound"`` when it is below
+        one, skipping the search, unless a pole in ``poles()`` (``form``'s,
+        from its factors) lies within :func:`~ctred.linalg.half_plane_tol` of
+        the axis; otherwise the gain is computed
         (:meth:`_ErrorAnalysis.peak_gain`), or ``inf`` when ``form`` is
         ``None``, so a failing condition rests on computed norms.  A gain
-        undefined for a pole on the axis is ``inf``, with a note.
-        """
+        undefined for a pole on the axis is ``inf``, with a note."""
         kind = "computed"
         try:
             if bound < 1.0:
-                if poles is not None:
-                    _check_no_axis_poles(form, poles())
+                if poles is not None and np.any(
+                        np.abs(poles().real) <= linalg.half_plane_tol(form.A)):
+                    raise AxisPoleError(_AXIS_POLES)
                 value, kind = bound, "upper_bound"
             else:
                 value = math.inf if form is None else self.err.peak_gain(form)
@@ -457,22 +442,22 @@ def _loop_quantities(loop: _LoopAnalysis) -> dict:
 
     The entries for Y use its identity feedthrough for the peak gain and
     its strictly proper part for the H2 entry (the raw H2 integral of a
-    biproper function diverges).  The two H2 entries of each input block
-    share one Gramian, the cost keeps its own, and the three share one
-    Schur form of the closed-loop matrix (:func:`_four_block_h2`).  The
-    computed ``x_hinf`` is read by the bound certificates only; ``lemma3``
-    and ``thm1`` read ``||X||_inf`` as :attr:`_LoopAnalysis.x_bound`.
+    biproper function diverges); the peak gains read the loop's poles, found
+    stable, without a new test.  The two H2 entries of each input block
+    share one Gramian, the cost keeps its own, and the three share the
+    loop's Schur form (:func:`_four_block_h2`).  Only the bound certificates
+    read the computed ``x_hinf``; ``lemma3`` and ``thm1`` read ``x_bound``.
     """
     fb = loop.fb
     ((x_h2, kx_h2), (xk_h2, ky_h2)), whole = _four_block_h2(fb)
     return {
         "x_h2": x_h2,
-        "x_hinf": loop.block_hinf(fb.x),
+        "x_hinf": norms._peak_gain(fb.x),
         "xk_h2": xk_h2,
         "kx_h2": kx_h2,
-        "kx_hinf": loop.block_hinf(fb.kx),
+        "kx_hinf": norms._peak_gain(fb.kx),
         "ky_h2": ky_h2,
-        "y_hinf": loop.block_hinf(fb.y),
+        "y_hinf": norms._peak_gain(fb.y),
         "y_h2": xk_h2,  # strictly proper part of Y = I + XK
         "cost_original": whole ** 2,
     }
@@ -504,10 +489,10 @@ def check_lemma3(g: StateSpaceSystem, k: StateSpaceSystem,
     counts_ok = len(counts) == 2 and len(set(counts.values())) == 1
 
     # a bound below one means both controllers split, and the products'
-    # poles are those of the loop and of the two splits
+    # poles are those of the loop and of the parts of delta
     bound = loop.x_bound * err.delta_bound
-    gains = [rec.gain(f"{product}_linf", bound, form,
-                      lambda: np.concatenate([loop.spectrum, err.parts.spectrum]))
+    gains = [rec.gain(f"{product}_linf", bound, form, lambda: np.concatenate(
+                 [loop.fb.system._poles, err.parts.stable._poles, err.parts.anti._poles]))
              for product, form in err.products(err.delta).items()]
     return rec.certificate("lemma3", counts_ok and min(gains) < 1.0)
 
@@ -666,27 +651,21 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     rec = _Record(err, loop.quantities, computed=("inv_one_minus_xdelta_linf",))
     quantities, notes = rec.quantities, rec.notes
 
-    # the poles of delta are those of both controllers
     parts = err.parts
-    if isinstance(parts, _Split):
-        ev = parts.spectrum
-    else:
-        ev = np.concatenate([linalg.eigenvalues(s.A) for s in (k, k_r)])
-    if ev.size and np.min(np.abs(ev)) <= linalg.half_plane_tol(err.delta.A):
+    split = isinstance(parts, _Split)
+    poles = np.concatenate([parts.stable._poles, parts.anti._poles]) if split else err.delta._poles
+    if poles.size and np.min(np.abs(poles)) <= linalg.half_plane_tol(err.delta.A):
         raise ZeroModeError("error system has a pole at the origin")
-    if not isinstance(parts, _Split):
+    if not split:
         raise AxisPoleError(f"error system has imaginary-axis poles: {parts}")
     # keep genuine unstable modes, drop the exactly cancelled copies
     stable, anti = parts.stable, parts.cancelled_anti()
     delta_min = add(stable, anti)
-    unstable_delta_poles = linalg.eigenvalues(anti.A)
 
     # norms of the (possibly unstable) error system over the axis; the L2
     # norm combines the H2 norms of the split's parts in quadrature
     try:
-        ev = np.concatenate([linalg._block_eigenvalues(stable.A), unstable_delta_poles])
-        quantities["delta_linf"] = norms._peak_gain(delta_min,
-                                                    _check_no_axis_poles(delta_min, ev))
+        quantities["delta_linf"] = linf_norm(delta_min)
     except AxisPoleError as exc:
         raise AxisPoleError(f"error system norms undefined: {exc}") from exc
     quantities["delta_l2"] = norms._split_l2(stable, anti)
@@ -702,18 +681,17 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     if condition:
         a_inv = prod_min.A + prod_min.B @ prod_min.C
         inverse = StateSpaceSystem(a_inv, prod_min.B, prod_min.C, np.eye(1))
-        inv_poles = linalg.eigenvalues(a_inv)
-        missing, rest = linalg._match_roots(unstable_delta_poles, inv_poles, CLUSTER_TOL)
+        inv_poles = inverse._poles
+        missing, rest = linalg._match_roots(anti._poles, inv_poles, CLUSTER_TOL)
         notes += [f"no structural zero found at the unstable error pole {p:.6g}"
-                  for p in unstable_delta_poles[missing]]
+                  for p in anti._poles[missing]]
         condition = not missing.size
         if condition and np.any(inv_poles[rest].real >= -linalg.half_plane_tol(a_inv)):
             condition = False
             notes.append("1 - X*delta has right-half-plane zeros beyond the structural set")
         if condition:
             try:
-                prefactor = norms._peak_gain(inverse,
-                                             _check_no_axis_poles(inverse, inv_poles))
+                prefactor = linf_norm(inverse)
             except AxisPoleError as exc:
                 condition = False
                 notes.append(f"inverse peak gain undefined: {exc}")

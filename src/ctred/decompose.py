@@ -15,8 +15,8 @@ each eigenvalue of the Schur diagonal with its cluster
 (:func:`~ctred.linalg._root_groups`, conjugate pairs sharing one label),
 reorders only a cluster that is not contiguous in the Schur order, and
 cuts wherever the label changes.  The clustering of :func:`modal_form` and
-the axis check of :func:`split_stable_unstable` read the spectrum of that
-one Schur form, so neither runs a separate eigen-solve.
+the axis check of :func:`split_stable_unstable` read the spectrum of the
+Schur form the system holds (its ``_schur``): no separate eigen-solve.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .errors import AxisPoleError, SeparationError, ZeroModeError
 from .norms import _largest_singular_values, hinf_norm
-from .statespace import StateSpaceSystem, zero_system
+from .statespace import StateSpaceSystem, _on_schur_form, zero_system
 from .tolerances import CLUSTER_TOL, SEP_REL, ZERO_MODE, inf_norm
 
 
@@ -77,23 +77,20 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
     """
     if k.n == 0:
         return StableUnstableSplit(k, zero_system(k.p, k.m))
-    schur = linalg._real_schur(k.A)
     tol = linalg.half_plane_tol(k.A)
-    if np.any(np.abs(schur[2].real) <= tol):
+    if np.any(np.abs(k._schur[2].real) <= tol):
         raise AxisPoleError(
             "stable/antistable split is ill-posed: eigenvalue within "
             f"{tol:.1e} of the imaginary axis"
         )
-    form = linalg._reorder_schur(k.A, *schur, lambda ev: ev.real < 0.0)
+    form = linalg._reorder_schur(k.A, *k._schur, lambda ev: ev.real < 0.0)
     try:
         stable, unstable = _block_diagonalize(
             k.B, k.C, form.T, form.Z, form.eigenvalues, [form.n_selected]
         )
     except SeparationError as exc:
         raise SeparationError(f"ill-conditioned stable/antistable split: {exc}") from exc
-    stable = StateSpaceSystem(*stable[:3], k.D)
-    unstable = StateSpaceSystem(*unstable[:3])
-    return StableUnstableSplit(stable, unstable)
+    return StableUnstableSplit(_on_schur_form(*stable, k.D), _on_schur_form(*unstable))
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def modal_form(k: StateSpaceSystem) -> ModalDecomposition:
     block; distinct clusters must be separated well enough for the
     Sylvester decoupling.  Blocks are sorted by ascending real part.
     """
-    t, z, ev = linalg._real_schur(k.A)
+    t, z, ev = k._schur
     if not ev.size:
         return ModalDecomposition((), m=k.m, p=k.p)
     # one label per eigenvalue of the Schur diagonal; a conjugate pair

@@ -276,11 +276,13 @@ def _is_real_schur(t: np.ndarray) -> bool:
 
     Upper quasi-triangular, with standardized 2x2 diagonal blocks (equal
     diagonal entries, off-diagonal entries of opposite sign), as LAPACK's
-    ``gees`` and ``trsen`` return it.  A plain loop: the matrices are small,
-    and a general matrix fails on its first column.
+    ``gees`` and ``trsen`` return it.  A general matrix fails on its first
+    column, tested before the whole matrix is converted for a plain loop.
     """
+    n = t.shape[0]
+    if n > 2 and any(t[2:, 0].tolist()):
+        return False
     rows = t.tolist()
-    n = len(rows)
     closes_block = False  # row j is the second row of a 2x2 block
     for j in range(n - 1):
         if any(rows[i][j] for i in range(j + 2, n)):

@@ -17,7 +17,9 @@ scales (:func:`_initial_grid`) on either side of each pole frequency.
 The axis test only needs the state matrix to be free of imaginary-axis
 eigenvalues, so the same machinery serves both the H-infinity norm
 (stable systems) and the L-infinity norm (unstable systems without axis
-poles).
+poles).  Both read the system's own poles (its ``_poles``: the Schur
+diagonal's spectrum when ``A`` is in real Schur form, else one
+eigen-solve), and a search depends only on their multiset.
 
 A realization that reaches a tiny gain by cancelling order-one terms
 (coupling ``||B|| ||C||`` above ``CANCEL_RATIO`` times the grid estimate) is beyond the
@@ -58,6 +60,8 @@ from .tolerances import (
     HINF_REL,
     inf_norm,
 )
+
+_AXIS_POLES = "system has poles on (or too close to) the imaginary axis"
 
 
 def _h2_norms(s: StateSpaceSystem,
@@ -227,14 +231,13 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
     return np.sort(np.abs(ev[np.abs(ev.real) <= axis_tol].imag))
 
 
-def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
-    """Shared level-set core; ``ev`` is the spectrum of ``s.A``, which has
-    no imaginary-axis eigenvalues."""
+def _peak_gain(s: StateSpaceSystem) -> float:
+    """Shared level-set core, on the poles of ``s`` (none on the axis)."""
     d_gain = _feedthrough_gain(s.D)
     if s.n == 0 or not np.any(s.B) or not np.any(s.C):
         return d_gain
-    ws = _initial_grid(s, ev)
-    near, poles = _start_frequencies(ws, ev)
+    ws = _initial_grid(s, s._poles)
+    near, poles = _start_frequencies(ws, s._poles)
     gains = _sigma_max(s, np.concatenate([near, poles]))
     estimate = max(float(gains.max()), d_gain)
     # realizations that reach a tiny gain by cancelling order-one terms
@@ -249,7 +252,7 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
         grid_gains = _sigma_max(s, ws)
         grid_estimate = max(float(grid_gains.max()), d_gain)
         if grid_estimate > 1e-300 and coupling > CANCEL_RATIO * grid_estimate:
-            return _refined_grid_peak(s, ws, grid_gains, ev)
+            return _refined_grid_peak(s, ws, grid_gains, s._poles)
         estimate = max(estimate, grid_estimate)
     if estimate <= 1e-300:
         return 0.0
@@ -281,30 +284,21 @@ def _peak_gain(s: StateSpaceSystem, ev: np.ndarray) -> float:
     raise ConvergenceError("level-set iteration for the peak gain did not converge")
 
 
-def _check_no_axis_poles(s: StateSpaceSystem, ev: np.ndarray | None = None) -> np.ndarray:
-    """The spectrum of ``s.A``; raises :class:`AxisPoleError` when an
-    eigenvalue lies within :func:`~ctred.linalg.half_plane_tol` of the axis.
-    ``ev`` is that spectrum when the caller has it already."""
-    ev = linalg.eigenvalues(s.A) if ev is None else ev
-    if np.any(np.abs(ev.real) <= linalg.half_plane_tol(s.A)):
-        raise AxisPoleError("system has poles on (or too close to) the imaginary axis")
-    return ev
-
-
 def linf_norm(s: StateSpaceSystem) -> float:
-    """Peak singular value over the imaginary axis; poles may be unstable."""
-    return _peak_gain(s, _check_no_axis_poles(s))
+    """Peak singular value over the imaginary axis; poles may be unstable, not on it."""
+    if np.any(np.abs(s._poles.real) <= linalg.half_plane_tol(s.A)):
+        raise AxisPoleError(_AXIS_POLES)
+    return _peak_gain(s)
 
 
 def hinf_norm(s: StateSpaceSystem) -> float:
     """H-infinity norm of a stable system."""
-    ev = linalg.eigenvalues(s.A)
-    if not linalg._stability(s.A, ev)[0]:
+    if not linalg._stability(s.A, s._poles)[0]:
         raise StabilityError(
             "H-infinity norm requires a stable system; use linf_norm for "
             "unstable systems without imaginary-axis poles"
         )
-    return _peak_gain(s, ev)
+    return _peak_gain(s)
 
 
 def _split_l2(stable: StateSpaceSystem, anti: StateSpaceSystem) -> float:

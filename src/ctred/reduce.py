@@ -326,12 +326,6 @@ class _Split:
     def anti_pass(self) -> _HankelPass:
         return _hankel_pass(self.anti_mirror)
 
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """The poles of both parts, read from their Schur forms."""
-        return np.concatenate([linalg._block_eigenvalues(self.stable.A),
-                               linalg._block_eigenvalues(self.anti.A)])
-
     @property
     def upper_bound(self) -> float:
         """``||D|| + 2 sum sigma(stable part) + 2 sum sigma(mirrored
@@ -364,8 +358,8 @@ class _Split:
     def cancelled_anti(self) -> StateSpaceSystem:
         """The antistable part without the directions whose mirrored Hankel
         values are at or below its rounding floor (exactly cancelling
-        copies in a difference of systems)."""
-        if not self.anti.n:
+        copies in a difference of systems); the part itself when none is."""
+        if self.unstable_count == self.anti.n:
             return self.anti
         hp = self.anti_pass
         return mirror(_truncate_part_by_tol(self.anti_mirror, hp, hp.floor))

@@ -4,6 +4,12 @@ A :class:`StateSpaceSystem` is an immutable ``(A, B, C, D)`` quadruple.
 This module provides construction/validation, parallel and series
 interconnection, the plant/controller closed loop, the two-input
 two-output closed-loop map, the sensitivity pair and minimality tests.
+
+A system owns its real Schur form and its poles (``_schur``, ``_poles``:
+the Schur diagonal's spectrum when ``A`` is in real Schur form, else one
+eigen-solve), each made once; one built on a known form is created
+holding both (the loop on its Schur form and its blocks, the parts of a
+block diagonalization, a negation, the sum of two Schur forms).
 """
 
 from __future__ import annotations
@@ -59,6 +65,8 @@ class StateSpaceSystem:
         for name, m in zip("ABCD", (a, b, c, d)):
             m.flags.writeable = False
             object.__setattr__(self, name, m)
+        # _schur and _poles once made: a dict, as cached properties slow attribute reads
+        object.__setattr__(self, "_held", {})
 
     @property
     def n(self) -> int:
@@ -74,6 +82,28 @@ class StateSpaceSystem:
     def p(self) -> int:
         """Output dimension."""
         return self.C.shape[0]
+
+    @property
+    def _schur(self) -> tuple:
+        """``linalg._real_schur(A)``, held once made (a race may make it twice)."""
+        form = self._held.get("schur")
+        if form is None:
+            t, z, ev = form = linalg._real_schur(self.A)
+            for a in (ev,) if z is None else form:  # a T that is A is read-only
+                a.setflags(write=False)
+            self._held["schur"] = form
+        return form
+
+    @property
+    def _poles(self) -> np.ndarray:
+        """The eigenvalues of ``A`` by the module's rule, held, read-only."""
+        ev = self._held.get("poles")
+        if ev is None:
+            ev = (linalg._block_eigenvalues(self.A) if linalg._is_real_schur(self.A)
+                  else linalg.eigenvalues(self.A))
+            ev.setflags(write=False)
+            self._held["poles"] = ev
+        return ev
 
     @property
     def is_siso(self) -> bool:
@@ -103,6 +133,22 @@ class StateSpaceSystem:
         return f"StateSpaceSystem(n={self.n}, m={self.m}, p={self.p})"
 
 
+def _on_schur_form(t, b, c, ev: np.ndarray, d=None) -> StateSpaceSystem:
+    """The system ``(t, b, c, d)`` on its own real Schur form ``t``, holding
+    that form and its poles ``ev``, ``linalg._block_eigenvalues(t)``, made read-only."""
+    s = StateSpaceSystem(t, b, c, d)
+    ev.setflags(write=False)
+    s._held.update(schur=(s.A, None, ev), poles=ev)
+    return s
+
+
+def _on_state_of(s: StateSpaceSystem, b, c, d=None) -> StateSpaceSystem:
+    """The system ``(s.A, b, c, d)``, holding the form and poles ``s`` holds."""
+    out = StateSpaceSystem(s.A, b, c, d)
+    out._held.update(s._held)
+    return out
+
+
 def make_system(a, b, c, d=None) -> StateSpaceSystem:
     """Validated system construction; ``d`` defaults to the zero matrix."""
     return StateSpaceSystem(a, b, c, d)
@@ -123,11 +169,14 @@ def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
     a = linalg._block_diag([s1.A, s2.A])
     b = np.vstack([s1.B, s2.B])
     c = np.hstack([s1.C, s2.C])
+    f1, f2 = s1._held.get("schur"), s2._held.get("schur")
+    if f1 and f2 and f1[1] is None and f2[1] is None:  # two Schur forms make one
+        return _on_schur_form(a, b, c, np.concatenate([f1[2], f2[2]]), s1.D + s2.D)
     return StateSpaceSystem(a, b, c, s1.D + s2.D)
 
 
 def negate(s: StateSpaceSystem) -> StateSpaceSystem:
-    return StateSpaceSystem(s.A, s.B, -s.C, -s.D)
+    return _on_state_of(s, s.B, -s.C, -s.D)
 
 
 def series(s2: StateSpaceSystem, s1: StateSpaceSystem) -> StateSpaceSystem:
@@ -198,14 +247,8 @@ def closed_loop_matrix(g: StateSpaceSystem, k: StateSpaceSystem) -> np.ndarray:
 
 
 def _loop_stability(acl: np.ndarray, ev: np.ndarray | None = None) -> tuple[bool, float]:
-    """``(stable, spectral_abscissa)`` of a closed-loop state matrix: the
-    internal-stability test of :func:`is_internally_stable` and of
-    :func:`_require_stabilizing`, by :func:`~ctred.linalg.is_stable`'s rule
-    at the scale of ``acl``.  ``ev`` is the spectrum of ``acl`` when the
-    caller has it (the diagonal of a Schur form it made); otherwise one
-    eigen-solve finds it.  The two spectra differ by rounding, so the two
-    callers' verdicts can differ only for an abscissa within rounding of
-    the threshold."""
+    """``(stable, spectral_abscissa)`` of a loop's state matrix, on its Schur
+    diagonal ``ev`` if held, else one eigen-solve (verdicts differ in rounding)."""
     return linalg._stability(acl, ev)
 
 
@@ -221,7 +264,7 @@ class FourBlockMap:
     Realized once on the shared closed-loop state of dimension
     ``n_G + n_K``.  Row block sizes are ``(p, m)`` and column block sizes
     ``(m, p)`` where the plant is p x m.  Each block is built on first
-    access and kept.
+    access and kept, holding the Schur form and poles the map holds.
     """
 
     system: StateSpaceSystem
@@ -244,7 +287,7 @@ class FourBlockMap:
             raise DimensionError("block indices must be 0 or 1")
         rows, cols = self.row_blocks[i], self.col_blocks[j]
         s = self.system
-        return StateSpaceSystem(s.A, s.B[:, cols], s.C[rows, :], s.D[rows, cols])
+        return _on_state_of(s, s.B[:, cols], s.C[rows, :], s.D[rows, cols])
 
     @cached_property
     def x(self) -> StateSpaceSystem:
@@ -270,7 +313,7 @@ class FourBlockMap:
     def y(self) -> StateSpaceSystem:
         """Output sensitivity ``Y = (I - G K)^{-1} = I + X K``."""
         xk = self.xk
-        return StateSpaceSystem(xk.A, xk.B, xk.C, np.eye(self.p))
+        return _on_state_of(xk, xk.B, xk.C, np.eye(self.p))
 
 
 def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
@@ -282,9 +325,7 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
 
 
 def _require_stabilizing(acl: np.ndarray, ev: np.ndarray | None = None) -> None:
-    """Raise :class:`NotStabilizingError` unless the closed-loop state matrix
-    ``acl`` passes :func:`_loop_stability` (on its spectrum ``ev`` when the
-    caller has it)."""
+    """Raise :class:`NotStabilizingError` unless ``_loop_stability(acl, ev)``."""
     stable, alpha = _loop_stability(acl, ev)
     if not stable:
         raise NotStabilizingError(
@@ -293,27 +334,21 @@ def _require_stabilizing(acl: np.ndarray, ev: np.ndarray | None = None) -> None:
         )
 
 
-def _stabilizing_four_block(g: StateSpaceSystem,
-                            k: StateSpaceSystem) -> tuple[FourBlockMap, np.ndarray]:
-    """``four_block(g, k)`` in the coordinates of one real Schur form
-    ``A = Z T Z^T`` of its state matrix (:func:`~ctred.linalg._real_schur`),
-    ``(T, Z^T B, C Z)``, and the spectrum of ``T``'s diagonal blocks, which
-    the stability test reads; raises :class:`NotStabilizingError` unless
-    ``k`` internally stabilizes ``g``.
-
-    The change of coordinates is orthogonal and moves no transfer function,
-    H2 norm, Hankel singular value or peak gain (beyond rounding); it makes
-    every Gramian of the map and of its blocks a triangular solve
-    (:func:`~ctred.linalg._gramians`), so a loop makes one ``gees`` and no
-    ``geev``.
-    """
+def _stabilizing_four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
+    """``four_block(g, k)`` on the real Schur form ``A = Z T Z^T`` of its
+    state matrix: ``(T, Z^T B, C Z)``, holding that form, whose diagonal the
+    stability test reads (:class:`NotStabilizingError` unless ``k``
+    internally stabilizes ``g``).  The orthogonal change of coordinates
+    moves no transfer function, norm or Hankel singular value beyond
+    rounding, and makes every Gramian a triangular solve: one ``gees``, no
+    ``geev``."""
     fb = four_block(g, k)
     s = fb.system
-    t, z, ev = linalg._real_schur(s.A)
+    t, z, ev = s._schur
     _require_stabilizing(s.A, ev)
     if z is not None:
-        fb = FourBlockMap(StateSpaceSystem(t, z.T @ s.B, s.C @ z), p=fb.p, m=fb.m)
-    return fb, ev
+        fb = FourBlockMap(_on_schur_form(t, z.T @ s.B, s.C @ z, ev), p=fb.p, m=fb.m)
+    return fb
 
 
 def sensitivity_pair(g: StateSpaceSystem, k: StateSpaceSystem):

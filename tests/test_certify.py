@@ -100,7 +100,7 @@ def test_lqg_cost_blocks_match_h2_of_each_block(balmod, unstable_pair):
     # exactly the blocks' norms on the loop's Schur realization, and within
     # rounding of those on the shared closed-loop state
     for g, k in (balmod, unstable_pair):
-        fb, _ = _stabilizing_four_block(g, k)
+        fb = _stabilizing_four_block(g, k)
         _, parts = lqg_cost_blocks(g, k)
         assert parts == [h2_norm(fb.block(i, j)) ** 2 for i in (0, 1) for j in (0, 1)]
         fb = four_block(g, k)
@@ -754,9 +754,9 @@ def test_lemma3_and_thm1_search_no_peak_gain_of_x(monkeypatch):
     searched = []
     original = norms._peak_gain
 
-    def recorded(s, ev):
+    def recorded(s):
         searched.append(s)
-        return original(s, ev)
+        return original(s)
 
     monkeypatch.setattr(norms, "_peak_gain", recorded)
     x_searches = products = 0
@@ -764,7 +764,7 @@ def test_lemma3_and_thm1_search_no_peak_gain_of_x(monkeypatch):
         searched.clear()
         check_lemma3(g, k, k_r)
         check_thm1(g, k, k_r)
-        x = _stabilizing_four_block(g, k)[0].x
+        x = _stabilizing_four_block(g, k).x
         x_searches += sum(all(np.array_equal(getattr(s, f), getattr(x, f)) for f in "ABCD")
                           for s in searched)
         products += len(searched)
@@ -787,6 +787,50 @@ def test_siso_products_share_one_peak_gain_search(monkeypatch):
     assert gain > 1.0
     assert lemma3.quantities["delta_x_linf"] == gain
     assert thm1.quantities["x_delta_hinf"] == thm1.quantities["delta_x_hinf"] == gain
+
+
+def test_each_system_is_schur_factorized_once_and_holds_its_poles(monkeypatch):
+    # a system holds its Schur form and poles: the reductions of one
+    # controller and the certificates on one loop factorize no state matrix
+    # twice, and the loop's blocks, the split parts and the error's parts
+    # were created holding their poles
+    factorized = []
+    gees = linalg._gees
+
+    def recorded(a):
+        factorized.append(repr(a.shape).encode() + a.tobytes())
+        return gees(a)
+
+    monkeypatch.setattr(linalg, "_gees", recorded)
+    total = held = 0
+    for g, k, k_r in itertools.chain(criterion_07_triples(12), mimo_balanced_triples(4)):
+        g, k, k_r = _fresh(g), _fresh(k), _fresh(k_r)
+        factorized.clear()
+        for reduction, order in ((balanced_truncate_unstable, k.n - 1), (modal_truncate, 1)):
+            try:
+                reduction(k, order)
+            except CtredError:
+                pass
+        for check in (check_lemma3, check_thm1, check_thm2_bound):
+            check(g, k, k_r)
+        assert len(set(factorized)) == len(factorized)
+        total += len(factorized)
+
+        loop = certify._loop(g, k, k_r)
+        err = loop.error(k_r)
+        systems = [loop.fb.system] + [getattr(loop.fb, b) for b in ("x", "xk", "kx", "ky", "y")]
+        for split in (loop.k_split, err.k_r_split, err.parts):
+            if isinstance(split, certify._Split):
+                systems += [split.stable, split.anti]
+        calls = {}
+        with monkeypatch.context() as mp:
+            _count_calls(mp, linalg, "_is_real_schur", calls)
+            _count_calls(mp, linalg, "_block_eigenvalues", calls)
+            for s in systems:
+                s._poles
+        assert calls == {}
+        held += len(systems)
+    assert total > 0 and held > 16 * 6
 
 
 @pytest.mark.parametrize("thm2_first", [True, False], ids=["thm2_cor1", "cor1_thm2"])
@@ -1038,13 +1082,13 @@ def test_loop_peak_gain_is_shared_by_bound_and_small_gain_certificates(
     args = []
     original = norms._peak_gain
 
-    def recorded(s, ev):
+    def recorded(s):
         args.append(s)
-        return original(s, ev)
+        return original(s)
 
     monkeypatch.setattr(norms, "_peak_gain", recorded)
     check_thm2_bound(g, k, k_r)
     check_lemma3(g, k, k_r)
-    x = _stabilizing_four_block(g, k)[0].x
+    x = _stabilizing_four_block(g, k).x
     assert sum(all(np.array_equal(getattr(s, f), getattr(x, f)) for f in "ABCD")
                for s in args) == 1

@@ -333,6 +333,16 @@ def test_ordered_schur_reorders_a_schur_form_without_gees(monkeypatch):
 def test_ordered_schur_nonstandard_block_takes_gees(monkeypatch):
     a = np.array([[1.0, 2.0], [-3.0, 2.0]])  # unequal diagonal: not canonical
     assert not linalg._is_real_schur(a)
+    # a dense matrix fails on its first column, an upper Hessenberg one with
+    # a 1x1 block over a coupled pair further down, a gees form passes
+    dense = np.arange(1.0, 37.0).reshape(6, 6)
+    hessenberg = np.triu(dense, -1)
+    hessenberg[1, 0] = 0.0
+    assert not linalg._is_real_schur(dense)
+    assert not linalg._is_real_schur(hessenberg)
+    t = sla.schur(dense - dense.T + np.diag(np.arange(6.0)), output="real")[0]
+    assert np.any(np.diagonal(t, -1))
+    assert linalg._is_real_schur(t)
     gees = _counting(monkeypatch, linalg, "_gees")
     form = linalg.ordered_real_schur(a, lambda l: l.real > 0)
     assert len(gees) == 1

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import criterion_07_triples, transfer_close
 from ctred import linalg
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
+from ctred.decompose import split_stable_unstable
 from ctred.errors import DimensionError, NonFiniteError, NotStabilizingError
 from ctred.statespace import (
     StateSpaceSystem,
@@ -15,6 +17,7 @@ from ctred.statespace import (
     frequency_response,
     is_internally_stable,
     make_system,
+    negate,
     poles,
     sensitivity_pair,
     series,
@@ -270,15 +273,76 @@ def test_loop_stability_verdicts_differ_only_within_rounding(monkeypatch):
 
 def test_stabilizing_four_block_is_the_loop_on_its_schur_form():
     # (T, Z^T B, C Z) on one real Schur form of the closed-loop matrix: the
-    # same four blocks up to rounding, the spectrum read off T
+    # same four blocks up to rounding, the poles read off T
     for g, k in (bench_balanced_vs_modal_pair(), bench_unstable_pair()):
-        fb, ev = _stabilizing_four_block(g, k)
+        fb = _stabilizing_four_block(g, k)
         ref = four_block(g, k)
         assert linalg._is_real_schur(fb.system.A)
-        assert np.array_equal(ev, linalg._block_eigenvalues(fb.system.A))
+        assert (fb.system._poles.tobytes()
+                == linalg._block_eigenvalues(fb.system.A).tobytes())
         for i in (0, 1):
             for j in (0, 1):
                 assert transfer_close(fb.block(i, j), ref.block(i, j))
+
+
+def _same_array(x, y) -> bool:
+    """Both ``None``, or the same dtype, shape and bytes."""
+    if x is None or y is None:
+        return x is y
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_poles_follow_one_rule_and_are_read_only(rng):
+    # the spectrum of the Schur diagonal when A is in real Schur form, one
+    # eigen-solve otherwise, bit for bit; the form and the poles a system
+    # holds cannot be written
+    blocks = 0
+    for draw in range(130):
+        n = draw % 13
+        a = rng.standard_normal((n, n))
+        on_form = draw % 2 == 1 or n < 2
+        if draw % 2:
+            a = sla.schur(a, output="real")[0]
+            blocks += bool(np.any(np.diagonal(a, -1)))
+        assert linalg._is_real_schur(a) == on_form
+        s = StateSpaceSystem(a, rng.standard_normal((n, 2)), rng.standard_normal((1, n)))
+        rule = linalg._block_eigenvalues if on_form else linalg.eigenvalues
+        assert _same_array(s._poles, rule(a))
+        t, z, ev = s._schur
+        assert (z is None) == on_form
+        if n:
+            for held in (s._poles, t, z, ev):
+                if held is not None:
+                    with pytest.raises(ValueError):
+                        held[0] = 1.0
+    assert blocks > 20
+
+
+def test_systems_created_holding_a_form_match_fresh_ones(rng):
+    # the loop on its Schur form and its blocks, the parts of a split, a
+    # negated system and the sum of two Schur forms are created holding a
+    # form and poles: the arrays a fresh system on the same matrices derives
+    held = []
+    for g, k in (bench_balanced_vs_modal_pair(), bench_unstable_pair()):
+        fb = _stabilizing_four_block(g, k)
+        held += [fb.system, fb.x, fb.xk, fb.kx, fb.ky, fb.y]
+        split = split_stable_unstable(k)
+        stable, unstable = split.stable_part, split.unstable_part
+        held += [stable, unstable, negate(unstable), add(stable, unstable)]
+    dense = make_system(rng.standard_normal((5, 5)), rng.standard_normal((5, 2)),
+                        rng.standard_normal((1, 5)))
+    assert dense._schur[1] is not None  # its negation holds the gees form
+    held.append(negate(dense))
+    for s in held:
+        fresh = StateSpaceSystem(s.A, s.B, s.C, s.D)
+        names = [name for name in ("schur", "poles") if name in s._held]
+        assert "schur" in names
+        for name in names:
+            mine, theirs = getattr(s, "_" + name), getattr(fresh, "_" + name)
+            pairs = zip(mine, theirs) if name == "schur" else [(mine, theirs)]
+            for x, y in pairs:
+                assert _same_array(x, y)
+                assert x is None or not x.flags.writeable
 
 
 def test_check_minimal_benchmark_controller():
