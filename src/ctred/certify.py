@@ -20,7 +20,11 @@ sweeps can proceed.
 
 Every quantity of ``delta`` is read from one stable/antistable split of
 each controller (:class:`~ctred.reduce._Split`): the loop analysis holds
-the split ``K = K_s + K_u`` and each error analysis that of ``K_r``.
+the split ``K = K_s + K_u`` and each error analysis that of ``K_r``.  The
+controller itself holds its split
+(:func:`~ctred.decompose.split_stable_unstable`), so a reduction, the
+loop analysis and a caller's own split of one controller object share
+it.
 ``delta``'s parts are their differences, ``delta_s = K_rs - K_s`` and
 ``delta_u = K_ru - K_u``; both are block-diagonal sums of Schur forms, so
 their Hankel passes need no Schur reduction, and ``delta`` itself is never
@@ -114,6 +118,7 @@ from .statespace import (
     StateSpaceSystem,
     _check_loop_dims,
     _stabilizing_four_block,
+    _system,
     add,
     is_internally_stable,
     negate,
@@ -680,7 +685,7 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     prefactor = math.inf
     if condition:
         a_inv = prod_min.A + prod_min.B @ prod_min.C
-        inverse = StateSpaceSystem(a_inv, prod_min.B, prod_min.C, np.eye(1))
+        inverse = _system(a_inv, prod_min.B, prod_min.C, np.eye(1))
         inv_poles = inverse._poles
         missing, rest = linalg._match_roots(anti._poles, inv_poles, CLUSTER_TOL)
         notes += [f"no structural zero found at the unstable error pole {p:.6g}"

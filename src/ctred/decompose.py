@@ -17,6 +17,9 @@ reorders only a cluster that is not contiguous in the Schur order, and
 cuts wherever the label changes.  The clustering of :func:`modal_form` and
 the axis check of :func:`split_stable_unstable` read the spectrum of the
 Schur form the system holds (its ``_schur``): no separate eigen-solve.
+A system holds its split too, under the ``CTRED_TOL_STAB`` override in
+force when it was made, so a controller is split once however many
+callers ask.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from . import linalg
 from .errors import AxisPoleError, SeparationError, ZeroModeError
 from .norms import _largest_singular_values, hinf_norm
-from .statespace import StateSpaceSystem, _on_schur_form, zero_system
-from .tolerances import CLUSTER_TOL, SEP_REL, ZERO_MODE, inf_norm
+from .statespace import StateSpaceSystem, _on_schur_form, _system, zero_system
+from .tolerances import CLUSTER_TOL, SEP_REL, ZERO_MODE, inf_norm, stab_override
 
 
 def _block_diagonalize(b, c, t, z, ev, cuts):
@@ -73,10 +76,21 @@ def split_stable_unstable(k: StateSpaceSystem) -> StableUnstableSplit:
     """Split a system into stable and antistable additive parts.
 
     Every eigenvalue must be bounded away from the imaginary axis; the
-    feedthrough (if any) stays with the stable part.
+    feedthrough (if any) stays with the stable part.  The split is held by
+    ``k`` and made again only under another ``CTRED_TOL_STAB`` override,
+    which moves the axis test.
     """
     if k.n == 0:
         return StableUnstableSplit(k, zero_system(k.p, k.m))
+    override = stab_override()
+    held = k._held.get("split")
+    if held is None or held[0] != override:
+        held = k._held["split"] = (override, _make_split(k))
+    return held[1]
+
+
+def _make_split(k: StateSpaceSystem) -> StableUnstableSplit:
+    """The split :func:`split_stable_unstable` holds, made."""
     tol = linalg.half_plane_tol(k.A)
     if np.any(np.abs(k._schur[2].real) <= tol):
         raise AxisPoleError(
@@ -108,7 +122,7 @@ class ModalBlock:
         return self.A.shape[0]
 
     def system(self) -> StateSpaceSystem:
-        return StateSpaceSystem(self.A, self.B, self.C)
+        return _system(self.A, self.B, self.C)
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,7 @@ class ModalDecomposition:
         a = linalg._block_diag([b.A for b in blocks])
         bmat = np.vstack([b.B for b in blocks])
         c = np.hstack([b.C for b in blocks])
-        return StateSpaceSystem(a, bmat, c)
+        return _system(a, bmat, c)
 
 
 def mode_importance(block: ModalBlock) -> float:

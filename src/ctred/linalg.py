@@ -85,7 +85,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.array(a, dtype=float, order="C", ndmin=2)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.isfinite(m).all():
+    return _finite_matrix(m, name)
+
+
+def _finite_matrix(m: np.ndarray, name: str) -> np.ndarray:
+    """``m`` itself; :class:`NonFiniteError` unless every entry is finite."""
+    if not _finite(m):
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return m
 

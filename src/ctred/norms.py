@@ -50,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AxisPoleError, ConvergenceError, StabilityError, UnsupportedError
-from .statespace import StateSpaceSystem, frequency_response, mirror
+from .statespace import StateSpaceSystem, _system, frequency_response, mirror
 from .tolerances import (
     BRACKET_REL,
     CANCEL_RATIO,
@@ -259,7 +259,7 @@ def _peak_gain(s: StateSpaceSystem) -> float:
     # normalize the gain to order one, splitting the scaling between B and
     # C so the Hamiltonian blocks stay balanced in magnitude
     target = np.sqrt(coupling / estimate)
-    sn = StateSpaceSystem(
+    sn = _system(
         s.A, s.B * (target / beta), s.C * (target / xi), s.D / estimate
     )
     # lb is the best gain evaluated; it starts at the estimate, at least

@@ -47,7 +47,7 @@ from .errors import (
     ZeroModeError,
 )
 from .norms import _feedthrough_gain
-from .statespace import StateSpaceSystem, add, frequency_response, mirror
+from .statespace import StateSpaceSystem, _system, add, frequency_response, mirror
 from .tolerances import (
     ANTI_NEGLIGIBLE,
     GRAMIAN_CUT,
@@ -108,7 +108,7 @@ def _balanced(s: StateSpaceSystem, hp: _HankelPass) -> BalancedRealization:
     scale = 1.0 / np.sqrt(np.maximum(hp.sigma, HSV_MINIMAL * hp.sigma[0]))
     t = scale[:, None] * (hp.u.T @ hp.zo.T)
     tinv = (hp.zc @ hp.vt.T) * scale
-    balanced = StateSpaceSystem(t @ s.A @ tinv, t @ s.B, s.C @ tinv, s.D)
+    balanced = _system(t @ s.A @ tinv, t @ s.B, s.C @ tinv, s.D)
     hp.sigma.flags.writeable = False
     return BalancedRealization(balanced, hp.sigma, t)
 
@@ -136,7 +136,7 @@ def balanced_truncate(s: StateSpaceSystem, r: int) -> TruncationResult:
             "requested split; choose a different order"
         )
     sb = _balanced(s, hp).system
-    reduced = StateSpaceSystem(sb.A[:r, :r], sb.B[:r, :], sb.C[:, :r], sb.D)
+    reduced = _system(sb.A[:r, :r], sb.B[:r, :], sb.C[:, :r], sb.D)
     if not linalg.is_stable(reduced.A):
         raise StabilityError("truncated system lost stability; split is ill-conditioned")
     return TruncationResult(reduced, "balanced", sigma[r:])
@@ -283,15 +283,14 @@ def _truncate_part_by_tol(s: StateSpaceSystem, hp: _HankelPass, cut: float):
     if k == s.n:
         return s
     if k == 0:
-        return StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, s.m)),
-                                np.zeros((s.p, 0)), s.D)
+        return _system(np.zeros((0, 0)), np.zeros((0, s.m)), np.zeros((s.p, 0)), s.D)
     v, _ = np.linalg.qr(hp.zc @ hp.vt[:k, :].T)
     w, _ = np.linalg.qr(hp.zo @ hp.u[:, :k])
     m = w.T @ v
     a_r = sla.solve(m, w.T @ s.A @ v)
     b_r = sla.solve(m, w.T @ s.B)
     c_r = s.C @ v
-    return StateSpaceSystem(a_r, b_r, c_r, s.D)
+    return _system(a_r, b_r, c_r, s.D)
 
 
 class _Split:

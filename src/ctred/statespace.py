@@ -10,6 +10,15 @@ the Schur diagonal's spectrum when ``A`` is in real Schur form, else one
 eigen-solve), each made once; one built on a known form is created
 holding both (the loop on its Schur form and its blocks, the parts of a
 block diagonalization, a negation, the sum of two Schur forms).
+
+Every system the package builds from arrays it computed, or from another
+system's read-only arrays, is made by one private path, ``_system``: it
+takes those arrays over (copying only one that is not C-contiguous
+float64), keeps the shape checks and one finiteness count per array (an
+overflowing product is still refused), and holds only the derived data
+it is handed.  ``_on_schur_form`` and ``_on_state_of`` are that path for
+a system built on a known form.  The public constructor and
+:func:`make_system` copy and check the caller's arrays.
 """
 
 from __future__ import annotations
@@ -31,8 +40,10 @@ class StateSpaceSystem:
     Construction converts each matrix once, by :func:`~ctred.linalg.as_matrix`
     (a fresh C-ordered float64 copy with finite entries), checks the shapes
     against each other and stores that copy read-only; an omitted ``D`` is
-    the zero matrix.  A system therefore never shares its arrays with the
-    caller, so nothing outside it can change it.  Systems compare and hash
+    the zero matrix.  A system constructed so therefore never shares its
+    arrays with the caller, so nothing outside it can change it.  Systems
+    the package builds itself (the interconnections, splits, reductions)
+    may share read-only arrays with other systems.  Systems compare and hash
     by identity: a system can key a cache (the certificates' loop
     analyses), and equal matrices built anew make a distinct key.  Raises
     :class:`DimensionError` or :class:`NonFiniteError`.
@@ -51,6 +62,11 @@ class StateSpaceSystem:
             d = np.zeros((c.shape[0], b.shape[1]))
         else:
             d = linalg.as_matrix(self.D, "D")
+        self._own(a, b, c, d, {})
+
+    def _own(self, a, b, c, d, held: dict) -> None:
+        """Check the shapes of ``(a, b, c, d)``, then store them read-only
+        and ``held`` (the derived data: form, poles and split)."""
         n = a.shape[0]
         if a.shape[1] != n:
             raise DimensionError(f"A must be square, got {a.shape}")
@@ -63,10 +79,11 @@ class StateSpaceSystem:
                 f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}"
             )
         for name, m in zip("ABCD", (a, b, c, d)):
-            m.flags.writeable = False
+            m.setflags(write=False)
             object.__setattr__(self, name, m)
-        # _schur and _poles once made: a dict, as cached properties slow attribute reads
-        object.__setattr__(self, "_held", {})
+        # _schur, _poles and the split once made: a dict, as cached
+        # properties slow attribute reads
+        object.__setattr__(self, "_held", held)
 
     @property
     def n(self) -> int:
@@ -133,20 +150,42 @@ class StateSpaceSystem:
         return f"StateSpaceSystem(n={self.n}, m={self.m}, p={self.p})"
 
 
+def _system(a, b, c, d=None, held: dict | None = None) -> StateSpaceSystem:
+    """The system on 2-D arrays the package computed or another system's
+    read-only arrays, taken over without the public constructor's copies:
+    an array is copied only when it is not C-contiguous float64, and each
+    is made read-only.  The shapes are checked (:class:`DimensionError`),
+    and so is each array's finiteness (:class:`NonFiniteError`: a product
+    of finite arrays can overflow).  ``d`` defaults to the zero matrix, and
+    the system holds ``held`` (a dict of its own) and nothing else."""
+    if d is None:
+        d = np.zeros((c.shape[0], b.shape[1]))
+    s = object.__new__(StateSpaceSystem)
+    s._own(_owned(a, "A"), _owned(b, "B"), _owned(c, "C"), _owned(d, "D"),
+           {} if held is None else held)
+    return s
+
+
+def _owned(m: np.ndarray, name: str) -> np.ndarray:
+    """``m``, or its C-contiguous float64 copy, with finite entries."""
+    return linalg._finite_matrix(np.ascontiguousarray(m, dtype=float), name)
+
+
 def _on_schur_form(t, b, c, ev: np.ndarray, d=None) -> StateSpaceSystem:
     """The system ``(t, b, c, d)`` on its own real Schur form ``t``, holding
     that form and its poles ``ev``, ``linalg._block_eigenvalues(t)``, made read-only."""
-    s = StateSpaceSystem(t, b, c, d)
+    s = _system(t, b, c, d)
     ev.setflags(write=False)
     s._held.update(schur=(s.A, None, ev), poles=ev)
     return s
 
 
 def _on_state_of(s: StateSpaceSystem, b, c, d=None) -> StateSpaceSystem:
-    """The system ``(s.A, b, c, d)``, holding the form and poles ``s`` holds."""
-    out = StateSpaceSystem(s.A, b, c, d)
-    out._held.update(s._held)
-    return out
+    """The system ``(s.A, b, c, d)``, holding the form and poles ``s`` holds
+    (not its split: that belongs to ``s``'s transfer function)."""
+    held = s._held
+    return _system(s.A, b, c, d, {name: held[name] for name in ("schur", "poles")
+                                  if name in held})
 
 
 def make_system(a, b, c, d=None) -> StateSpaceSystem:
@@ -156,7 +195,7 @@ def make_system(a, b, c, d=None) -> StateSpaceSystem:
 
 def zero_system(p: int, m: int) -> StateSpaceSystem:
     """The identically-zero p x m system of order 0."""
-    return StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))
+    return _system(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))
 
 
 def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
@@ -172,7 +211,7 @@ def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
     f1, f2 = s1._held.get("schur"), s2._held.get("schur")
     if f1 and f2 and f1[1] is None and f2[1] is None:  # two Schur forms make one
         return _on_schur_form(a, b, c, np.concatenate([f1[2], f2[2]]), s1.D + s2.D)
-    return StateSpaceSystem(a, b, c, s1.D + s2.D)
+    return _system(a, b, c, s1.D + s2.D)
 
 
 def negate(s: StateSpaceSystem) -> StateSpaceSystem:
@@ -188,7 +227,7 @@ def series(s2: StateSpaceSystem, s1: StateSpaceSystem) -> StateSpaceSystem:
     a = linalg._block_diag([s1.A, s2.A], {(1, 0): s2.B @ s1.C})
     b = np.vstack([s1.B, s2.B @ s1.D])
     c = np.hstack([s2.D @ s1.C, s2.C])
-    return StateSpaceSystem(a, b, c, s2.D @ s1.D)
+    return _system(a, b, c, s2.D @ s1.D)
 
 
 def mirror(s: StateSpaceSystem) -> StateSpaceSystem:
@@ -197,7 +236,7 @@ def mirror(s: StateSpaceSystem) -> StateSpaceSystem:
     Singular values on the imaginary axis are preserved pointwise, so all
     frequency-domain norms agree with those of the input system.
     """
-    return StateSpaceSystem(-s.A.T, s.C.T, s.B.T, s.D.T)
+    return _system(-s.A.T, s.C.T, s.B.T, s.D.T)
 
 
 # Complex entries of the ``(chunk, n, n)`` work array of one stacked solve
@@ -321,7 +360,7 @@ def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:
     a = closed_loop_matrix(g, k)
     b = linalg._block_diag([g.B, k.B])
     c = linalg._block_diag([g.C, k.C])
-    return FourBlockMap(StateSpaceSystem(a, b, c), p=g.p, m=g.m)
+    return FourBlockMap(_system(a, b, c), p=g.p, m=g.m)
 
 
 def _require_stabilizing(acl: np.ndarray, ev: np.ndarray | None = None) -> None:

@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 
 from conftest import criterion_07_triples, grid_peak_oracle, mimo_balanced_triples
-from ctred import certify, linalg, norms, statespace
+from ctred import certify, decompose, linalg, norms, statespace
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.certify import (
     ReductionCertificate,
@@ -988,14 +988,15 @@ def test_nearly_cancelling_request_skips_the_grid_fallback(monkeypatch):
 
 def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
     # the counts, the Hankel bound of delta and thm1's stable products all
-    # read one split of K and one of K_r: nothing of the order of delta
-    # (n_K + n_Kr) or more is split or reduced to Schur form
+    # read one split of K and one of K_r, each made at most once per object:
+    # nothing of the order of delta (n_K + n_Kr) or more is split or reduced
+    # to Schur form
     g, k, k_r = next((g, k, k_r) for g, k, k_r in criterion_07_triples(40)
                      if split_stable_unstable(k).unstable_part.n)
     expected = [check(_fresh(g), _fresh(k), _fresh(k_r)).to_dict()
                 for check in (check_lemma3, check_thm1)]
     splits, schurs, acls = [], [], []
-    split, schur, build = split_stable_unstable, linalg._gees, statespace.four_block
+    split, schur, build = decompose._make_split, linalg._gees, statespace.four_block
 
     def counted_split(s):
         splits.append(s)
@@ -1010,18 +1011,63 @@ def test_lemma3_and_thm1_split_each_controller_once(monkeypatch):
         acls.append(fb.system.A)
         return fb
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "ctred"
-                and getattr(module, "split_stable_unstable", None) is split):
-            monkeypatch.setattr(module, "split_stable_unstable", counted_split)
+    monkeypatch.setattr(decompose, "_make_split", counted_split)
     monkeypatch.setattr(linalg, "_gees", counted_schur)
     monkeypatch.setattr(statespace, "four_block", recorded_build)
     assert [check(g, k, k_r).to_dict() for check in (check_lemma3, check_thm1)] == expected
-    assert len(splits) == 2 and splits[0] is k and splits[1] is k_r
+    # K holds the split the search above made, so only K_r is split here
+    assert len(splits) == 1 and splits[0] is k_r
     # the loop's own Schur form is of the closed-loop matrix itself
     [acl] = acls
     assert sum(a is acl for a in schurs) == 1
     assert max((np.shape(a)[0] for a in schurs if a is not acl), default=0) < k.n + k_r.n
+
+
+def test_systems_built_while_serving_take_over_read_only_arrays(monkeypatch):
+    # both reductions, lemma3, thm1, thm2 and a SISO thm3 build every
+    # system by the private path: read-only C-contiguous float64 arrays,
+    # bit for bit those of a validating construction on the same matrices;
+    # the only validating constructions are the caller's own
+    pool = list(criterion_07_triples(12))
+    siso = [pool[0], pool[9], pool[11]]  # a stable controller and two unstable ones
+    triples = siso + list(mimo_balanced_triples(2))
+    assert any(split_stable_unstable(k).unstable_part.n for _, k, _ in siso)
+    built, validated = [], []
+    private, validate = statespace._system, StateSpaceSystem.__post_init__
+
+    def recorded(*args, **kwargs):
+        built.append(private(*args, **kwargs))
+        return built[-1]
+
+    def counted(self):
+        validated.append(self)
+        validate(self)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ctred" and getattr(module, "_system", None) is private:
+            monkeypatch.setattr(module, "_system", recorded)
+    monkeypatch.setattr(StateSpaceSystem, "__post_init__", counted)
+    own, served = 0, []
+    for g, k, k_r in triples:
+        g, k, k_r = make_system(g.A, g.B, g.C), make_system(k.A, k.B, k.C), _fresh(k_r)
+        own += 3
+        checks = [check_lemma3, check_thm1, check_thm2_bound]
+        checks += [check_thm3] if g.is_siso and split_stable_unstable(k).unstable_part.n else []
+        for serve in [lambda g, k, k_r: balanced_truncate_unstable(k, k.n - 1),
+                      lambda g, k, k_r: modal_truncate(k, 1), *checks]:
+            try:
+                served.append(serve(g, k, k_r))
+            except CtredError:
+                pass
+    assert any(isinstance(c, ReductionCertificate) and c.theorem == "thm3" for c in served)
+    assert len(validated) == own and len(built) > 5 * own
+    monkeypatch.undo()
+    for s in built:
+        fresh = StateSpaceSystem(s.A, s.B, s.C, s.D)
+        for mine, theirs in zip((s.A, s.B, s.C, s.D), (fresh.A, fresh.B, fresh.C, fresh.D)):
+            assert mine.dtype == np.float64 and mine.flags.c_contiguous
+            assert not mine.flags.writeable
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
 
 
 def _norm_or_inf(product, norm):

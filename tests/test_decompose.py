@@ -25,8 +25,10 @@ from ctred.norms import hinf_norm, linf_norm
 from ctred.statespace import (
     StateSpaceSystem,
     add,
+    four_block,
     frequency_response,
     make_system,
+    negate,
     zero_system,
 )
 from ctred.tolerances import CLUSTER_TOL, HINF_REL
@@ -39,6 +41,32 @@ def test_split_stable_system():
     assert split.unstable_part.n == 0
     assert split.stable_part.n == 2
     assert transfer_close(add(split.stable_part, split.unstable_part), s)
+
+
+def test_split_is_held_per_override_and_not_inherited(monkeypatch):
+    # a system holds its split and hands it back; another CTRED_TOL_STAB
+    # override, which moves the axis test, makes it anew; a negation or a
+    # four-block block holds the form and poles of its source, not its split
+    g, k = bench_unstable_pair()
+    made, make = [], decompose._make_split
+    monkeypatch.setattr(decompose, "_make_split", lambda s: made.append(s) or make(s))
+    split = split_stable_unstable(k)
+    assert split_stable_unstable(k) is split and made == [k]
+    monkeypatch.setenv("CTRED_TOL_STAB", "0.5")  # poles at -0.37 and 0.34 are on the axis
+    with pytest.raises(AxisPoleError):
+        split_stable_unstable(k)
+    monkeypatch.setenv("CTRED_TOL_STAB", "1e-3")
+    held = split_stable_unstable(k)
+    assert held is not split and split_stable_unstable(k) is held
+    monkeypatch.delenv("CTRED_TOL_STAB")
+    assert split_stable_unstable(k) is not held and len(made) == 4
+
+    fb = four_block(g, k)
+    split_stable_unstable(fb.system)
+    for s in (negate(k), fb.x, fb.y):
+        assert "split" not in s._held and "schur" in s._held
+        split_stable_unstable(s)
+        assert made[-1] is s
 
 
 def test_split_benchmark_controller():

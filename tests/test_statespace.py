@@ -104,6 +104,17 @@ def test_make_system_rejects_nan():
         make_system([[np.nan]], [[1.0]], [[1.0]])
 
 
+def test_overflowing_internal_products_are_refused():
+    # the private path keeps one finiteness check per array, so a product
+    # of finite matrices that overflows is refused as by the public path
+    big = make_system([[-1.0]], [[1e200]], [[1e200]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            series(big, big)  # the coupling B2 C1 is 1e400
+        with pytest.raises(NonFiniteError):
+            four_block(big, make_system([[-1.0]], [[1e200]], [[1e200]]))
+
+
 def test_add_zero_identity():
     s = FIRST_ORDER
     assert transfer_close(add(s, zero_system(1, 1)), s)
