@@ -121,8 +121,8 @@ from .statespace import (
     _system,
     add,
     is_internally_stable,
-    negate,
     series,
+    subtract,
 )
 from .tolerances import CLUSTER_TOL, stab_override
 
@@ -234,7 +234,7 @@ class _ErrorAnalysis:
     @cached_property
     def delta(self) -> StateSpaceSystem:
         """``k_r - k`` as realized, with a block-diagonal state matrix."""
-        return add(self.k_r, negate(self.k))
+        return subtract(self.k_r, self.k)
 
     @cached_property
     def parts(self):
@@ -245,8 +245,8 @@ class _ErrorAnalysis:
             return self.k_r_split
         if not isinstance(self.k_split, _Split):
             return self.k_split
-        return _Split(add(self.k_r_split.stable, negate(self.k_split.stable)),
-                      add(self.k_r_split.anti, negate(self.k_split.anti)))
+        return _Split(subtract(self.k_r_split.stable, self.k_split.stable),
+                      subtract(self.k_r_split.anti, self.k_split.anti))
 
     @cached_property
     def delta_bound(self) -> float:
@@ -685,7 +685,7 @@ def check_thm3(g: StateSpaceSystem, k: StateSpaceSystem,
     prefactor = math.inf
     if condition:
         a_inv = prod_min.A + prod_min.B @ prod_min.C
-        inverse = _system(a_inv, prod_min.B, prod_min.C, np.eye(1))
+        inverse = _system(a_inv, prod_min.B, prod_min.C, np.eye(1), inherited="BC")
         inv_poles = inverse._poles
         missing, rest = linalg._match_roots(anti._poles, inv_poles, CLUSTER_TOL)
         notes += [f"no structural zero found at the unstable error pole {p:.6g}"

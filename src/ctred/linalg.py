@@ -15,7 +15,8 @@ one checked triangular step, ``_trsyl`` (LAPACK ``trsyl``, its info and
 scale), and one acceptance rule, ``_check_residual`` (below).  Every
 Lyapunov solve is ``_gramians``: all Gramians of one state matrix from one
 Schur form, the matrix itself or its negated transpose when the
-stable/antistable split left it in that form.  ``_solve_sylvester`` serves
+stable/antistable split left it in that form (a matrix that its system
+holds as its own form is not scanned).  ``_solve_sylvester`` serves
 :func:`solve_sylvester` and :mod:`ctred.decompose`, which hands it the
 blocks of one Schur form.  No scipy Lyapunov or Sylvester solver runs.
 
@@ -125,8 +126,11 @@ def _lapack_ok(info: int, routine: str) -> None:
 
 
 def _finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite (counted: an ``all`` reduction
-    costs more than the count at these sizes)."""
+    """Whether every entry of ``a`` is finite: an array of 0 or 1 entries
+    is read as a scalar, a larger one counted (an ``all`` reduction costs
+    more than the count at these sizes)."""
+    if a.size <= 1:
+        return a.size == 0 or math.isfinite(a.item())
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
@@ -392,7 +396,8 @@ def _check_residual(terms: Sequence[np.ndarray], equation: str,
 
 
 def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
-              observability: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
+              observability: Sequence[np.ndarray] = (),
+              held: tuple | None = None) -> list[np.ndarray]:
     """Solutions of ``A X + X A^T + Q = 0`` for each ``Q`` in
     ``controllability``, then of ``A^T X + X A + Q = 0`` for each ``Q`` in
     ``observability``, all from one real Schur form ``A = Z T Z^T``
@@ -403,9 +408,12 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     of its shape.  ``T`` is ``A`` itself when it is in real Schur canonical
     form, ``-A^T`` (solved with the transposed ``trsyl`` operations) when
     that is, as for the mirror of an antistable part, and one ``gees``
-    otherwise.  The diagonal of ``T`` holds the real parts of the
-    eigenvalues.  Raises :class:`StabilityError` unless they all lie more
-    than :func:`half_plane_tol` of ``A`` left of the imaginary axis, and
+    otherwise.  ``held`` is the form ``(T, Z, ev)`` that the system whose
+    state matrix ``a`` is holds, if it holds one: a ``T`` that is ``a``
+    itself says that ``a`` is its own form, so ``a`` is not scanned.  The
+    diagonal of ``T`` holds the real parts of the eigenvalues.  Raises
+    :class:`StabilityError` unless they all lie more than
+    :func:`half_plane_tol` of ``A`` left of the imaginary axis, and
     :class:`ConvergenceError` from ``_trsyl`` or from ``_check_residual``
     on the terms ``op X``, ``X op^T`` and ``Q`` (``op`` is ``A`` or
     ``A^T``; ``X`` is symmetric, so ``X op^T = (op X)^T`` costs no second
@@ -414,7 +422,7 @@ def _gramians(a: np.ndarray, controllability: Sequence[np.ndarray],
     if not a.shape[0]:
         return [np.zeros((0, 0)) for _ in (*controllability, *observability)]
     z, sign = None, 1.0
-    if _is_real_schur(a):
+    if held is not None and held[0] is a or _is_real_schur(a):
         t = a
     elif _is_real_schur(-a.T):
         t, sign = -a.T, -1.0

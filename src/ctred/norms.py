@@ -81,7 +81,8 @@ def _h2_norms(s: StateSpaceSystem,
     if s.n == 0:
         return [[0.0] * len(rows) for _, rows in blocks]
     try:
-        gramians = linalg._gramians(s.A, [s.B[:, c] @ s.B[:, c].T for c, _ in blocks])
+        gramians = linalg._gramians(s.A, [s.B[:, c] @ s.B[:, c].T for c, _ in blocks],
+                                    held=s._held.get("schur"))
     except StabilityError as exc:
         raise StabilityError("H2 norm requires a stable system") from exc
     traces = [[float(np.trace(s.C[r] @ wc @ s.C[r].T)) for r in rows]
@@ -111,8 +112,9 @@ def _largest_singular_values(resp: np.ndarray) -> np.ndarray:
 
 def _feedthrough_gain(d: np.ndarray) -> float:
     """``||D||_2``, the gain of a system with feedthrough ``D`` at infinite
-    frequency (:func:`_largest_singular_values` of ``D`` alone)."""
-    return float(_largest_singular_values(d[None])[0])
+    frequency (:func:`_largest_singular_values` of ``D`` alone; 0 for a
+    zero ``D``, which needs no reduction)."""
+    return float(_largest_singular_values(d[None])[0]) if d.any() else 0.0
 
 
 def _sigma_max(s: StateSpaceSystem, ws) -> np.ndarray:
@@ -191,6 +193,24 @@ def _refined_grid_peak(s: StateSpaceSystem, ws: np.ndarray, gains: np.ndarray,
     return best
 
 
+def _level_set(s: StateSpaceSystem) -> dict:
+    """What the level-set Hamiltonians of ``s`` share at every level, made
+    on first use and held by ``s``: ``||D||`` (``"d_gain"``), ``D^T D``,
+    the identities of the input and output dimensions and ``[B^T D^T]``.
+    When ``D = 0``, ``R^{-1} D^T`` is the same zero matrix at every level,
+    and so are the blocks ``A + B R^{-1} D^T C`` (with its negated
+    transpose) and ``-C^T (I + D R^{-1} D^T) C``: the first level makes
+    them, and ``s`` holds them too (``"blocks"``)."""
+    ls = s._held.get("level_set")
+    if ls is None:
+        d = s.D
+        ls = s._held["level_set"] = {
+            "d_gain": _feedthrough_gain(d), "dtd": d.T @ d, "eye_m": np.eye(s.m),
+            "eye_p": np.eye(s.p), "bdt": np.hstack([s.B.T, d.T]),
+        }
+    return ls
+
+
 def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
     """Candidate axis crossings of the level-set Hamiltonian for level ``gamma``.
 
@@ -205,26 +225,35 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
     feedthrough gain reports a crossing at infinite frequency, where no
     midpoint lies.  Uses the diagonally-balanced similarity of the
     Hamiltonian (off-diagonal blocks scaled by gamma and 1/gamma) so the
-    axis test stays well conditioned for small peak gains.  The name is the
-    probe through which ``bench/layers.py`` counts Hamiltonian eigen-solves.
+    axis test stays well conditioned for small peak gains.  What no level
+    changes is :func:`_level_set`'s, made once per system.  The name is
+    the probe through which ``bench/layers.py`` counts Hamiltonian
+    eigen-solves.
     """
-    a, b, c, d = s.A, s.B, s.C, s.D
-    n = s.n
+    ls = _level_set(s)
     # gamma at or below the feedthrough gain can never be an upper bound;
     # report a crossing at infinite frequency, where no midpoint lies.
     # (On a 1x1 r the "pos" solve divides without checking the sign.)
-    if gamma <= _feedthrough_gain(d):
+    if gamma <= ls["d_gain"]:
         return np.array([np.inf])
-    r = gamma**2 * np.eye(s.m) - d.T @ d
+    r = gamma**2 * ls["eye_m"] - ls["dtd"]
     try:
-        rinv_bdt = linalg._posv(r, np.hstack([b.T, d.T]))
+        rinv_bdt = linalg._posv(r, ls["bdt"])
     except np.linalg.LinAlgError:  # gamma within rounding of the feedthrough gain
         return np.array([np.inf])
+    a, b, c, d = s.A, s.B, s.C, s.D
+    n = s.n
     rinv_bt, rinv_dt = rinv_bdt[:, :n], rinv_bdt[:, n:]
-    acl = a + b @ rinv_dt @ c
-    ham = linalg._block_diag([acl, -acl.T], {
+    blocks = ls.get("blocks")
+    if blocks is None:
+        acl = a + b @ rinv_dt @ c
+        blocks = acl, -acl.T, -(c.T @ (ls["eye_p"] + d @ rinv_dt) @ c)
+        if not d.any():
+            ls["blocks"] = blocks
+    acl, neg_acl_t, neg_ctc = blocks
+    ham = linalg._block_diag([acl, neg_acl_t], {
         (0, 1): gamma * (b @ rinv_bt),
-        (1, 0): -(c.T @ (np.eye(s.p) + d @ rinv_dt) @ c) / gamma,
+        (1, 0): neg_ctc / gamma,
     })
     ev = linalg._geev(ham)
     axis_tol = HAM_CANDIDATE * max(inf_norm(ham), 1e-300)
@@ -232,7 +261,9 @@ def _gamma_is_upper_bound(s: StateSpaceSystem, gamma: float) -> np.ndarray:
 
 
 def _peak_gain(s: StateSpaceSystem) -> float:
-    """Shared level-set core, on the poles of ``s`` (none on the axis)."""
+    """Shared level-set core, on the poles of ``s`` (none on the axis).  The
+    levels are searched on one normalized copy of ``s``, which holds what
+    they share (:func:`_level_set`)."""
     d_gain = _feedthrough_gain(s.D)
     if s.n == 0 or not np.any(s.B) or not np.any(s.C):
         return d_gain
@@ -260,7 +291,7 @@ def _peak_gain(s: StateSpaceSystem) -> float:
     # C so the Hamiltonian blocks stay balanced in magnitude
     target = np.sqrt(coupling / estimate)
     sn = _system(
-        s.A, s.B * (target / beta), s.C * (target / xi), s.D / estimate
+        s.A, s.B * (target / beta), s.C * (target / xi), s.D / estimate, inherited="A"
     )
     # lb is the best gain evaluated; it starts at the estimate, at least
     # ||D||, so no level reaches the feedthrough gain.  Each level-set step

@@ -108,7 +108,7 @@ def _balanced(s: StateSpaceSystem, hp: _HankelPass) -> BalancedRealization:
     scale = 1.0 / np.sqrt(np.maximum(hp.sigma, HSV_MINIMAL * hp.sigma[0]))
     t = scale[:, None] * (hp.u.T @ hp.zo.T)
     tinv = (hp.zc @ hp.vt.T) * scale
-    balanced = _system(t @ s.A @ tinv, t @ s.B, s.C @ tinv, s.D)
+    balanced = _system(t @ s.A @ tinv, t @ s.B, s.C @ tinv, s.D, inherited="D")
     hp.sigma.flags.writeable = False
     return BalancedRealization(balanced, hp.sigma, t)
 
@@ -136,7 +136,7 @@ def balanced_truncate(s: StateSpaceSystem, r: int) -> TruncationResult:
             "requested split; choose a different order"
         )
     sb = _balanced(s, hp).system
-    reduced = _system(sb.A[:r, :r], sb.B[:r, :], sb.C[:, :r], sb.D)
+    reduced = _system(sb.A[:r, :r], sb.B[:r, :], sb.C[:, :r], sb.D, inherited="ABCD")
     if not linalg.is_stable(reduced.A):
         raise StabilityError("truncated system lost stability; split is ill-conditioned")
     return TruncationResult(reduced, "balanced", sigma[r:])
@@ -253,10 +253,11 @@ def _hankel_pass(s: StateSpaceSystem) -> _HankelPass:
     A part that :func:`~ctred.decompose.split_stable_unstable` left, or
     its mirror, is already in Schur form (or is the negated transpose of
     one), so its Gramians take only triangular solves
-    (:func:`~ctred.linalg._gramians`).
+    (:func:`~ctred.linalg._gramians`, handed the form ``s`` holds).
     """
     if s.n:
-        wc, wo = linalg._gramians(s.A, (s.B @ s.B.T,), (s.C.T @ s.C,))
+        wc, wo = linalg._gramians(s.A, (s.B @ s.B.T,), (s.C.T @ s.C,),
+                                  held=s._held.get("schur"))
         zc, zc_norm = _gramian_factor(wc)
         zo, zo_norm = _gramian_factor(wo)
         if zc.shape[1] and zo.shape[1]:
@@ -283,14 +284,15 @@ def _truncate_part_by_tol(s: StateSpaceSystem, hp: _HankelPass, cut: float):
     if k == s.n:
         return s
     if k == 0:
-        return _system(np.zeros((0, 0)), np.zeros((0, s.m)), np.zeros((s.p, 0)), s.D)
+        return _system(np.zeros((0, 0)), np.zeros((0, s.m)), np.zeros((s.p, 0)), s.D,
+                       inherited="D")
     v, _ = np.linalg.qr(hp.zc @ hp.vt[:k, :].T)
     w, _ = np.linalg.qr(hp.zo @ hp.u[:, :k])
     m = w.T @ v
     a_r = sla.solve(m, w.T @ s.A @ v)
     b_r = sla.solve(m, w.T @ s.B)
     c_r = s.C @ v
-    return _system(a_r, b_r, c_r, s.D)
+    return _system(a_r, b_r, c_r, s.D, inherited="D")
 
 
 class _Split:

@@ -14,11 +14,15 @@ block diagonalization, a negation, the sum of two Schur forms).
 Every system the package builds from arrays it computed, or from another
 system's read-only arrays, is made by one private path, ``_system``: it
 takes those arrays over (copying only one that is not C-contiguous
-float64), keeps the shape checks and one finiteness count per array (an
-overflowing product is still refused), and holds only the derived data
-it is handed.  ``_on_schur_form`` and ``_on_state_of`` are that path for
-a system built on a known form.  The public constructor and
-:func:`make_system` copy and check the caller's arrays.
+float64), keeps the shape checks, and holds only the derived data it is
+handed.  It counts the finiteness of each array the package computed
+once (an overflowing product, sum or difference is still refused), and
+not that of an array it inherits: another system's own array, or a
+slice, transpose or negation of one (a negation, a mirror, the blocks of
+the four-block map, the slices of a balanced truncation), which cannot
+hold a non-finite entry.  ``_on_schur_form`` and ``_on_state_of`` are
+that path for a system built on a known form.  The public constructor
+and :func:`make_system` copy and check the caller's arrays.
 """
 
 from __future__ import annotations
@@ -81,8 +85,9 @@ class StateSpaceSystem:
         for name, m in zip("ABCD", (a, b, c, d)):
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-        # _schur, _poles and the split once made: a dict, as cached
-        # properties slow attribute reads
+        # _schur, _poles, the split and the level-set constants of a
+        # peak-gain search once made: a dict, as cached properties slow
+        # attribute reads
         object.__setattr__(self, "_held", held)
 
     @property
@@ -134,7 +139,7 @@ class StateSpaceSystem:
         return add(self, other)
 
     def __sub__(self, other: "StateSpaceSystem") -> "StateSpaceSystem":
-        return add(self, negate(other))
+        return subtract(self, other)
 
     def __neg__(self) -> "StateSpaceSystem":
         return negate(self)
@@ -150,25 +155,32 @@ class StateSpaceSystem:
         return f"StateSpaceSystem(n={self.n}, m={self.m}, p={self.p})"
 
 
-def _system(a, b, c, d=None, held: dict | None = None) -> StateSpaceSystem:
-    """The system on 2-D arrays the package computed or another system's
-    read-only arrays, taken over without the public constructor's copies:
-    an array is copied only when it is not C-contiguous float64, and each
-    is made read-only.  The shapes are checked (:class:`DimensionError`),
-    and so is each array's finiteness (:class:`NonFiniteError`: a product
-    of finite arrays can overflow).  ``d`` defaults to the zero matrix, and
-    the system holds ``held`` (a dict of its own) and nothing else."""
+def _system(a, b, c, d=None, held: dict | None = None,
+            inherited: str = "") -> StateSpaceSystem:
+    """The system on 2-D arrays the package computed or took from other
+    systems, taken over without the public constructor's copies: an array
+    is copied only when it is not C-contiguous float64, and each is made
+    read-only.  The shapes are checked (:class:`DimensionError`), and so is
+    the finiteness of each computed array (:class:`NonFiniteError`: a
+    product of finite arrays can overflow).  The arrays that ``inherited``
+    names (among ``"ABCD"``) are another system's own arrays, or slices,
+    transposes or negations of them, which make no non-finite entry: they
+    are not counted again, nor is the default ``d``, the zero matrix.  The
+    system holds ``held`` (a dict of its own) and nothing else."""
     if d is None:
-        d = np.zeros((c.shape[0], b.shape[1]))
+        d, inherited = np.zeros((c.shape[0], b.shape[1])), inherited + "D"
     s = object.__new__(StateSpaceSystem)
-    s._own(_owned(a, "A"), _owned(b, "B"), _owned(c, "C"), _owned(d, "D"),
+    s._own(_owned(a, "A", inherited), _owned(b, "B", inherited),
+           _owned(c, "C", inherited), _owned(d, "D", inherited),
            {} if held is None else held)
     return s
 
 
-def _owned(m: np.ndarray, name: str) -> np.ndarray:
-    """``m``, or its C-contiguous float64 copy, with finite entries."""
-    return linalg._finite_matrix(np.ascontiguousarray(m, dtype=float), name)
+def _owned(m: np.ndarray, name: str, inherited: str) -> np.ndarray:
+    """``m``, or its C-contiguous float64 copy, with finite entries (counted
+    unless ``inherited`` names it)."""
+    m = np.ascontiguousarray(m, dtype=float)
+    return m if name in inherited else linalg._finite_matrix(m, name)
 
 
 def _on_schur_form(t, b, c, ev: np.ndarray, d=None) -> StateSpaceSystem:
@@ -180,12 +192,14 @@ def _on_schur_form(t, b, c, ev: np.ndarray, d=None) -> StateSpaceSystem:
     return s
 
 
-def _on_state_of(s: StateSpaceSystem, b, c, d=None) -> StateSpaceSystem:
+def _on_state_of(s: StateSpaceSystem, b, c, d=None,
+                 inherited: str = "") -> StateSpaceSystem:
     """The system ``(s.A, b, c, d)``, holding the form and poles ``s`` holds
-    (not its split: that belongs to ``s``'s transfer function)."""
+    (not its split: that belongs to ``s``'s transfer function); ``s.A`` and
+    the arrays ``inherited`` names are not counted (:func:`_system`)."""
     held = s._held
     return _system(s.A, b, c, d, {name: held[name] for name in ("schur", "poles")
-                                  if name in held})
+                                  if name in held}, "A" + inherited)
 
 
 def make_system(a, b, c, d=None) -> StateSpaceSystem:
@@ -200,6 +214,18 @@ def zero_system(p: int, m: int) -> StateSpaceSystem:
 
 def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
     """Parallel interconnection: transfer functions add, orders add."""
+    return _parallel(s1, s2, False)
+
+
+def subtract(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
+    """``s1 - s2`` in one construction: the parallel interconnection with
+    the outputs of ``s2`` negated (the arrays of ``add(s1, negate(s2))``)."""
+    return _parallel(s1, s2, True)
+
+
+def _parallel(s1: StateSpaceSystem, s2: StateSpaceSystem, minus: bool) -> StateSpaceSystem:
+    """``s1 + s2``, or ``s1 - s2`` when ``minus``; a sum of two systems that
+    each hold their own Schur form holds the block diagonal of the two."""
     if s1.m != s2.m or s1.p != s2.p:
         raise DimensionError(
             f"parallel sum needs matching dimensions, got "
@@ -207,15 +233,16 @@ def add(s1: StateSpaceSystem, s2: StateSpaceSystem) -> StateSpaceSystem:
         )
     a = linalg._block_diag([s1.A, s2.A])
     b = np.vstack([s1.B, s2.B])
-    c = np.hstack([s1.C, s2.C])
+    c = np.hstack([s1.C, -s2.C if minus else s2.C])
+    d = s1.D - s2.D if minus else s1.D + s2.D
     f1, f2 = s1._held.get("schur"), s2._held.get("schur")
     if f1 and f2 and f1[1] is None and f2[1] is None:  # two Schur forms make one
-        return _on_schur_form(a, b, c, np.concatenate([f1[2], f2[2]]), s1.D + s2.D)
-    return _system(a, b, c, s1.D + s2.D)
+        return _on_schur_form(a, b, c, np.concatenate([f1[2], f2[2]]), d)
+    return _system(a, b, c, d)
 
 
 def negate(s: StateSpaceSystem) -> StateSpaceSystem:
-    return _on_state_of(s, s.B, -s.C, -s.D)
+    return _on_state_of(s, s.B, -s.C, -s.D, "BCD")
 
 
 def series(s2: StateSpaceSystem, s1: StateSpaceSystem) -> StateSpaceSystem:
@@ -236,7 +263,7 @@ def mirror(s: StateSpaceSystem) -> StateSpaceSystem:
     Singular values on the imaginary axis are preserved pointwise, so all
     frequency-domain norms agree with those of the input system.
     """
-    return _system(-s.A.T, s.C.T, s.B.T, s.D.T)
+    return _system(-s.A.T, s.C.T, s.B.T, s.D.T, inherited="ABCD")
 
 
 # Complex entries of the ``(chunk, n, n)`` work array of one stacked solve
@@ -257,14 +284,15 @@ def frequency_response(s: StateSpaceSystem, omegas) -> np.ndarray:
     if s.n == 0:
         out[:] = s.D
         return out
-    diag = np.arange(s.n)
+    neg_a = -s.A
     step = max(1, _RESPONSE_BUDGET // (s.n * s.n))
     for start in range(0, ws.size, step):
         chunk = ws[start:start + step]
-        # built in place: one (chunk, n, n) array instead of two temporaries
+        # built in place: one (chunk, n, n) array instead of two temporaries,
+        # j omega added through a strided view of the diagonals
         pencils = np.empty((chunk.size, s.n, s.n), dtype=complex)
-        pencils[:] = -s.A
-        pencils[:, diag, diag] += 1j * chunk[:, None]
+        pencils[:] = neg_a
+        pencils.reshape(chunk.size, s.n * s.n)[:, ::s.n + 1] += 1j * chunk[:, None]
         out[start:start + chunk.size] = s.C @ np.linalg.solve(pencils, s.B) + s.D
     return out
 
@@ -326,7 +354,7 @@ class FourBlockMap:
             raise DimensionError("block indices must be 0 or 1")
         rows, cols = self.row_blocks[i], self.col_blocks[j]
         s = self.system
-        return _on_state_of(s, s.B[:, cols], s.C[rows, :], s.D[rows, cols])
+        return _on_state_of(s, s.B[:, cols], s.C[rows, :], s.D[rows, cols], "BCD")
 
     @cached_property
     def x(self) -> StateSpaceSystem:
@@ -352,7 +380,7 @@ class FourBlockMap:
     def y(self) -> StateSpaceSystem:
         """Output sensitivity ``Y = (I - G K)^{-1} = I + X K``."""
         xk = self.xk
-        return _on_state_of(xk, xk.B, xk.C, np.eye(self.p))
+        return _on_state_of(xk, xk.B, xk.C, np.eye(self.p), "BC")
 
 
 def four_block(g: StateSpaceSystem, k: StateSpaceSystem) -> FourBlockMap:

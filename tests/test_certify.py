@@ -113,21 +113,24 @@ def test_loop_quantities_solve_one_gramian_per_input_block(balmod, unstable_pair
     # x and kx share the first input block, xk and ky the second, and the
     # cost keeps its own Gramian: one kernel call with three right-hand
     # sides per loop, on the state matrix of the loop's Schur realization,
-    # which takes triangular solves only
+    # which takes triangular solves only and is handed as the form the
+    # loop's system holds, so it is not scanned
     for g, k in (balmod, unstable_pair):
         loop = certify._LoopAnalysis(g, k)
-        calls = []
-        original = linalg._gramians
+        calls, scans = [], []
+        original, is_schur = linalg._gramians, linalg._is_real_schur
 
-        def counted(a, controllability, observability=()):
+        def counted(a, controllability, observability=(), held=None):
             calls.append((len(controllability), len(observability),
-                           a is loop.fb.system.A and linalg._is_real_schur(a)))
-            return original(a, controllability, observability)
+                           a is loop.fb.system.A and is_schur(a)))
+            return original(a, controllability, observability, held)
 
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_gramians", counted)
+            mp.setattr(linalg, "_is_real_schur", lambda t: scans.append(t) or is_schur(t))
             q = loop.quantities
         assert calls == [(3, 0, True)]
+        assert scans == []
         fb = loop.fb
         for name, block in (("x_h2", fb.x), ("kx_h2", fb.kx), ("xk_h2", fb.xk),
                             ("ky_h2", fb.ky)):

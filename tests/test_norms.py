@@ -386,8 +386,9 @@ def test_hinf_lightly_damped_resonances(monkeypatch):
                     continue  # too close to the axis for the stability tolerance
                 ref = grid_peak(s)
                 assert abs(val - ref) <= 1e-8 * ref, (w0, zeta, s, val, ref)
-                # quadratic convergence: a handful of Hamiltonian eigen-solves
-                assert len(solves) <= 10, (w0, zeta, s, len(solves))
+                # quadratic convergence: a handful of Hamiltonian eigen-solves,
+                # each level through the counted probe
+                assert 1 <= len(solves) <= 10, (w0, zeta, s, len(solves))
                 checked += 1
     assert checked >= 24
 

@@ -7,8 +7,10 @@ from ctred import linalg
 from ctred.benchmarks import bench_balanced_vs_modal_pair, bench_unstable_pair
 from ctred.decompose import split_stable_unstable
 from ctred.errors import DimensionError, NonFiniteError, NotStabilizingError
+from ctred.reduce import balanced_truncate
 from ctred.statespace import (
     StateSpaceSystem,
+    _on_schur_form,
     _stabilizing_four_block,
     add,
     check_minimal,
@@ -17,10 +19,12 @@ from ctred.statespace import (
     frequency_response,
     is_internally_stable,
     make_system,
+    mirror,
     negate,
     poles,
     sensitivity_pair,
     series,
+    subtract,
     zero_system,
     zeros,
 )
@@ -105,14 +109,74 @@ def test_make_system_rejects_nan():
 
 
 def test_overflowing_internal_products_are_refused():
-    # the private path keeps one finiteness check per array, so a product
-    # of finite matrices that overflows is refused as by the public path
+    # the private path keeps one finiteness check per computed array, so a
+    # product, sum or difference of finite matrices that overflows is
+    # refused as by the public path, and so is a computed array handed to
+    # a system built on its Schur form
     big = make_system([[-1.0]], [[1e200]], [[1e200]])
+    feed = make_system([[-1.0]], [[1.0]], [[1.0]], [[1e308]])  # holds no form
+    held = split_stable_unstable(  # holds its Schur form
+        make_system([[-1.0]], [[1.0]], [[1.0]], [[1e308]])).stable_part
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError):
             series(big, big)  # the coupling B2 C1 is 1e400
         with pytest.raises(NonFiniteError):
             four_block(big, make_system([[-1.0]], [[1e200]], [[1e200]]))
+        for s1, s2 in ((feed, feed), (held, held)):
+            with pytest.raises(NonFiniteError):
+                add(s1, s2)  # D1 + D2 is 2e308
+        for minus in (negate(feed), negate(held)):
+            with pytest.raises(NonFiniteError):
+                subtract(feed, minus)  # D1 - D2 is 2e308, made in one step
+            with pytest.raises(NonFiniteError):
+                held - minus
+        with pytest.raises(NonFiniteError):
+            _on_schur_form(held.A, held.B @ np.array([[1e200]]) @ np.array([[1e200]]),
+                           held.C, held._poles.copy())
+
+
+def test_inherited_arrays_are_not_counted_again(monkeypatch):
+    # a negation, a four-block map's blocks, a mirror and the slices of a
+    # balanced truncation take arrays that another system holds, or their
+    # slices, transposes and negations: their finiteness is not counted again
+    g, k = bench_balanced_vs_modal_pair()
+    fb = four_block(g, k)
+    stable = make_system([[-1.0, 0.3, 0.0], [0.0, -2.0, 0.1], [0.2, 0.0, -3.0]],
+                         [[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]],
+                         [[1.0, 0.2, 0.0], [0.0, 1.0, 1.0]], [[0.1, 0.0], [0.0, 0.2]])
+    counted = []
+    finite = linalg._finite
+
+    def counting(a):
+        counted.append(a)
+        return finite(a)
+
+    monkeypatch.setattr(linalg, "_finite", counting)
+    for build in (lambda: negate(k), lambda: negate(fb.system), lambda: mirror(stable),
+                  lambda: [fb.block(i, j) for i in (0, 1) for j in (0, 1)]):
+        build()
+        assert counted == []
+    reduced = balanced_truncate(stable, 2).reduced
+    assert counted  # the balanced realization's computed arrays are counted
+    assert not any(a is m for a in counted for m in (reduced.A, reduced.B, reduced.C,
+                                                     reduced.D))
+
+
+def test_difference_is_the_sum_with_a_negation():
+    # subtract makes in one construction the arrays of add(s1, negate(s2)),
+    # zero signs included, and holds the same form
+    g, k = bench_unstable_pair()
+    split = split_stable_unstable(k)
+    pairs = [(g, k), (split.stable_part, split.unstable_part),
+             (split.unstable_part, negate(split.unstable_part))]
+    for s1, s2 in pairs:
+        for one, two in ((subtract(s1, s2), add(s1, negate(s2))), (s1 - s2, s1 + -s2)):
+            for x, y in zip((one.A, one.B, one.C, one.D), (two.A, two.B, two.C, two.D)):
+                assert _same_array(x, y)
+            assert one._held.keys() == two._held.keys()
+            if "schur" in one._held:
+                for x, y in zip((*one._schur, one._poles), (*two._schur, two._poles)):
+                    assert _same_array(x, y)
 
 
 def test_add_zero_identity():
@@ -339,7 +403,8 @@ def test_systems_created_holding_a_form_match_fresh_ones(rng):
         held += [fb.system, fb.x, fb.xk, fb.kx, fb.ky, fb.y]
         split = split_stable_unstable(k)
         stable, unstable = split.stable_part, split.unstable_part
-        held += [stable, unstable, negate(unstable), add(stable, unstable)]
+        held += [stable, unstable, negate(unstable), add(stable, unstable),
+                 subtract(stable, unstable)]
     dense = make_system(rng.standard_normal((5, 5)), rng.standard_normal((5, 2)),
                         rng.standard_normal((1, 5)))
     assert dense._schur[1] is not None  # its negation holds the gees form

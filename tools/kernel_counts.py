@@ -9,10 +9,11 @@ Builds each workload's request pool exactly as ``bench/run.py`` does for
 the seed and serves every request once with the ``ctred`` of this
 checkout's ``src``, as ``tools/pool_digest.py`` does.  For each workload
 it prints the calls of ``linalg._gees`` (real Schur form), ``_geev``
-(eigenvalues), ``_is_real_schur`` (with how many found the form) and
-``_block_eigenvalues`` (the spectrum of a Schur diagonal), and how many
-``_gees`` calls of a request factorize again an array that an earlier
-call of the same request factorized.  A second count takes the calls on
+(eigenvalues), ``_is_real_schur`` (with how many found the form),
+``_block_eigenvalues`` (the spectrum of a Schur diagonal) and ``_finite``
+(the finiteness check, with how many of its calls read an array of 0 or
+1 entries), and how many ``_gees`` calls of a request factorize again an
+array that an earlier call of the same request factorized.  A second count takes the calls on
 another array of the same shape and bytes: the state matrices of two
 systems that are equal but distinct objects, which each request builds
 anew by design, so these are not repeats.
@@ -34,10 +35,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-KERNELS = ("_gees", "_geev", "_is_real_schur", "_block_eigenvalues")
+KERNELS = ("_gees", "_geev", "_is_real_schur", "_block_eigenvalues", "_finite")
 COUNTS = ("_gees", "_gees repeats", "_gees equal content", "_geev", "_is_real_schur",
-          "_is_real_schur found", "_block_eigenvalues", "validating constructions",
-          "private constructions", "splits", "split repeats", "crashes")
+          "_is_real_schur found", "_block_eigenvalues", "_finite",
+          "_finite at most 1 entry", "validating constructions", "private constructions",
+          "splits", "split repeats", "crashes")
 
 
 def _counting(linalg, counts: Counter, seen: dict):
@@ -50,6 +52,8 @@ def _counting(linalg, counts: Counter, seen: dict):
             result = original(a, *args)
             if name == "_is_real_schur":
                 counts["_is_real_schur found"] += bool(result)
+            elif name == "_finite":
+                counts["_finite at most 1 entry"] += a.size <= 1
             elif name == "_gees":
                 key = hashlib.sha256(repr(a.shape).encode() + a.tobytes()).digest()
                 same = seen.setdefault(key, [])
